@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,7 +430,8 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     exiting the rectangle transversally before T.
 
     Returns (all_covered, uncovered_samples); tangent-undetermined samples
-    count as uncovered.
+    count as uncovered.  If the process pool cannot start or breaks, a
+    RuntimeWarning names the error and the samples are traced serially.
     """
     sampling = dict(sampling or {})
     n_pos = int(sampling.pop("n_pos", 64))
@@ -448,7 +451,8 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
                 parts = list(pool.map(_visibility_chunk, args))
             uncovered = [s for part in parts for s in part]
             return (len(uncovered) == 0), uncovered
-        except (OSError, RuntimeError):
-            pass  # fall back to the serial path
+        except (OSError, BrokenProcessPool) as exc:
+            warnings.warn(f"visibility process pool failed ({type(exc).__name__}: {exc}); "
+                          "sampling serially", RuntimeWarning, stacklevel=2)
     uncovered = _visibility_chunk((positions, directions, m, omega, T, caps))
     return (len(uncovered) == 0), uncovered

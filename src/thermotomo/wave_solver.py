@@ -4,7 +4,10 @@ The stepper is the classic leapfrog scheme on the 5-point Laplacian with
 homogeneous Dirichlet data on the outermost ring of the computational box.
 The box is sized so that, by finite speed of propagation, the ring is never
 reached within [0, T] (or an optional cosine-ramp sponge absorbs what would
-reach it).
+reach it).  Every solve runs the one time loop ``_march``: three preallocated
+levels rotate, and the kernel ``_leap`` writes each new level in place with
+one scratch array and weights (dt/h)^2 c^2 computed once per solve, so a step
+allocates nothing.  Its operation order is the textbook one, bit for bit.
 
 Time-derivative convention: the solver hands back
 ``u_t(T) = (u^N - u^{N-1})/dt + (dt/2) c^2 Lap u^N``,
@@ -21,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CompatibilityError,
-    ConfigurationError,
-    InstabilityError,
-)
+from .errors import CompatibilityError, ConfigurationError, InstabilityError
 from .grid_field import Grid, Region, ScalarField, WaveState
 from .medium import Medium
 
@@ -156,36 +155,78 @@ def step(prev: ScalarField, curr: ScalarField, m: Medium, dt: float,
     return ScalarField(curr.grid, nxt)
 
 
+def _weights(c_sq, h, dt):
+    """(dt/h)^2 c^2 over ``_leap``'s flat node range, zero on its side ring nodes."""
+    w = (dt * dt) / (h * h) * c_sq
+    w[:, 0] = w[:, -1] = 0.0
+    return w.reshape(-1)[c_sq.shape[1] + 1:-c_sq.shape[1] - 1]
+
+
+def _lap_sum(u):
+    """Undivided 5-point Laplacian N + S + E + W - 4u on the interior nodes of u."""
+    return u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]
+
+
+def _leap(out, prev, curr, w, scratch):
+    """Allocation-free leapfrog kernel: out = 2 curr - prev + w _lap_sum(curr).
+
+    Steps C-ordered grids as flat arrays from node (1, 1) to (nx-2, ny-2).
+    The side ring nodes in that range get 2 curr - prev (w is zero there), so
+    a zero ring stays zero.  ``scratch`` has the size of ``w``.  The textbook
+    operation order is kept, so results are bit-identical to it.
+    """
+    ny = curr.shape[1]
+    a, b = ny + 1, curr.size - ny - 1
+    o, c = out.reshape(-1)[a:b], curr.reshape(-1)
+    np.add(c[a + ny:b + ny], c[a - ny:b - ny], out=o)
+    o += c[a + 1:b + 1]
+    o += c[a - 1:b - 1]
+    o -= np.multiply(c[a:b], 4.0, out=scratch)
+    o *= w
+    np.multiply(c[a:b], 2.0, out=scratch)
+    scratch -= prev.reshape(-1)[a:b]
+    np.add(scratch, o, out=o)
+
+
 def _leap_into(out, prev, curr, c_sq, h, dt):
-    """Interior leapfrog update written into ``out``; ring rows untouched."""
-    lam = (dt * dt) / (h * h)
-    out[1:-1, 1:-1] = (
-        2.0 * curr[1:-1, 1:-1] - prev[1:-1, 1:-1]
-        + lam * c_sq[1:-1, 1:-1] * (
-            curr[2:, 1:-1] + curr[:-2, 1:-1] + curr[1:-1, 2:] + curr[1:-1, :-2]
-            - 4.0 * curr[1:-1, 1:-1])
-    )
+    """One interior leapfrog update written into ``out``; ring rows untouched."""
+    w, tmp = _weights(c_sq, h, dt), np.zeros(curr.shape)
+    _leap(tmp, prev, curr, w, np.empty_like(w))
+    out[1:-1, 1:-1] = tmp[1:-1, 1:-1]
+
+
+def _march(prev, curr, w, steps, where, pin=None, record=None):
+    """The one leapfrog time loop: from C-ordered levels (prev, curr), one level
+    per index in ``steps`` in three rotating buffers, without allocating per step.
+    ``pin(k, nxt, prev)`` edits each new level in place before its finiteness
+    check; ``record(k, curr, prev)`` sees each accepted level.
+    """
+    nxt, scratch = np.zeros(curr.shape), np.empty_like(w)
+    finite = np.empty(curr.shape, dtype=bool)
+    for k in steps:
+        _leap(nxt, prev, curr, w, scratch)
+        if pin is not None:
+            pin(k, nxt, prev)
+        if not np.isfinite(nxt, out=finite).all():
+            raise InstabilityError(f"non-finite values appeared at {where} {k}")
+        prev, curr, nxt = curr, nxt, prev
+        if record is not None:
+            record(k, curr, prev)
+    return prev, curr
 
 
 def _taylor_second_level(u0, ut0, c_sq, h, dt):
     """u^1 = u^0 + dt u_t^0 + dt^2/2 c^2 Lap u^0, zero ring."""
     u1 = np.zeros_like(u0)
     lam = 0.5 * dt * dt / (h * h)
-    u1[1:-1, 1:-1] = (
-        u0[1:-1, 1:-1] + dt * ut0[1:-1, 1:-1]
-        + lam * c_sq[1:-1, 1:-1] * (
-            u0[2:, 1:-1] + u0[:-2, 1:-1] + u0[1:-1, 2:] + u0[1:-1, :-2]
-            - 4.0 * u0[1:-1, 1:-1])
-    )
+    u1[1:-1, 1:-1] = u0[1:-1, 1:-1] + dt * ut0[1:-1, 1:-1] + lam * c_sq[1:-1, 1:-1] * _lap_sum(u0)
     return u1
 
 
 def _consistent_ut(u_last, u_prev, c_sq, h, dt):
     """Time derivative matching the Taylor seed: (u^N - u^{N-1})/dt + dt/2 c^2 Lap u^N."""
     ut = (u_last - u_prev) / dt
-    ut[1:-1, 1:-1] += 0.5 * dt * c_sq[1:-1, 1:-1] * (
-        u_last[2:, 1:-1] + u_last[:-2, 1:-1] + u_last[1:-1, 2:] + u_last[1:-1, :-2]
-        - 4.0 * u_last[1:-1, 1:-1]) / (h * h)
+    ut[1:-1, 1:-1] += 0.5 * dt * c_sq[1:-1, 1:-1] * _lap_sum(u_last) / (h * h)
     return ut
 
 
@@ -243,7 +284,10 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     _check_cfl(cfg.dt, m, cfg.cfl)
     g, dt = m.grid, cfg.dt
-    pins = pin_zero.boundary_nodes if pin_zero is not None else None
+
+    def pin(k, arr, _prev):
+        if pin_zero is not None:
+            arr[pin_zero.boundary_nodes] = 0.0
 
     def sample(k, curr, prev):
         if on_sample is not None and k % sample_every == 0:
@@ -251,21 +295,13 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
             on_sample(k, WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut)))
 
     prev = f.u.data.copy()
-    if pins is not None:
-        prev[pins] = 0.0
+    prev[[0, -1], :] = prev[:, [0, -1]] = 0.0     # the outer ring is Dirichlet zero
+    pin(0, prev, None)
     curr = _taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
-    if pins is not None:
-        curr[pins] = 0.0
+    pin(1, curr, prev)
     sample(1, curr, prev)
-    nxt = np.zeros_like(prev)
-    for k in range(2, cfg.n_steps + 1):
-        _leap_into(nxt, prev, curr, m.c_sq, g.h, dt)
-        if pins is not None:
-            nxt[pins] = 0.0
-        if not np.all(np.isfinite(nxt)):
-            raise InstabilityError(f"non-finite values appeared at step {k}")
-        prev, curr, nxt = curr, nxt, prev
-        sample(k, curr, prev)
+    prev, curr = _march(prev, curr, _weights(m.c_sq, g.h, dt), range(2, cfg.n_steps + 1),
+                        "step", pin, sample)
     ut = _consistent_ut(curr, prev, m.c_sq, g.h, dt)
     return WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
 
@@ -283,8 +319,7 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     if f.grid != m.grid or omega.grid != m.grid:
         raise ConfigurationError("state, medium and region must share one grid")
     if abs(cfg.T - T) > 1e-9 * max(T, 1.0):
-        raise ConfigurationError(
-            f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
+        raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     _check_cfl(cfg.dt, m, cfg.cfl)
     _support_inside(f, omega)
     _check_box_margin(omega, m, T, cfg)
@@ -292,29 +327,29 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     g, dt = m.grid, cfg.dt
     bi, bj = omega.boundary_nodes
     values = np.empty((cfg.n_steps + 1, bi.size))
-    sigma = _sponge_sigma(g, m.c_max) if cfg.sponge else None
+
+    def record(k, curr, _prev):
+        values[k] = curr[bi, bj]
+        if on_step is not None:
+            on_step(k, cfg.n_steps)
 
     prev = f.u.data.copy()
     values[0] = prev[bi, bj]
     curr = _taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
-    if sigma is not None:
-        curr /= 1.0 + 0.5 * dt * sigma
-    values[1] = curr[bi, bj]
-    if on_step is not None:
-        on_step(1, cfg.n_steps)
+    damp = None
+    if cfg.sponge:
+        a = 0.5 * dt * _sponge_sigma(g, m.c_max)
+        curr /= 1.0 + a
+        a = a[1:-1, 1:-1]
+        b, tmp = 1.0 + a, np.empty_like(a)
 
-    nxt = np.zeros_like(prev)
-    for k in range(2, cfg.n_steps + 1):
-        _leap_into(nxt, prev, curr, m.c_sq, g.h, dt)
-        if sigma is not None:
-            nxt[1:-1, 1:-1] += 0.5 * dt * sigma[1:-1, 1:-1] * prev[1:-1, 1:-1]
-            nxt[1:-1, 1:-1] /= 1.0 + 0.5 * dt * sigma[1:-1, 1:-1]
-        if not np.all(np.isfinite(nxt)):
-            raise InstabilityError(f"non-finite values appeared at step {k}")
-        prev, curr, nxt = curr, nxt, prev
-        values[k] = curr[bi, bj]
-        if on_step is not None:
-            on_step(k, cfg.n_steps)
+        def damp(k, nxt, prev):
+            inner = nxt[1:-1, 1:-1]
+            inner += np.multiply(a, prev[1:-1, 1:-1], out=tmp)
+            inner /= b
+    record(1, curr, prev)
+    prev, curr = _march(prev, curr, _weights(m.c_sq, g.h, dt), range(2, cfg.n_steps + 1),
+                        "step", damp, record)
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)
     if not return_final:
@@ -349,60 +384,38 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
             f"Cauchy data disagrees with the trace at t = T by {mismatch:.3e} "
             f"(tolerance {1e-9 * scale:.3e})")
 
+    # step window-sized arrays, whose outer ring is the pinned rectangle boundary
     i0, i1 = omega.params["i0"], omega.params["i1"]
     j0, j1 = omega.params["j0"], omega.params["j1"]
     win = (slice(i0, i1 + 1), slice(j0, j1 + 1))
-    win_in = (slice(i0 + 1, i1), slice(j0 + 1, j1))
-    lam = (dt * dt) / (g.h * g.h)
-    c_sq_in = m.c_sq[win_in]
+    c_sq, wi, wj = m.c_sq[win], bi - i0, bj - j0
+
+    def pin(k, arr, _prev):
+        arr[wi, wj] = boundary.values[k]
 
     # two seed levels at t = T and T - dt
-    curr = np.zeros(g.shape)       # v^{k+1}
-    curr[win] = cauchy_at_T.u.data[win]
-    curr[bi, bj] = boundary.values[n]
-    prev = np.zeros(g.shape)       # v^k being built, holds v^{N-1} first
-    u0, ut0 = cauchy_at_T.u.data, cauchy_at_T.ut.data
-    prev[win_in] = (
-        u0[win_in] - dt * ut0[win_in]
-        + 0.5 * lam * c_sq_in * (
-            u0[i0 + 2:i1 + 1, j0 + 1:j1] + u0[i0:i1 - 1, j0 + 1:j1]
-            + u0[i0 + 1:i1, j0 + 2:j1 + 1] + u0[i0 + 1:i1, j0:j1 - 1]
-            - 4.0 * u0[win_in])
-    )
-    prev[bi, bj] = boundary.values[n - 1]
+    u0, ut0 = cauchy_at_T.u.data[win], cauchy_at_T.ut.data[win]
+    v_n, v_n1 = u0.copy(), np.zeros_like(u0)
+    v_n1[1:-1, 1:-1] = (u0[1:-1, 1:-1] - dt * ut0[1:-1, 1:-1]
+                        + 0.5 * ((dt * dt) / (g.h * g.h)) * c_sq[1:-1, 1:-1] * _lap_sum(u0))
+    pin(n, v_n, None)
+    pin(n - 1, v_n1, None)
     if on_step is not None:
         on_step(1, n)
+    record = None if on_step is None else (lambda k, _curr, _prev: on_step(n - k, n))
+    # level k is built from (v^{k+2}, v^{k+1})
+    v1, v0 = _march(v_n, v_n1, _weights(c_sq, g.h, dt), range(n - 2, -1, -1),
+                    "backward step", pin, record)
 
-    nxt = np.zeros(g.shape)
-    for k in range(n - 2, -1, -1):  # computes v^k from (v^{k+1}, v^{k+2})
-        nxt[win_in] = (
-            2.0 * prev[win_in] - curr[win_in]
-            + lam * c_sq_in * (
-                prev[i0 + 2:i1 + 1, j0 + 1:j1] + prev[i0:i1 - 1, j0 + 1:j1]
-                + prev[i0 + 1:i1, j0 + 2:j1 + 1] + prev[i0 + 1:i1, j0:j1 - 1]
-                - 4.0 * prev[win_in])
-        )
-        nxt[bi, bj] = boundary.values[k]
-        if not np.all(np.isfinite(nxt[win])):
-            raise InstabilityError(f"non-finite values appeared at backward step {k}")
-        curr, prev, nxt = prev, nxt, curr
-        if on_step is not None:
-            on_step(n - k, n)
-
-    # prev = v^0, curr = v^1; invert the forward Taylor seed for v_t(0)
-    v0 = np.zeros(g.shape)
-    v0[win] = prev[win]
-    vt0 = np.zeros(g.shape)
-    vt0[win] = (curr[win] - prev[win]) / dt
-    vt0[win_in] -= 0.5 * (dt / (g.h * g.h)) * c_sq_in * (
-        prev[i0 + 2:i1 + 1, j0 + 1:j1] + prev[i0:i1 - 1, j0 + 1:j1]
-        + prev[i0 + 1:i1, j0 + 2:j1 + 1] + prev[i0 + 1:i1, j0:j1 - 1]
-        - 4.0 * prev[win_in])
-    return WaveState(ScalarField(g, v0), ScalarField(g, vt0))
+    # invert the forward Taylor seed for v_t(0)
+    u, ut = np.zeros(g.shape), np.zeros(g.shape)
+    u[win] = v0
+    ut[win] = (v1 - v0) / dt
+    ut[i0 + 1:i1, j0 + 1:j1] -= 0.5 * (dt / (g.h * g.h)) * c_sq[1:-1, 1:-1] * _lap_sum(v0)
+    return WaveState(ScalarField(g, u), ScalarField(g, ut))
 
 
-def _exterior_solve(boundary: BoundaryTrace, omega: Region, cfg: SolverConfig,
-                    probe_nodes=None):
+def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
     """Unit-speed exterior solve driven by Dirichlet data on the rectangle boundary.
 
     Zero initial data; the rectangle interior is masked to zero so only the
@@ -412,8 +425,7 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, cfg: SolverConfig,
     """
     if omega.kind != "rectangle":
         raise ConfigurationError("exterior solve needs a grid-aligned rectangle")
-    g = omega.grid
-    dt = boundary.dt
+    g, dt = omega.grid, boundary.dt
     if dt > g.h / math.sqrt(2.0) * (1.0 + 1e-12):
         raise ConfigurationError("trace dt violates the unit-speed stability bound")
     if not np.allclose(boundary.points, omega.boundary_coords, atol=1e-9 * g.h):
@@ -424,54 +436,40 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, cfg: SolverConfig,
     j0, j1 = omega.params["j0"], omega.params["j1"]
     # outward axis neighbor per boundary node; the four corners carry two and
     # average both axis quotients
-    n1i, n1j = bi.copy(), bj.copy()
-    n1i[bi == i0] -= 1
-    n1i[bi == i1] += 1
-    side = (bi != i0) & (bi != i1)
-    n1j[side & (bj == j0)] -= 1
-    n1j[side & (bj == j1)] += 1
-    corner = ((bi == i0) | (bi == i1)) & ((bj == j0) | (bj == j1))
-    ci, cj = bi[corner], bj[corner]
-    n2i, n2j = ci.copy(), cj.copy()
-    n2j[cj == j0] -= 1
-    n2j[cj == j1] += 1
+    di = (bi == i1).astype(int) - (bi == i0)
+    dj = (bj == j1).astype(int) - (bj == j0)
+    n1i, n1j = bi + di, bj + dj * (di == 0)
+    corner = (di != 0) & (dj != 0)
+    ci, cj, n2j = bi[corner], bj[corner], (bj + dj)[corner]
     n_steps = boundary.n_steps
     normal = np.zeros((n_steps + 1, bi.size))
     probes = None
     if probe_nodes is not None:
         probes = np.zeros((n_steps + 1, len(probe_nodes)))
-        pi = np.asarray([p[0] for p in probe_nodes])
-        pj = np.asarray([p[1] for p in probe_nodes])
+        pi, pj = np.asarray(probe_nodes).T
 
-    ones = np.ones(g.shape)
     interior_win = (slice(i0 + 1, i1), slice(j0 + 1, j1))
 
-    def record(level, arr):
+    def pin(k, arr, _prev):
+        arr[bi, bj] = boundary.values[k]
+        arr[interior_win] = 0.0
+
+    def record(k, arr, _prev):
         q = (arr[n1i, n1j] - arr[bi, bj]) / g.h
-        q[corner] = 0.5 * (q[corner] + (arr[n2i, n2j] - arr[ci, cj]) / g.h)
-        normal[level] = q
+        q[corner] = 0.5 * (q[corner] + (arr[ci, n2j] - arr[ci, cj]) / g.h)
+        normal[k] = q
         if probes is not None:
-            probes[level] = arr[pi, pj]
+            probes[k] = arr[pi, pj]
 
     prev = np.zeros(g.shape)
-    prev[bi, bj] = boundary.values[0]
-    prev[interior_win] = 0.0
-    record(0, prev)
+    pin(0, prev, None)
+    record(0, prev, None)
+    ones = np.ones(g.shape)
     curr = _taylor_second_level(prev, np.zeros(g.shape), ones, g.h, dt)
-    curr[bi, bj] = boundary.values[1]
-    curr[interior_win] = 0.0
-    record(1, curr)
-
-    nxt = np.zeros(g.shape)
-    for k in range(2, n_steps + 1):
-        _leap_into(nxt, prev, curr, ones, g.h, dt)
-        nxt[bi, bj] = boundary.values[k]
-        nxt[interior_win] = 0.0
-        if not np.all(np.isfinite(nxt)):
-            raise InstabilityError(f"non-finite values appeared at exterior step {k}")
-        prev, curr, nxt = curr, nxt, prev
-        record(k, curr)
-
+    pin(1, curr, prev)
+    record(1, curr, prev)
+    _march(prev, curr, _weights(ones, g.h, dt), range(2, n_steps + 1),
+           "exterior step", pin, record)
     return normal, probes
 
 
@@ -480,7 +478,7 @@ def exterior_neumann(boundary: BoundaryTrace, omega: Region,
     """Exterior Neumann data generated by the trace: solves the unit-speed
     exterior problem with Dirichlet data = boundary and returns the one-sided
     exterior normal difference quotient on the rectangle boundary per step."""
-    normal, _ = _exterior_solve(boundary, omega, cfg)
+    normal, _ = _exterior_solve(boundary, omega)
     return BoundaryTrace(points=omega.boundary_coords, dt=boundary.dt, values=normal)
 
 
@@ -494,5 +492,5 @@ def exterior_field_probes(boundary: BoundaryTrace, omega: Region, cfg: SolverCon
         if omega.mask[i, j]:
             raise ConfigurationError(f"probe point {(x, y)} lies inside the rectangle")
         nodes.append((i, j))
-    _, probes = _exterior_solve(boundary, omega, cfg, probe_nodes=nodes)
+    _, probes = _exterior_solve(boundary, omega, probe_nodes=nodes)
     return probes

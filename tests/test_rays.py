@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermotomo import rays
 from thermotomo.errors import ConfigurationError, CriticalAngleError, TangencyError
 from thermotomo.grid_field import Grid, Region
 from thermotomo.medium import build_medium, uniform_medium
@@ -292,3 +293,19 @@ class TestVisibility:
         vis_ser, unc_ser = check_visibility(kset, m, omega, 0.8, dict(sampling))
         assert vis_par == vis_ser
         assert unc_par == unc_ser
+
+    def test_pool_start_failure_warns_and_matches_serial(self, setup, monkeypatch):
+        g, m, omega, kset = setup
+        sampling = {"n_pos": 25, "n_dir": 96}    # above the pool threshold
+
+        def no_pool(*args, **kwargs):
+            raise OSError("cannot start worker processes")
+
+        monkeypatch.setattr(rays, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("THERMOTOMO_THREADS", "2")
+        with pytest.warns(RuntimeWarning, match="OSError"):
+            vis_fb, unc_fb = check_visibility(kset, m, omega, 0.8, dict(sampling))
+        monkeypatch.setenv("THERMOTOMO_THREADS", "1")
+        vis_ser, unc_ser = check_visibility(kset, m, omega, 0.8, dict(sampling))
+        assert vis_fb == vis_ser
+        assert unc_fb == unc_ser

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from thermotomo.wave_solver import (
     forward,
     solve_backward,
     step,
+    _sponge_sigma,
 )
 
 from conftest import centered_bump, example1_setup, random_field
@@ -353,3 +355,274 @@ class TestBoundaryTrace:
         pts = np.array([[0.0, 0.0]])
         with pytest.raises(ConfigurationError):
             BoundaryTrace(points=pts, dt=0.1, values=np.array([[np.inf], [0.0]]))
+
+
+# -- reference stepper --------------------------------------------------------
+# The leapfrog kernel and the four time loops exactly as first written, with
+# grid-sized temporaries.  The in-place solver must match them bit for bit.
+
+
+def _ref_leap_into(out, prev, curr, c_sq, h, dt):
+    lam = (dt * dt) / (h * h)
+    out[1:-1, 1:-1] = (
+        2.0 * curr[1:-1, 1:-1] - prev[1:-1, 1:-1]
+        + lam * c_sq[1:-1, 1:-1] * (
+            curr[2:, 1:-1] + curr[:-2, 1:-1] + curr[1:-1, 2:] + curr[1:-1, :-2]
+            - 4.0 * curr[1:-1, 1:-1])
+    )
+
+
+def _ref_taylor_second_level(u0, ut0, c_sq, h, dt):
+    u1 = np.zeros_like(u0)
+    lam = 0.5 * dt * dt / (h * h)
+    u1[1:-1, 1:-1] = (
+        u0[1:-1, 1:-1] + dt * ut0[1:-1, 1:-1]
+        + lam * c_sq[1:-1, 1:-1] * (
+            u0[2:, 1:-1] + u0[:-2, 1:-1] + u0[1:-1, 2:] + u0[1:-1, :-2]
+            - 4.0 * u0[1:-1, 1:-1])
+    )
+    return u1
+
+
+def _ref_consistent_ut(u_last, u_prev, c_sq, h, dt):
+    ut = (u_last - u_prev) / dt
+    ut[1:-1, 1:-1] += 0.5 * dt * c_sq[1:-1, 1:-1] * (
+        u_last[2:, 1:-1] + u_last[:-2, 1:-1] + u_last[1:-1, 2:] + u_last[1:-1, :-2]
+        - 4.0 * u_last[1:-1, 1:-1]) / (h * h)
+    return ut
+
+
+def _ref_evolve(f, m, cfg, pin_zero=None, on_sample=None, sample_every=1):
+    g, dt = m.grid, cfg.dt
+    pins = pin_zero.boundary_nodes if pin_zero is not None else None
+
+    def sample(k, curr, prev):
+        if on_sample is not None and k % sample_every == 0:
+            ut = _ref_consistent_ut(curr, prev, m.c_sq, g.h, dt)
+            on_sample(k, WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut)))
+
+    prev = f.u.data.copy()
+    if pins is not None:
+        prev[pins] = 0.0
+    curr = _ref_taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
+    if pins is not None:
+        curr[pins] = 0.0
+    sample(1, curr, prev)
+    nxt = np.zeros_like(prev)
+    for k in range(2, cfg.n_steps + 1):
+        _ref_leap_into(nxt, prev, curr, m.c_sq, g.h, dt)
+        if pins is not None:
+            nxt[pins] = 0.0
+        if not np.all(np.isfinite(nxt)):
+            raise InstabilityError(f"non-finite values appeared at step {k}")
+        prev, curr, nxt = curr, nxt, prev
+        sample(k, curr, prev)
+    ut = _ref_consistent_ut(curr, prev, m.c_sq, g.h, dt)
+    return WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
+
+
+def _ref_forward(f, m, omega, cfg):
+    g, dt = m.grid, cfg.dt
+    bi, bj = omega.boundary_nodes
+    values = np.empty((cfg.n_steps + 1, bi.size))
+    sigma = _sponge_sigma(g, m.c_max) if cfg.sponge else None
+
+    prev = f.u.data.copy()
+    values[0] = prev[bi, bj]
+    curr = _ref_taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
+    if sigma is not None:
+        curr /= 1.0 + 0.5 * dt * sigma
+    values[1] = curr[bi, bj]
+
+    nxt = np.zeros_like(prev)
+    for k in range(2, cfg.n_steps + 1):
+        _ref_leap_into(nxt, prev, curr, m.c_sq, g.h, dt)
+        if sigma is not None:
+            nxt[1:-1, 1:-1] += 0.5 * dt * sigma[1:-1, 1:-1] * prev[1:-1, 1:-1]
+            nxt[1:-1, 1:-1] /= 1.0 + 0.5 * dt * sigma[1:-1, 1:-1]
+        if not np.all(np.isfinite(nxt)):
+            raise InstabilityError(f"non-finite values appeared at step {k}")
+        prev, curr, nxt = curr, nxt, prev
+        values[k] = curr[bi, bj]
+
+    ut = _ref_consistent_ut(curr, prev, m.c_sq, g.h, dt)
+    return values, WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
+
+
+def _ref_solve_backward(boundary, cauchy_at_T, m, omega):
+    g, dt = m.grid, boundary.dt
+    n = boundary.n_steps
+    bi, bj = omega.boundary_nodes
+    i0, i1 = omega.params["i0"], omega.params["i1"]
+    j0, j1 = omega.params["j0"], omega.params["j1"]
+    win = (slice(i0, i1 + 1), slice(j0, j1 + 1))
+    win_in = (slice(i0 + 1, i1), slice(j0 + 1, j1))
+    lam = (dt * dt) / (g.h * g.h)
+    c_sq_in = m.c_sq[win_in]
+
+    curr = np.zeros(g.shape)
+    curr[win] = cauchy_at_T.u.data[win]
+    curr[bi, bj] = boundary.values[n]
+    prev = np.zeros(g.shape)
+    u0, ut0 = cauchy_at_T.u.data, cauchy_at_T.ut.data
+    prev[win_in] = (
+        u0[win_in] - dt * ut0[win_in]
+        + 0.5 * lam * c_sq_in * (
+            u0[i0 + 2:i1 + 1, j0 + 1:j1] + u0[i0:i1 - 1, j0 + 1:j1]
+            + u0[i0 + 1:i1, j0 + 2:j1 + 1] + u0[i0 + 1:i1, j0:j1 - 1]
+            - 4.0 * u0[win_in])
+    )
+    prev[bi, bj] = boundary.values[n - 1]
+
+    nxt = np.zeros(g.shape)
+    for k in range(n - 2, -1, -1):
+        nxt[win_in] = (
+            2.0 * prev[win_in] - curr[win_in]
+            + lam * c_sq_in * (
+                prev[i0 + 2:i1 + 1, j0 + 1:j1] + prev[i0:i1 - 1, j0 + 1:j1]
+                + prev[i0 + 1:i1, j0 + 2:j1 + 1] + prev[i0 + 1:i1, j0:j1 - 1]
+                - 4.0 * prev[win_in])
+        )
+        nxt[bi, bj] = boundary.values[k]
+        if not np.all(np.isfinite(nxt[win])):
+            raise InstabilityError(f"non-finite values appeared at backward step {k}")
+        curr, prev, nxt = prev, nxt, curr
+
+    v0 = np.zeros(g.shape)
+    v0[win] = prev[win]
+    vt0 = np.zeros(g.shape)
+    vt0[win] = (curr[win] - prev[win]) / dt
+    vt0[win_in] -= 0.5 * (dt / (g.h * g.h)) * c_sq_in * (
+        prev[i0 + 2:i1 + 1, j0 + 1:j1] + prev[i0:i1 - 1, j0 + 1:j1]
+        + prev[i0 + 1:i1, j0 + 2:j1 + 1] + prev[i0 + 1:i1, j0:j1 - 1]
+        - 4.0 * prev[win_in])
+    return WaveState(ScalarField(g, v0), ScalarField(g, vt0))
+
+
+def _ref_exterior_neumann(boundary, omega):
+    g = omega.grid
+    dt = boundary.dt
+    bi, bj = omega.boundary_nodes
+    i0, i1 = omega.params["i0"], omega.params["i1"]
+    j0, j1 = omega.params["j0"], omega.params["j1"]
+    n1i, n1j = bi.copy(), bj.copy()
+    n1i[bi == i0] -= 1
+    n1i[bi == i1] += 1
+    side = (bi != i0) & (bi != i1)
+    n1j[side & (bj == j0)] -= 1
+    n1j[side & (bj == j1)] += 1
+    corner = ((bi == i0) | (bi == i1)) & ((bj == j0) | (bj == j1))
+    ci, cj = bi[corner], bj[corner]
+    n2i, n2j = ci.copy(), cj.copy()
+    n2j[cj == j0] -= 1
+    n2j[cj == j1] += 1
+    n_steps = boundary.n_steps
+    normal = np.zeros((n_steps + 1, bi.size))
+    ones = np.ones(g.shape)
+    interior_win = (slice(i0 + 1, i1), slice(j0 + 1, j1))
+
+    def record(level, arr):
+        q = (arr[n1i, n1j] - arr[bi, bj]) / g.h
+        q[corner] = 0.5 * (q[corner] + (arr[n2i, n2j] - arr[ci, cj]) / g.h)
+        normal[level] = q
+
+    prev = np.zeros(g.shape)
+    prev[bi, bj] = boundary.values[0]
+    prev[interior_win] = 0.0
+    record(0, prev)
+    curr = _ref_taylor_second_level(prev, np.zeros(g.shape), ones, g.h, dt)
+    curr[bi, bj] = boundary.values[1]
+    curr[interior_win] = 0.0
+    record(1, curr)
+
+    nxt = np.zeros(g.shape)
+    for k in range(2, n_steps + 1):
+        _ref_leap_into(nxt, prev, curr, ones, g.h, dt)
+        nxt[bi, bj] = boundary.values[k]
+        nxt[interior_win] = 0.0
+        if not np.all(np.isfinite(nxt)):
+            raise InstabilityError(f"non-finite values appeared at exterior step {k}")
+        prev, curr, nxt = curr, nxt, prev
+        record(k, curr)
+    return normal
+
+
+def _states_equal(a, b):
+    return np.array_equal(a.u.data, b.u.data) and np.array_equal(a.ut.data, b.ut.data)
+
+
+class TestReferenceStepper:
+    """Every solve equals the reference stepper bit for bit on a two-speed disk."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        g, m, omega, kset = example1_setup(N=121, L=4.6)
+        f = WaveState(centered_bump(g, kset, center=(0.03, -0.02)),
+                      0.5 * centered_bump(g, kset, sigma=0.04))
+        return g, m, omega, f
+
+    @pytest.mark.parametrize("sponge,T", [(False, 1.2), (True, 2.0)])
+    def test_forward(self, setup, sponge, T):
+        g, m, omega, f = setup
+        cfg = SolverConfig.for_time(m, T, sponge=sponge)
+        tr, fin = forward(f, m, omega, T, cfg, return_final=True)
+        values, ref_fin = _ref_forward(f, m, omega, cfg)
+        assert np.array_equal(tr.values, values)
+        assert _states_equal(fin, ref_fin)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_evolve(self, setup, pinned):
+        g, m, omega, f = setup
+        cfg = SolverConfig.for_time(m, 1.2)
+        pin_zero = omega if pinned else None
+        got, ref = [], []
+        out = evolve(f, m, 1.2, cfg, pin_zero=pin_zero, sample_every=7,
+                     on_sample=lambda k, st: got.append((k, st)))
+        ref_out = _ref_evolve(f, m, cfg, pin_zero=pin_zero, sample_every=7,
+                              on_sample=lambda k, st: ref.append((k, st)))
+        assert _states_equal(out, ref_out)
+        assert [k for k, _ in got] == [k for k, _ in ref]
+        assert all(_states_equal(a, b) for (_, a), (_, b) in zip(got, ref))
+
+    def test_solve_backward(self, setup):
+        g, m, omega, f = setup
+        cfg = SolverConfig.for_time(m, 1.2)
+        tr, fin = forward(f, m, omega, 1.2, cfg, return_final=True)
+        out = solve_backward(tr, fin, m, omega, cfg)
+        assert _states_equal(out, _ref_solve_backward(tr, fin, m, omega))
+
+    def test_exterior_neumann(self, setup):
+        g, m, omega, f = setup
+        cfg = SolverConfig.for_time(m, 1.2)
+        tr = forward(f, m, omega, 1.2, cfg)
+        out = exterior_neumann(tr, omega, cfg)
+        assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega))
+
+
+class TestAllocation:
+    def test_forward_steps_allocate_under_one_grid_array(self):
+        # the time loop reuses its buffers: from step 2 on, the traced peak
+        # grows by less than one grid-sized array (temporaries would cost ~4)
+        g = Grid(256, 256, 4.0 / 255, origin=(-2.0, -2.0))
+        m = build_medium([(0.5, 0.5)], g)
+        omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
+        f = WaveState(centered_bump(g, Region.disk(g, (0.0, 0.0), 0.2)),
+                      ScalarField.zeros(g))
+        T = 0.3
+        cfg = SolverConfig.for_time(m, T)
+        seen = {}
+
+        def on_step(k, n):
+            if k == 2:
+                tracemalloc.reset_peak()
+                seen["base"] = tracemalloc.get_traced_memory()[0]
+            elif k == n:
+                seen["growth"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+
+        tracemalloc.start()
+        try:
+            forward(f, m, omega, T, cfg, on_step=on_step)
+        finally:
+            tracemalloc.stop()
+        assert cfg.n_steps > 10
+        assert seen["growth"] < g.nx * g.ny * 8
