@@ -11,16 +11,16 @@ tolerance of tangency or of the critical angle are recorded as
 
 A point carries a visible singularity when one of the branch trees grown
 from (x, d) and (x, -d) has a transversal exit through the measurement
-rectangle before time T.
+rectangle before time T.  One depth-first event stream serves both uses:
+``trace_branches`` records all of it, and ``check_visibility`` walks the
+samples serially and stops each at its first exit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+# unused: the benchmark's traced mode (bench/op.py) wraps rays.ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,12 +260,72 @@ def _omega_rect(omega: Region) -> tuple[float, float, float, float]:
             g.ys[omega.params["j0"]], g.ys[omega.params["j1"]])
 
 
-def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
-                   caps: dict | None = None) -> RayBranchGraph:
-    """Grow the branch forest from (x0, +d0) and (x0, -d0) until time T.
+def _advance(ray: Ray, m: Medium, radii: list, rect, T: float,
+             max_depth: int, min_weight: float) -> list[tuple]:
+    """The events where ``ray`` next meets an interface, the rectangle or time T.
 
-    caps: ``max_depth`` (interface events per path, default 12) and
-    ``min_weight`` (branches below it become truncation leaves, default 1e-4).
+    Each event is (kind, x, t, weight, depth, angle, direction, child): child
+    is the ray continuing from a reflect or transmit event, None on a leaf.
+    A branch below ``min_weight`` or at ``max_depth`` is a truncation leaf.
+    """
+    c_here = speed_at(m, ray.x)
+    hits = [(_circle_hit(ray.x, ray.d, r), r) for r in radii]
+    hits = [(t, r) for t, r in hits if t is not None]
+    t_circle, r_hit = min(hits, default=(math.inf, None))
+    t_rect = _rect_exit(ray.x, ray.d, rect)
+    t_event = min(t_circle, t_rect)
+    t_arrive = ray.t + t_event / c_here
+
+    if t_arrive >= T:
+        pos = ray.x + ray.d * (T - ray.t) * c_here
+        return [("expiry", pos, T, ray.weight, ray.depth, None, None, None)]
+
+    pos = ray.x + ray.d * t_event
+    if t_rect < t_circle:
+        n_out = _rect_normal(pos, rect)
+        if abs(float(ray.d @ n_out)) < math.sin(TANGENCY_TOL):
+            return [("tangent_undetermined", pos, t_arrive, ray.weight, ray.depth,
+                     None, None, None)]
+        return [("exit", pos, t_arrive, ray.weight, ray.depth, None, ray.d, None)]
+
+    # transversal circle hit
+    r_unit = pos / float(np.hypot(*pos))
+    going_out = float(ray.d @ r_unit) > 0
+    iface = next(i for i in m.interfaces if i.radius == r_hit)
+    c_in, c_out = (iface.c_int, iface.c_ext) if going_out else (iface.c_ext, iface.c_int)
+    surface_n = r_unit if going_out else -r_unit
+    cos_a = min(abs(float(ray.d @ r_unit)), 1.0)
+    alpha = math.acos(cos_a)
+    grazing = (math.pi / 2 - alpha) < TANGENCY_TOL
+    if grazing or (c_in < c_out and abs(alpha - math.asin(c_in / c_out)) < CRITICAL_TOL):
+        return [("tangent_undetermined", pos, t_arrive, ray.weight, ray.depth,
+                 alpha, None, None)]
+    a, b = normal_phase_derivatives(alpha, c_in, c_out)
+    transmitted = snell_transmit(ray.d, surface_n, c_in, c_out)
+    frac_t = energy_split(a, b) if transmitted is not None else 0.0
+    depth = ray.depth + 1
+
+    branches = (("reflect", reflect(ray.d, surface_n), ray.weight * (1.0 - frac_t)),
+                ("transmit", transmitted, ray.weight * frac_t))
+    events = []
+    for kind, d_new, w_new in branches:
+        if d_new is None:
+            continue
+        child = None
+        if w_new < min_weight or depth >= max_depth:
+            kind = "truncation"
+        else:
+            child = Ray(pos.copy(), d_new, t_arrive, w_new, depth)
+        events.append((kind, pos, t_arrive, w_new, depth, alpha, d_new, child))
+    return events
+
+
+def _branch_events(x0, d0, m: Medium, omega: Region, T: float, caps: dict | None):
+    """Yield the branch events grown from (x0, +d0) and (x0, -d0), depth first.
+
+    Each event is the argument tuple of ``RayBranchGraph.add``: (parent, kind,
+    x, t, weight, depth, angle, direction), with ``parent`` the index of an
+    earlier event.  The inputs are checked before the first event.
     """
     caps = dict(caps or {})
     max_depth = int(caps.pop("max_depth", 12))
@@ -274,14 +334,8 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
         raise ConfigurationError(f"unknown caps: {sorted(caps)}")
     if max_depth < 1 or min_weight <= 0:
         raise ConfigurationError("caps must be positive")
-    if T <= 0:
-        # zero observation time: both launches expire immediately
-        graph = RayBranchGraph()
-        for sgn in (1.0, -1.0):
-            root = Ray(x0, sgn * np.asarray(d0, dtype=float))
-            nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
-            graph.add(nid, "expiry", root.x, 0.0, 1.0, 0)
-        return graph
+    if not T >= 0:
+        raise ConfigurationError(f"observation time T must be nonnegative, got {T}")
     rect = _omega_rect(omega)
     x0 = np.asarray(x0, dtype=np.float64)
     radii = [iface.radius for iface in m.interfaces]
@@ -290,80 +344,38 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
     if not (rect[0] < x0[0] < rect[1] and rect[2] < x0[1] < rect[3]):
         raise ConfigurationError("launch point must lie inside the measurement rectangle")
 
-    graph = RayBranchGraph()
-    stack: list[tuple[int, Ray]] = []
-    for sgn in (1.0, -1.0):
-        root = Ray(x0.copy(), sgn * np.asarray(d0, dtype=float))
-        nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
-        stack.append((nid, root))
+    roots = [Ray(x0.copy(), sgn * np.asarray(d0, dtype=float)) for sgn in (1.0, -1.0)]
+    if T == 0:
+        # zero observation time: each launch expires at once
+        for k, root in enumerate(roots):
+            yield None, "launch", root.x, 0.0, 1.0, 0, None, root.d
+            yield 2 * k, "expiry", root.x, 0.0, 1.0, 0, None, None
+        return
 
+    stack: list[tuple[int, Ray]] = []
+    for k, root in enumerate(roots):
+        yield None, "launch", root.x, 0.0, 1.0, 0, None, root.d
+        stack.append((k, root))
+    n_events = len(roots)
     while stack:
         parent, ray = stack.pop()
-        c_here = speed_at(m, ray.x)
-        hits = [(_circle_hit(ray.x, ray.d, r), r) for r in radii]
-        hits = [(t, r) for t, r in hits if t is not None]
-        t_circle, r_hit = min(hits, default=(math.inf, None))
-        t_rect = _rect_exit(ray.x, ray.d, rect)
-        t_event = min(t_circle, t_rect)
-        t_arrive = ray.t + t_event / c_here
+        for *event, child in _advance(ray, m, radii, rect, T, max_depth, min_weight):
+            yield parent, *event
+            if child is not None:
+                stack.append((n_events, child))
+            n_events += 1
 
-        if t_arrive >= T:
-            pos = ray.x + ray.d * (T - ray.t) * c_here
-            graph.add(parent, "expiry", pos, T, ray.weight, ray.depth)
-            continue
 
-        pos = ray.x + ray.d * t_event
-        if t_rect < t_circle:
-            n_out = _rect_normal(pos, rect)
-            if abs(float(ray.d @ n_out)) < math.sin(TANGENCY_TOL):
-                graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight, ray.depth)
-            else:
-                graph.add(parent, "exit", pos, t_arrive, ray.weight, ray.depth,
-                          direction=ray.d)
-            continue
+def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
+                   caps: dict | None = None) -> RayBranchGraph:
+    """Grow the branch forest from (x0, +d0) and (x0, -d0) until time T >= 0.
 
-        # transversal circle hit
-        r_unit = pos / float(np.hypot(*pos))
-        going_out = float(ray.d @ r_unit) > 0
-        iface = next(i for i in m.interfaces if i.radius == r_hit)
-        c_in, c_out = (iface.c_int, iface.c_ext) if going_out else (iface.c_ext, iface.c_int)
-        surface_n = r_unit if going_out else -r_unit
-        cos_a = min(abs(float(ray.d @ r_unit)), 1.0)
-        alpha = math.acos(cos_a)
-        if (math.pi / 2 - alpha) < TANGENCY_TOL:
-            graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
-                      ray.depth, angle=alpha)
-            continue
-        if c_in < c_out:
-            alpha0 = math.asin(c_in / c_out)
-            if abs(alpha - alpha0) < CRITICAL_TOL:
-                graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
-                          ray.depth, angle=alpha)
-                continue
-        a, b = normal_phase_derivatives(alpha, c_in, c_out)
-        transmitted = snell_transmit(ray.d, surface_n, c_in, c_out)
-        frac_t = energy_split(a, b) if transmitted is not None else 0.0
-        depth = ray.depth + 1
-
-        def extend(nid, child_ray):
-            if child_ray.weight < min_weight:
-                graph.nodes[nid].kind = "truncation"
-            elif depth >= max_depth:
-                graph.nodes[nid].kind = "truncation"
-            else:
-                stack.append((nid, child_ray))
-
-        d_refl = reflect(ray.d, surface_n)
-        w_refl = ray.weight * (1.0 - frac_t)
-        nid = graph.add(parent, "reflect", pos, t_arrive, w_refl, depth,
-                        angle=alpha, direction=d_refl)
-        extend(nid, Ray(pos.copy(), d_refl, t_arrive, w_refl, depth))
-        if transmitted is not None:
-            w_tr = ray.weight * frac_t
-            nid = graph.add(parent, "transmit", pos, t_arrive, w_tr, depth,
-                            angle=alpha, direction=transmitted)
-            extend(nid, Ray(pos.copy(), transmitted, t_arrive, w_tr, depth))
-
+    caps: ``max_depth`` (interface events per path, default 12) and
+    ``min_weight`` (branches below it become truncation leaves, default 1e-4).
+    """
+    graph = RayBranchGraph()
+    for event in _branch_events(x0, d0, m, omega, T, caps):
+        graph.add(*event)
     return graph
 
 
@@ -400,38 +412,15 @@ def sample_directions(n_dir: int) -> np.ndarray:
     return np.column_stack((np.cos(th), np.sin(th)))
 
 
-def worker_count() -> int:
-    """Data-parallel width: THERMOTOMO_THREADS if set, else all cores."""
-    env = os.environ.get("THERMOTOMO_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigurationError(f"THERMOTOMO_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ConfigurationError(f"THERMOTOMO_THREADS must be positive, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def _visibility_chunk(args):
-    positions, directions, m, omega, T, caps = args
-    uncovered = []
-    for x in positions:
-        for d in directions:
-            if not trace_branches(x, d, m, omega, T, caps).has_clean_exit():
-                uncovered.append((tuple(x), tuple(d)))
-    return uncovered
-
-
 def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
                      sampling: dict | None = None) -> tuple[bool, list]:
     """Sample kset positions and directions; each sample must have a branch
     exiting the rectangle transversally before T.
 
-    Returns (all_covered, uncovered_samples); tangent-undetermined samples
-    count as uncovered.  If the process pool cannot start or breaks, a
-    RuntimeWarning names the error and the samples are traced serially.
+    Samples are traced one after another, each only until its first exit
+    event, in the order ``trace_branches`` records them.  Returns
+    (all_covered, uncovered_samples); tangent-undetermined samples count as
+    uncovered.
     """
     sampling = dict(sampling or {})
     n_pos = int(sampling.pop("n_pos", 64))
@@ -441,18 +430,7 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
         raise ConfigurationError(f"unknown sampling keys: {sorted(sampling)}")
     positions = sample_positions(kset, n_pos)
     directions = sample_directions(n_dir)
-
-    workers = worker_count()
-    if workers > 1 and n_pos * n_dir > 2048 and len(positions) > 1:
-        chunks = np.array_split(positions, min(workers, len(positions)))
-        args = [(chunk, directions, m, omega, T, caps) for chunk in chunks if len(chunk)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_visibility_chunk, args))
-            uncovered = [s for part in parts for s in part]
-            return (len(uncovered) == 0), uncovered
-        except (OSError, BrokenProcessPool) as exc:
-            warnings.warn(f"visibility process pool failed ({type(exc).__name__}: {exc}); "
-                          "sampling serially", RuntimeWarning, stacklevel=2)
-    uncovered = _visibility_chunk((positions, directions, m, omega, T, caps))
+    uncovered = [(tuple(x), tuple(d)) for x in positions for d in directions
+                 if not any(event[1] == "exit"
+                            for event in _branch_events(x, d, m, omega, T, caps))]
     return (len(uncovered) == 0), uncovered

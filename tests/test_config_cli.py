@@ -185,18 +185,3 @@ class TestCli:
         assert main(["roundtrip", "--config", cfg, "--output-dir", str(out2)]) == 0
         for name in ("report.csv", "recon.tawg", "trace.taws", "recon.pgm"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-class TestThreadCap:
-    def test_env_var_validation(self, monkeypatch):
-        from thermotomo.rays import worker_count
-        monkeypatch.setenv("THERMOTOMO_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("THERMOTOMO_THREADS", "zero")
-        with pytest.raises(ConfigurationError):
-            worker_count()
-        monkeypatch.setenv("THERMOTOMO_THREADS", "0")
-        with pytest.raises(ConfigurationError):
-            worker_count()
-        monkeypatch.delenv("THERMOTOMO_THREADS")
-        assert worker_count() >= 1

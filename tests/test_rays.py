@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermotomo import rays
+from thermotomo.config import RunConfig
 from thermotomo.errors import ConfigurationError, CriticalAngleError, TangencyError
 from thermotomo.grid_field import Grid, Region
 from thermotomo.medium import build_medium, uniform_medium
@@ -20,6 +22,8 @@ from thermotomo.rays import (
     snell_transmit,
     trace_branches,
 )
+
+from conftest import example1_setup
 
 angles = st.floats(min_value=1e-6, max_value=math.pi / 2 - 1e-6)
 speeds = st.floats(min_value=0.2, max_value=3.0)
@@ -222,6 +226,19 @@ class TestTraceBranches:
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 0.0)
         assert {n.kind for n in graph.leaves()} == {"expiry"}
 
+    def test_inputs_checked_before_zero_time(self, setup):
+        g, m, omega, kset = setup
+        for x0, region in (((1.5, 0.0), omega), ((0.5, 0.0), omega), ((0.1, 0.0), kset)):
+            with pytest.raises(ConfigurationError):
+                trace_branches(x0, (1.0, 0.0), m, region, 0.0)
+
+    def test_negative_time_rejected(self, setup):
+        g, m, omega, kset = setup
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, -1.0)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            check_visibility(kset, m, omega, -1.0, {"n_pos": 2, "n_dir": 2})
+
     def test_text_serialization_round_shape(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 2.0)
@@ -284,28 +301,175 @@ class TestVisibility:
         with pytest.raises(ConfigurationError):
             check_visibility(kset, m, omega, 1.0, {"n_positions": 4})
 
-    def test_parallel_matches_serial(self, setup, monkeypatch):
-        g, m, omega, kset = setup
-        sampling = {"n_pos": 25, "n_dir": 96}    # above the pool threshold
-        monkeypatch.setenv("THERMOTOMO_THREADS", "2")
-        vis_par, unc_par = check_visibility(kset, m, omega, 0.8, dict(sampling))
-        monkeypatch.setenv("THERMOTOMO_THREADS", "1")
-        vis_ser, unc_ser = check_visibility(kset, m, omega, 0.8, dict(sampling))
-        assert vis_par == vis_ser
-        assert unc_par == unc_ser
 
-    def test_pool_start_failure_warns_and_matches_serial(self, setup, monkeypatch):
-        g, m, omega, kset = setup
-        sampling = {"n_pos": 25, "n_dir": 96}    # above the pool threshold
+# -- reference: the full-tree trace_branches loop, kept verbatim as the oracle ----------
 
-        def no_pool(*args, **kwargs):
-            raise OSError("cannot start worker processes")
 
-        monkeypatch.setattr(rays, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setenv("THERMOTOMO_THREADS", "2")
-        with pytest.warns(RuntimeWarning, match="OSError"):
-            vis_fb, unc_fb = check_visibility(kset, m, omega, 0.8, dict(sampling))
-        monkeypatch.setenv("THERMOTOMO_THREADS", "1")
-        vis_ser, unc_ser = check_visibility(kset, m, omega, 0.8, dict(sampling))
-        assert vis_fb == vis_ser
-        assert unc_fb == unc_ser
+def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
+    Ray, RayBranchGraph = rays.Ray, rays.RayBranchGraph
+    caps = dict(caps or {})
+    max_depth = int(caps.pop("max_depth", 12))
+    min_weight = float(caps.pop("min_weight", 1e-4))
+    if caps:
+        raise ConfigurationError(f"unknown caps: {sorted(caps)}")
+    if max_depth < 1 or min_weight <= 0:
+        raise ConfigurationError("caps must be positive")
+    if T <= 0:
+        # zero observation time: both launches expire immediately
+        graph = RayBranchGraph()
+        for sgn in (1.0, -1.0):
+            root = Ray(x0, sgn * np.asarray(d0, dtype=float))
+            nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
+            graph.add(nid, "expiry", root.x, 0.0, 1.0, 0)
+        return graph
+    rect = rays._omega_rect(omega)
+    x0 = np.asarray(x0, dtype=np.float64)
+    radii = [iface.radius for iface in m.interfaces]
+    if any(abs(np.hypot(*x0) - r) < 10 * rays._POSITION_EPS for r in radii):
+        raise ConfigurationError("launch point must not lie on an interface circle")
+    if not (rect[0] < x0[0] < rect[1] and rect[2] < x0[1] < rect[3]):
+        raise ConfigurationError("launch point must lie inside the measurement rectangle")
+
+    graph = RayBranchGraph()
+    stack = []
+    for sgn in (1.0, -1.0):
+        root = Ray(x0.copy(), sgn * np.asarray(d0, dtype=float))
+        nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
+        stack.append((nid, root))
+
+    while stack:
+        parent, ray = stack.pop()
+        c_here = rays.speed_at(m, ray.x)
+        hits = [(rays._circle_hit(ray.x, ray.d, r), r) for r in radii]
+        hits = [(t, r) for t, r in hits if t is not None]
+        t_circle, r_hit = min(hits, default=(math.inf, None))
+        t_rect = rays._rect_exit(ray.x, ray.d, rect)
+        t_event = min(t_circle, t_rect)
+        t_arrive = ray.t + t_event / c_here
+
+        if t_arrive >= T:
+            pos = ray.x + ray.d * (T - ray.t) * c_here
+            graph.add(parent, "expiry", pos, T, ray.weight, ray.depth)
+            continue
+
+        pos = ray.x + ray.d * t_event
+        if t_rect < t_circle:
+            n_out = rays._rect_normal(pos, rect)
+            if abs(float(ray.d @ n_out)) < math.sin(rays.TANGENCY_TOL):
+                graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight, ray.depth)
+            else:
+                graph.add(parent, "exit", pos, t_arrive, ray.weight, ray.depth,
+                          direction=ray.d)
+            continue
+
+        # transversal circle hit
+        r_unit = pos / float(np.hypot(*pos))
+        going_out = float(ray.d @ r_unit) > 0
+        iface = next(i for i in m.interfaces if i.radius == r_hit)
+        c_in, c_out = (iface.c_int, iface.c_ext) if going_out else (iface.c_ext, iface.c_int)
+        surface_n = r_unit if going_out else -r_unit
+        cos_a = min(abs(float(ray.d @ r_unit)), 1.0)
+        alpha = math.acos(cos_a)
+        if (math.pi / 2 - alpha) < rays.TANGENCY_TOL:
+            graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
+                      ray.depth, angle=alpha)
+            continue
+        if c_in < c_out:
+            alpha0 = math.asin(c_in / c_out)
+            if abs(alpha - alpha0) < rays.CRITICAL_TOL:
+                graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
+                          ray.depth, angle=alpha)
+                continue
+        a, b = normal_phase_derivatives(alpha, c_in, c_out)
+        transmitted = snell_transmit(ray.d, surface_n, c_in, c_out)
+        frac_t = energy_split(a, b) if transmitted is not None else 0.0
+        depth = ray.depth + 1
+
+        def extend(nid, child_ray):
+            if child_ray.weight < min_weight:
+                graph.nodes[nid].kind = "truncation"
+            elif depth >= max_depth:
+                graph.nodes[nid].kind = "truncation"
+            else:
+                stack.append((nid, child_ray))
+
+        d_refl = reflect(ray.d, surface_n)
+        w_refl = ray.weight * (1.0 - frac_t)
+        nid = graph.add(parent, "reflect", pos, t_arrive, w_refl, depth,
+                        angle=alpha, direction=d_refl)
+        extend(nid, Ray(pos.copy(), d_refl, t_arrive, w_refl, depth))
+        if transmitted is not None:
+            w_tr = ray.weight * frac_t
+            nid = graph.add(parent, "transmit", pos, t_arrive, w_tr, depth,
+                            angle=alpha, direction=transmitted)
+            extend(nid, Ray(pos.copy(), transmitted, t_arrive, w_tr, depth))
+
+    return graph
+
+
+def _geometries():
+    """(medium, omega, kset, T) for the example1 disk, the example2 skull and the
+    slow disk of acceptance criterion 5."""
+    _, m1, omega1, kset1 = example1_setup()
+    cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / "example2_skull.cfg")
+    g2 = cfg.build_grid()
+    _, m5, omega5, kset5 = example1_setup(N=512, L=4.1, kr=0.483)
+    return {"example1": (m1, omega1, kset1, 4.0),
+            "skull": (cfg.build_medium(g2), cfg.build_omega(g2), Region.disk(g2, (0.0, 0.0), 0.4),
+                      cfg.values["time.T"]),
+            "slow_disk": (m5, omega5, kset5, 1.0)}
+
+
+class TestReferenceTracer:
+    """trace_branches and check_visibility agree with the full-tree reference loop."""
+
+    @pytest.fixture(scope="class")
+    def geometries(self):
+        return _geometries()
+
+    @pytest.mark.parametrize("name", ["example1", "skull", "slow_disk"])
+    @pytest.mark.parametrize("caps", [None, {"max_depth": 3, "min_weight": 0.05}])
+    def test_sampled_graphs_match(self, geometries, name, caps):
+        m, omega, kset, T = geometries[name]
+        for x in sample_positions(kset, 6):
+            for d in sample_directions(8):
+                for t in (T, 0.0):
+                    got = trace_branches(x, d, m, omega, t, caps).to_text()
+                    assert got == _ref_trace_branches(x, d, m, omega, t, caps).to_text()
+
+    @pytest.mark.parametrize("x0,d0,caps,kind", [
+        ((0.25, 0.0), (0.0, 1.0), None, "tangent_undetermined"),        # critical angle
+        ((0.0, None), (1.0, 1e-11), None, "tangent_undetermined"),      # grazing exit
+        ((0.45, 0.0), (0.0, 1.0), {"max_depth": 3}, "truncation"),      # trapped
+    ])
+    def test_special_leaves_match(self, geometries, x0, d0, caps, kind):
+        m, omega, _, _ = geometries["example1"]
+        if x0[1] is None:   # just below the top side, so the ray leaves it at 1e-11 rad
+            x0 = (x0[0], rays._omega_rect(omega)[3] - 1e-12)
+        got = trace_branches(x0, d0, m, omega, 4.0, caps)
+        assert kind in {n.kind for n in got.leaves()}
+        assert got.to_text() == _ref_trace_branches(x0, d0, m, omega, 4.0, caps).to_text()
+
+    def test_uncovered_set_matches(self, geometries):
+        m, omega, kset, T = geometries["skull"]
+        sampling = {"n_pos": 6, "n_dir": 16, "caps": {"max_depth": 12, "min_weight": 1e-4}}
+        samples = [(tuple(x), tuple(d)) for x in sample_positions(kset, 6)
+                   for d in sample_directions(16)]
+        expected = [s for s in samples
+                    if not _ref_trace_branches(*s, m, omega, T, sampling["caps"]).has_clean_exit()]
+        assert 0 < len(expected) < len(samples)
+        visible, uncovered = check_visibility(kset, m, omega, T, sampling)
+        assert not visible
+        assert uncovered == expected
+
+    def test_undetermined_sample_uncovered(self, geometries):
+        m, omega, _, _ = geometries["example1"]
+        # one sample at (0.25, 0) heading along +-y: both launches meet the
+        # slow disk exactly at the critical angle and end undetermined
+        rad = 0.05
+        kset = Region.disk(omega.grid, (0.25 - rad * 0.5 ** 0.25 * 0.98, 0.0), rad)
+        (x,), (d,) = sample_positions(kset, 1), sample_directions(1)
+        graph = _ref_trace_branches(x, d, m, omega, 4.0)
+        assert {n.kind for n in graph.leaves()} == {"tangent_undetermined"}
+        assert check_visibility(kset, m, omega, 4.0, {"n_pos": 1, "n_dir": 1}) == (
+            False, [(tuple(x), tuple(d))])
