@@ -22,7 +22,7 @@ _SCALAR_KEYS = {
     "kset.kind": str, "kset.cx": float, "kset.cy": float, "kset.radius": float,
     "kset.xmin": float, "kset.xmax": float, "kset.ymin": float, "kset.ymax": float,
     "time.T": float,
-    "solver.cfl": float, "solver.sponge": bool, "solver.box_margin": float,
+    "solver.cfl": float,
     "medium.mollify_width": float,
     "recon.m_max": int, "recon.tol_rel": float, "recon.harmonic_tol": float,
     "phantom.kind": str,
@@ -39,16 +39,8 @@ _NUMBERED_KEYS = {
     re.compile(r"^phantom\.(\d+)\.sigma$"): float,
 }
 
-_BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
-               "off": False, "false": False, "0": False, "no": False}
-
 
 def _convert(key: str, caster, text: str):
-    if caster is bool:
-        word = text.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigurationError(f"{key}: expected on/off, got {text!r}")
-        return _BOOL_WORDS[word]
     try:
         return caster(text)
     except ValueError:
@@ -185,13 +177,11 @@ class RunConfig:
             m_max=self.get("recon.m_max", 8),
             tol_rel=self.get("recon.tol_rel", 1e-4),
             harmonic_tol=self.get("recon.harmonic_tol", 1e-10),
-            cfl=self.get("solver.cfl", DEFAULT_CFL),
-            sponge=self.get("solver.sponge", False))
+            cfl=self.get("solver.cfl", DEFAULT_CFL))
 
     def solver_config(self, m: Medium) -> SolverConfig:
         return SolverConfig.for_time(
-            m, self.values["time.T"], cfl=self.get("solver.cfl", DEFAULT_CFL),
-            box_margin=self.get("solver.box_margin"), sponge=self.get("solver.sponge", False))
+            m, self.values["time.T"], cfl=self.get("solver.cfl", DEFAULT_CFL))
 
     def ray_caps(self) -> dict:
         return {"max_depth": self.get("rays.max_depth", 12),

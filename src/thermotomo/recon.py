@@ -44,7 +44,6 @@ class ReconConfig:
     tol_rel: float = 1e-4
     harmonic_tol: float = 1e-10
     cfl: float = DEFAULT_CFL
-    sponge: bool = False
 
     def __post_init__(self):
         if self.omega.kind != "rectangle":
@@ -71,7 +70,7 @@ class ReconConfig:
                     f"kset comes within 2h of the interface at radius {iface.radius}")
 
     def solver_config(self, m: Medium) -> SolverConfig:
-        return SolverConfig.for_time(m, self.T, cfl=self.cfl, sponge=self.sponge)
+        return SolverConfig.for_time(m, self.T, cfl=self.cfl)
 
 
 @dataclass
@@ -111,7 +110,7 @@ def time_reverse(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> WaveState:
             f"trace covers T = {h.T:.6g}, reconstruction expects {cfg.T:.6g}")
     phi = harmonic_extension(h.values[-1], cfg.omega, cfg.harmonic_tol)
     cauchy = WaveState(phi, ScalarField.zeros(m.grid))
-    return solve_backward(h, cauchy, m, cfg.omega, cfg.solver_config(m))
+    return solve_backward(h, cauchy, m, cfg.omega)
 
 
 def project_onto_kset(s: ScalarField, cfg: ReconConfig) -> ScalarField:

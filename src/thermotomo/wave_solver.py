@@ -2,12 +2,13 @@
 
 The stepper is the classic leapfrog scheme on the 5-point Laplacian with
 homogeneous Dirichlet data on the outermost ring of the computational box.
-The box is sized so that, by finite speed of propagation, the ring is never
-reached within [0, T] (or an optional cosine-ramp sponge absorbs what would
-reach it).  Every solve runs the one time loop ``_march``: three preallocated
-levels rotate, and the kernel ``_leap`` writes each new level in place with
-one scratch array and weights (dt/h)^2 c^2 computed once per solve, so a step
-allocates nothing.  Its operation order is the textbook one, bit for bit.
+``forward`` requires the box to pad the measurement rectangle by at least
+c_max*T, so by finite speed of propagation the ring is never reached within
+[0, T] and the recorded trace is that of the unbounded medium.  Every solve
+runs the one time loop ``_march``: three preallocated levels rotate, and the
+kernel ``_leap`` writes each new level in place with one scratch array and
+weights (dt/h)^2 c^2 computed once per solve, so a step allocates nothing.
+Its operation order is the textbook one, bit for bit.
 
 Time-derivative convention: the solver hands back
 ``u_t(T) = (u^N - u^{N-1})/dt + (dt/2) c^2 Lap u^N``,
@@ -24,29 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigurationError, InstabilityError
-from .grid_field import Grid, Region, ScalarField, WaveState
+from .errors import CompatibilityError, ConfigurationError, DomainError, InstabilityError
+from .grid_field import Region, ScalarField, WaveState
 from .medium import Medium
 
-SPONGE_NODES = 20
 DEFAULT_CFL = 0.4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters: step size, step count, CFL number, box padding.
-
-    ``box_margin`` is the declared physical padding of the computational box
-    beyond the measurement rectangle; ``None`` means "whatever the grid
-    provides", which ``forward`` checks against c_max*T unless the sponge is
-    enabled.
-    """
+    """Time-stepping parameters: step size, step count and CFL number."""
 
     dt: float
     n_steps: int
     cfl: float = DEFAULT_CFL
-    box_margin: float | None = None
-    sponge: bool = False
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -61,14 +53,13 @@ class SolverConfig:
         return self.dt * self.n_steps
 
     @classmethod
-    def for_time(cls, m: Medium, T: float, cfl: float = DEFAULT_CFL,
-                 box_margin: float | None = None, sponge: bool = False) -> "SolverConfig":
+    def for_time(cls, m: Medium, T: float, cfl: float = DEFAULT_CFL) -> "SolverConfig":
         """Largest stable dt that divides T into an integer number of steps."""
         if not T > 0:
             raise ConfigurationError(f"final time must be positive, got {T}")
         dt_max = cfl_dt(m, cfl)
         n = max(1, int(math.ceil(T / dt_max - 1e-12)))
-        return cls(dt=T / n, n_steps=n, cfl=cfl, box_margin=box_margin, sponge=sponge)
+        return cls(dt=T / n, n_steps=n, cfl=cfl)
 
 
 @dataclass(eq=False)
@@ -198,7 +189,7 @@ def _leap_into(out, prev, curr, c_sq, h, dt):
 def _march(prev, curr, w, steps, where, pin=None, record=None):
     """The one leapfrog time loop: from C-ordered levels (prev, curr), one level
     per index in ``steps`` in three rotating buffers, without allocating per step.
-    ``pin(k, nxt, prev)`` edits each new level in place before its finiteness
+    ``pin(k, nxt)`` edits each new level in place before its finiteness
     check; ``record(k, curr, prev)`` sees each accepted level.
     """
     nxt, scratch = np.zeros(curr.shape), np.empty_like(w)
@@ -206,7 +197,7 @@ def _march(prev, curr, w, steps, where, pin=None, record=None):
     for k in steps:
         _leap(nxt, prev, curr, w, scratch)
         if pin is not None:
-            pin(k, nxt, prev)
+            pin(k, nxt)
         if not np.isfinite(nxt, out=finite).all():
             raise InstabilityError(f"non-finite values appeared at {where} {k}")
         prev, curr, nxt = curr, nxt, prev
@@ -230,16 +221,6 @@ def _consistent_ut(u_last, u_prev, c_sq, h, dt):
     return ut
 
 
-def _sponge_sigma(grid: Grid, c_max: float) -> np.ndarray:
-    """Cosine-ramp damping over the outermost SPONGE_NODES ring."""
-    n = SPONGE_NODES
-    ii = np.minimum.outer(np.minimum(np.arange(grid.nx), np.arange(grid.nx)[::-1]),
-                          np.minimum(np.arange(grid.ny), np.arange(grid.ny)[::-1]))
-    depth = np.clip((n - ii) / n, 0.0, 1.0)
-    sigma_max = 5.0 * c_max / (n * grid.h)
-    return sigma_max * 0.5 * (1.0 - np.cos(np.pi * depth))
-
-
 def _support_inside(f: WaveState, omega: Region):
     nz = (f.u.data != 0.0) | (f.ut.data != 0.0)
     if not nz.any():
@@ -249,23 +230,23 @@ def _support_inside(f: WaveState, omega: Region):
             "initial data must be supported strictly inside the measurement rectangle")
 
 
-def _check_box_margin(omega: Region, m: Medium, T: float, cfg: SolverConfig):
+def _check_box_margin(omega: Region, m: Medium, T: float):
     g = m.grid
     xmin, xmax, ymin, ymax = g.bounds
     i0, i1 = omega.params["i0"], omega.params["i1"]
     j0, j1 = omega.params["j0"], omega.params["j1"]
     margin = min(g.xs[i0] - xmin, xmax - g.xs[i1], g.ys[j0] - ymin, ymax - g.ys[j1])
-    declared = cfg.box_margin if cfg.box_margin is not None else 0.0
-    if cfg.sponge:
-        required = max(declared, SPONGE_NODES * g.h)
-        reason = "the sponge layer"
-    else:
-        required = max(declared, m.c_max * T)
-        reason = "c_max*T without a sponge"
-    if margin + 1e-9 < required:
+    if margin + 1e-9 < m.c_max * T:
         raise ConfigurationError(
             f"computational box margin {margin:.4g} is below the required "
-            f"{required:.4g} ({reason})")
+            f"{m.c_max * T:.4g} (c_max*T)")
+
+
+def _check_trace_on(boundary: BoundaryTrace, omega: Region):
+    if not np.allclose(boundary.points, omega.boundary_coords, atol=1e-9 * omega.grid.h):
+        raise ConfigurationError("trace detectors do not match the rectangle boundary nodes")
+    if boundary.n_steps < 1:
+        raise ConfigurationError("a solve needs a trace of at least two time samples")
 
 
 def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
@@ -282,10 +263,12 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
         raise ConfigurationError("state and medium live on different grids")
     if abs(cfg.T - T) > 1e-9 * max(T, 1.0):
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
+    if sample_every < 1:
+        raise ConfigurationError(f"sample_every must be at least 1, got {sample_every}")
     _check_cfl(cfg.dt, m, cfg.cfl)
     g, dt = m.grid, cfg.dt
 
-    def pin(k, arr, _prev):
+    def pin(k, arr):
         if pin_zero is not None:
             arr[pin_zero.boundary_nodes] = 0.0
 
@@ -296,9 +279,9 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
 
     prev = f.u.data.copy()
     prev[[0, -1], :] = prev[:, [0, -1]] = 0.0     # the outer ring is Dirichlet zero
-    pin(0, prev, None)
+    pin(0, prev)
     curr = _taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
-    pin(1, curr, prev)
+    pin(1, curr)
     sample(1, curr, prev)
     prev, curr = _march(prev, curr, _weights(m.c_sq, g.h, dt), range(2, cfg.n_steps + 1),
                         "step", pin, sample)
@@ -322,7 +305,7 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     _check_cfl(cfg.dt, m, cfg.cfl)
     _support_inside(f, omega)
-    _check_box_margin(omega, m, T, cfg)
+    _check_box_margin(omega, m, T)
 
     g, dt = m.grid, cfg.dt
     bi, bj = omega.boundary_nodes
@@ -336,20 +319,9 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     prev = f.u.data.copy()
     values[0] = prev[bi, bj]
     curr = _taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
-    damp = None
-    if cfg.sponge:
-        a = 0.5 * dt * _sponge_sigma(g, m.c_max)
-        curr /= 1.0 + a
-        a = a[1:-1, 1:-1]
-        b, tmp = 1.0 + a, np.empty_like(a)
-
-        def damp(k, nxt, prev):
-            inner = nxt[1:-1, 1:-1]
-            inner += np.multiply(a, prev[1:-1, 1:-1], out=tmp)
-            inner /= b
     record(1, curr, prev)
     prev, curr = _march(prev, curr, _weights(m.c_sq, g.h, dt), range(2, cfg.n_steps + 1),
-                        "step", damp, record)
+                        "step", record=record)
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)
     if not return_final:
@@ -360,7 +332,7 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
 
 
 def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
-                   omega: Region, cfg: SolverConfig, on_step=None) -> WaveState:
+                   omega: Region, on_step=None) -> WaveState:
     """Solve the mixed problem on [0,T] x omega backwards from t = T.
 
     Interior nodes follow the leapfrog recurrence; rectangle-boundary nodes
@@ -370,8 +342,7 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
         raise ConfigurationError("backward solve needs a grid-aligned rectangle")
     if cauchy_at_T.grid != m.grid or omega.grid != m.grid:
         raise ConfigurationError("state, medium and region must share one grid")
-    if not np.allclose(boundary.points, omega.boundary_coords, atol=1e-9 * m.grid.h):
-        raise ConfigurationError("trace detectors do not match the rectangle boundary nodes")
+    _check_trace_on(boundary, omega)
     _check_cfl(boundary.dt, m)
 
     g, dt = m.grid, boundary.dt
@@ -390,7 +361,7 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     win = (slice(i0, i1 + 1), slice(j0, j1 + 1))
     c_sq, wi, wj = m.c_sq[win], bi - i0, bj - j0
 
-    def pin(k, arr, _prev):
+    def pin(k, arr):
         arr[wi, wj] = boundary.values[k]
 
     # two seed levels at t = T and T - dt
@@ -398,8 +369,8 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     v_n, v_n1 = u0.copy(), np.zeros_like(u0)
     v_n1[1:-1, 1:-1] = (u0[1:-1, 1:-1] - dt * ut0[1:-1, 1:-1]
                         + 0.5 * ((dt * dt) / (g.h * g.h)) * c_sq[1:-1, 1:-1] * _lap_sum(u0))
-    pin(n, v_n, None)
-    pin(n - 1, v_n1, None)
+    pin(n, v_n)
+    pin(n - 1, v_n1)
     if on_step is not None:
         on_step(1, n)
     record = None if on_step is None else (lambda k, _curr, _prev: on_step(n - k, n))
@@ -428,8 +399,7 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
     g, dt = omega.grid, boundary.dt
     if dt > g.h / math.sqrt(2.0) * (1.0 + 1e-12):
         raise ConfigurationError("trace dt violates the unit-speed stability bound")
-    if not np.allclose(boundary.points, omega.boundary_coords, atol=1e-9 * g.h):
-        raise ConfigurationError("trace detectors do not match the rectangle boundary nodes")
+    _check_trace_on(boundary, omega)
 
     bi, bj = omega.boundary_nodes
     i0, i1 = omega.params["i0"], omega.params["i1"]
@@ -450,7 +420,7 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
 
     interior_win = (slice(i0 + 1, i1), slice(j0 + 1, j1))
 
-    def pin(k, arr, _prev):
+    def pin(k, arr):
         arr[bi, bj] = boundary.values[k]
         arr[interior_win] = 0.0
 
@@ -462,19 +432,18 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
             probes[k] = arr[pi, pj]
 
     prev = np.zeros(g.shape)
-    pin(0, prev, None)
+    pin(0, prev)
     record(0, prev, None)
     ones = np.ones(g.shape)
     curr = _taylor_second_level(prev, np.zeros(g.shape), ones, g.h, dt)
-    pin(1, curr, prev)
+    pin(1, curr)
     record(1, curr, prev)
     _march(prev, curr, _weights(ones, g.h, dt), range(2, n_steps + 1),
            "exterior step", pin, record)
     return normal, probes
 
 
-def exterior_neumann(boundary: BoundaryTrace, omega: Region,
-                     cfg: SolverConfig) -> BoundaryTrace:
+def exterior_neumann(boundary: BoundaryTrace, omega: Region) -> BoundaryTrace:
     """Exterior Neumann data generated by the trace: solves the unit-speed
     exterior problem with Dirichlet data = boundary and returns the one-sided
     exterior normal difference quotient on the rectangle boundary per step."""
@@ -482,12 +451,14 @@ def exterior_neumann(boundary: BoundaryTrace, omega: Region,
     return BoundaryTrace(points=omega.boundary_coords, dt=boundary.dt, values=normal)
 
 
-def exterior_field_probes(boundary: BoundaryTrace, omega: Region, cfg: SolverConfig,
+def exterior_field_probes(boundary: BoundaryTrace, omega: Region,
                           points: list[tuple[float, float]]) -> np.ndarray:
     """Time series of the exterior solution at the grid nodes nearest to ``points``."""
     g = omega.grid
     nodes = []
     for (x, y) in points:
+        if not g.contains_point(x, y):
+            raise DomainError(f"probe point {(x, y)} lies outside the grid")
         i, j = g.nearest_node(x, y)
         if omega.mask[i, j]:
             raise ConfigurationError(f"probe point {(x, y)} lies inside the rectangle")

@@ -279,7 +279,7 @@ def test_criterion_6_exterior_cauchy_data():
                 for nb in neighbors)
         direct[:, k] = q / len(neighbors)
 
-    measured = exterior_neumann(trace, omega, scfg)
+    measured = exterior_neumann(trace, omega)
     rel = np.linalg.norm(measured.values - direct) / np.linalg.norm(direct)
     elapsed = time.perf_counter() - t0
     ok = rel <= 0.05 and elapsed < 300

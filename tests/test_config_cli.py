@@ -57,8 +57,10 @@ class TestConfigParsing:
         assert values["time.T"] == 1.2
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown key"):
-            parse_config_text("grid.nz = 4\n")
+        # the removed solver options must not parse silently
+        for line in ("grid.nz = 4\n", "solver.sponge = on\n", "solver.box_margin = 1.0\n"):
+            with pytest.raises(ConfigurationError, match="unknown key"):
+                parse_config_text(line)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):

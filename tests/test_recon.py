@@ -80,8 +80,7 @@ class TestTimeReverse:
                    - 4 * d[1:-1, 1:-1])[cfg.omega.interior_mask[1:-1, 1:-1]]
         assert np.max(np.abs(stencil)) <= cfg.harmonic_tol * max(
             1.0, np.max(np.abs(tr.values[-1])))
-        ref = solve_backward(tr, WaveState(phi, ScalarField.zeros(g)), m,
-                             cfg.omega, cfg.solver_config(m))
+        ref = solve_backward(tr, WaveState(phi, ScalarField.zeros(g)), m, cfg.omega)
         assert np.allclose(out.u.data, ref.u.data, atol=1e-14)
         assert np.allclose(out.ut.data, ref.ut.data, atol=1e-14)
 
