@@ -1,9 +1,9 @@
 """Command-line entry points tying the pipeline together.
 
 Subcommands: forward, reconstruct, raytrace, knorm, energy, roundtrip.
-Exit codes: 0 success, 2 configuration or file-format error, 3 numerical
-failure.  Given one config file and seed, repeated runs produce identical
-output bytes.
+Exit codes: 0 success, 2 configuration or file-format error (a run too
+large for memory included), 3 numerical failure.  Given one config file and
+seed, repeated runs produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -215,6 +215,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigurationError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid, step count or trace too large for this machine is a config problem
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -85,6 +85,9 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
             f"disks must be strictly nested (radii strictly decreasing), got {radii}")
     if any(c <= 0 for _, c in layers):
         raise ConfigurationError("layer speeds must be positive")
+    if not 0 <= mollify_width < math.inf:
+        raise ConfigurationError(
+            f"mollify_width must be a finite non-negative width, got {mollify_width}")
     xmin, xmax, ymin, ymax = grid.bounds
     if layers:
         r0 = radii[0]

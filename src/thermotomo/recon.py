@@ -54,6 +54,8 @@ class ReconConfig:
             raise ConfigurationError(f"final time must be positive, got {self.T}")
         if self.m_max < 1:
             raise ConfigurationError(f"m_max must be at least 1, got {self.m_max}")
+        if not self.tol_rel >= 0:
+            raise ConfigurationError(f"tol_rel must be non-negative, got {self.tol_rel}")
         if (self.kset.mask & ~self.omega.interior_mask).any():
             raise ConfigurationError("kset must lie strictly inside omega")
 

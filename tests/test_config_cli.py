@@ -1,5 +1,6 @@
 import pytest
 
+from thermotomo import cli
 from thermotomo.cli import main
 from thermotomo.config import RunConfig, parse_config_text
 from thermotomo.errors import ConfigurationError
@@ -126,6 +127,24 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text(TINY + "grid.nz = 4\n")
         assert main(["energy", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("line", ["recon.tol_rel = -1", "recon.tol_rel = nan",
+                                      "medium.mollify_width = -0.1",
+                                      "medium.mollify_width = nan"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY.replace("recon.tol_rel = 0.0", line))
+        assert main(["energy", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # e.g. a tiny solver.cfl asks forward for a trace of hundreds of GiB
+        def too_big(args):
+            raise MemoryError("Unable to allocate 413. GiB for an array")
+        monkeypatch.setattr(cli, "cmd_forward", too_big)
+        assert main(["forward", "--config", "unused.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "413. GiB" in err
 
     def test_roundtrip_writes_reports(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))

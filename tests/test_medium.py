@@ -64,6 +64,11 @@ class TestBuildMedium:
         sharp = build_medium([(0.5, 0.5)], grid)
         assert not np.array_equal(m.c_field, sharp.c_field)
 
+    @pytest.mark.parametrize("width", [-0.1, math.nan, math.inf])
+    def test_bad_mollify_width_rejected(self, grid, width):
+        with pytest.raises(ConfigurationError, match="mollify_width"):
+            build_medium([(0.5, 0.5)], grid, mollify_width=width)
+
 
 class TestSpeedAt:
     def test_out_of_bounds(self, grid):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ class TestReconConfig:
         big = Region.disk(g, (0.0, 0.0), 1.5)
         with pytest.raises(ConfigurationError):
             ReconConfig(omega=omega, kset=big, T=1.0)
+
+    def test_tol_rel_must_be_non_negative(self):
+        g, m, omega, kset = example1_setup()
+        assert ReconConfig(omega=omega, kset=kset, T=1.0, tol_rel=0.0).tol_rel == 0.0
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="tol_rel"):
+                ReconConfig(omega=omega, kset=kset, T=1.0, tol_rel=bad)
 
     def test_kset_needs_interface_clearance(self):
         g, m, omega, _ = example1_setup()

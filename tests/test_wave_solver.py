@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermotomo import wave_solver
 from thermotomo.errors import (
     CompatibilityError,
     ConfigurationError,
@@ -504,7 +505,7 @@ def _ref_solve_backward(boundary, cauchy_at_T, m, omega):
     return WaveState(ScalarField(g, v0), ScalarField(g, vt0))
 
 
-def _ref_exterior_neumann(boundary, omega):
+def _ref_exterior_neumann(boundary, omega, probe_nodes=()):
     g = omega.grid
     dt = boundary.dt
     bi, bj = omega.boundary_nodes
@@ -523,6 +524,7 @@ def _ref_exterior_neumann(boundary, omega):
     n2j[cj == j1] += 1
     n_steps = boundary.n_steps
     normal = np.zeros((n_steps + 1, bi.size))
+    probes = np.zeros((n_steps + 1, len(probe_nodes)))
     ones = np.ones(g.shape)
     interior_win = (slice(i0 + 1, i1), slice(j0 + 1, j1))
 
@@ -530,6 +532,7 @@ def _ref_exterior_neumann(boundary, omega):
         q = (arr[n1i, n1j] - arr[bi, bj]) / g.h
         q[corner] = 0.5 * (q[corner] + (arr[n2i, n2j] - arr[ci, cj]) / g.h)
         normal[level] = q
+        probes[level] = [arr[i, j] for (i, j) in probe_nodes]
 
     prev = np.zeros(g.shape)
     prev[bi, bj] = boundary.values[0]
@@ -549,15 +552,45 @@ def _ref_exterior_neumann(boundary, omega):
             raise InstabilityError(f"non-finite values appeared at exterior step {k}")
         prev, curr, nxt = curr, nxt, prev
         record(k, curr)
-    return normal
+    return normal, probes
 
 
 def _states_equal(a, b):
     return np.array_equal(a.u.data, b.u.data) and np.array_equal(a.ut.data, b.ut.data)
 
 
+def _band_case(name):
+    """(grid, medium, omega, data, T) that put the light cone in different places."""
+    T = 1.2
+    if name == "nx_ne_ny":
+        g = Grid(97, 121, 4.6 / 120, origin=(-1.84, -2.3))   # x margin 0.84
+        m = build_medium([(0.5, 0.5)], g)
+        omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
+        kset, T = Region.disk(g, (0.0, 0.0), 0.2), 0.8
+    elif name == "wide_margin":                               # margin 2.5 > T
+        g, m, omega, kset = example1_setup(N=161, L=7.0)
+        T = 0.8
+    else:
+        g, m, omega, kset = example1_setup(N=121, L=4.6)
+    u, ut = centered_bump(g, kset, center=(0.03, -0.02)), 0.5 * centered_bump(g, kset, sigma=0.04)
+    if name == "corner":
+        kset = Region.disk(g, (0.8, -0.8), 0.15)
+        u, ut = centered_bump(g, kset, sigma=0.04, center=(0.8, -0.8)), ScalarField.zeros(g)
+    elif name == "ut_only":
+        u = ScalarField.zeros(g)
+    elif name == "zero":
+        u, ut = ScalarField.zeros(g), ScalarField.zeros(g)
+    elif name == "neg_zero":
+        u, ut = ScalarField(g, np.where(u.data != 0.0, u.data, -0.0)), ScalarField.zeros(g)
+    return g, m, omega, WaveState(u, ut), T
+
+
+BAND_CASES = ["corner", "wide_margin", "nx_ne_ny", "ut_only", "zero", "neg_zero"]
+
+
 class TestReferenceStepper:
-    """Every solve equals the reference stepper bit for bit on a two-speed disk."""
+    """Every solve equals the reference stepper bit for bit on a two-speed disk,
+    and forward and evolve also on the light-cone cases of ``_band_case``."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -573,6 +606,19 @@ class TestReferenceStepper:
         values, ref_fin = _ref_forward(f, m, omega, cfg)
         assert np.array_equal(tr.values, values)
         assert _states_equal(fin, ref_fin)
+        assert forward(f, m, omega, 1.2, cfg).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_forward_band_cases(self, case):
+        # bytes, not values: a -0.0 left outside the band would change the trace file
+        g, m, omega, f, T = _band_case(case)
+        cfg = SolverConfig.for_time(m, T)
+        values, ref_fin = _ref_forward(f, m, omega, cfg)
+        tr, fin = forward(f, m, omega, T, cfg, return_final=True)
+        assert tr.values.tobytes() == values.tobytes()
+        assert _states_equal(fin, ref_fin)
+        assert forward(f, m, omega, T, cfg).values.tobytes() == values.tobytes()
+        assert _states_equal(evolve(f, m, T, cfg), _ref_evolve(f, m, cfg))
 
     @pytest.mark.parametrize("pinned", [False, True])
     def test_evolve(self, setup, pinned):
@@ -600,7 +646,18 @@ class TestReferenceStepper:
         cfg = SolverConfig.for_time(m, 1.2)
         tr = forward(f, m, omega, 1.2, cfg)
         out = exterior_neumann(tr, omega)
-        assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega))
+        assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega)[0])
+
+    def test_exterior_field_probes(self, setup):
+        # the far probes widen the rows the exterior solve must keep exact
+        g, m, omega, f = setup
+        cfg = SolverConfig.for_time(m, 1.2)
+        tr = forward(f, m, omega, 1.2, cfg)
+        pts = [(2.1, -2.0), (-1.9, 0.3), (1.2, 0.0)]
+        probes = exterior_field_probes(tr, omega, pts)
+        _, ref = _ref_exterior_neumann(tr, omega, [g.nearest_node(*p) for p in pts])
+        assert probes.tobytes() == ref.tobytes()
+        assert np.any(probes[:, 0] != 0.0)
 
 
 class TestAllocation:
@@ -630,3 +687,27 @@ class TestAllocation:
             tracemalloc.stop()
         assert cfg.n_steps > 10
         assert seen["growth"] < g.nx * g.ny * 8
+
+
+class TestLightCone:
+    def test_forward_steps_only_the_light_cone(self, monkeypatch):
+        # example1: a 256^2 box around a 50x50 rectangle, 354 steps; the full
+        # box would step (nx-2) rows at each of the 353 leapfrog steps
+        g, m, omega, kset = example1_setup(N=256, L=10.2)
+        f = WaveState(centered_bump(g, kset), ScalarField.zeros(g))
+        cfg = SolverConfig.for_time(m, 4.0)
+        assert cfg.n_steps == 354
+        rows, leap = [], wave_solver._leap
+
+        def counting(out, prev, curr, w, scratch, lo, hi):
+            rows.append(max(hi - lo + 1, 0))
+            leap(out, prev, curr, w, scratch, lo, hi)
+
+        monkeypatch.setattr(wave_solver, "_leap", counting)
+        full = (g.nx - 2) * (cfg.n_steps - 1)
+        forward(f, m, omega, 4.0, cfg)
+        assert len(rows) == cfg.n_steps - 1
+        assert sum(rows) <= 0.73 * full           # grown from the data, shrunk to Ω
+        rows.clear()
+        forward(f, m, omega, 4.0, cfg, return_final=True)
+        assert sum(rows) <= 0.84 * full           # grown only: the final state is exact
