@@ -61,6 +61,12 @@ def cmd_forward(args) -> int:
     return EXIT_OK
 
 
+def _pgm_range(f):
+    """(min, max) of a field for emit_pgm; a constant field maps to (lo, lo + 1)."""
+    lo, hi = float(f.data.min()), float(f.data.max())
+    return (lo, hi) if lo < hi else (lo, lo + 1.0)
+
+
 def _run_series(args, truth=None):
     cfg, grid, medium, omega, kset, out = _load(args)
     rcfg = cfg.recon_config(omega, kset)
@@ -81,8 +87,7 @@ def _run_series(args, truth=None):
         nonlocal pgm_lo_hi
         if args.term_pgms:
             if pgm_lo_hi is None:
-                lo, hi = float(f.data.min()), float(f.data.max())
-                pgm_lo_hi = (lo, hi) if lo < hi else (lo, lo + 1.0)
+                pgm_lo_hi = _pgm_range(f)
             emit_pgm(f, os.path.join(out, f"recon_term_{stats.term:02d}.pgm"), pgm_lo_hi)
         if args.verbose:
             msg = f"term {stats.term}: update {stats.update_norm:.3e}"
@@ -93,7 +98,7 @@ def _run_series(args, truth=None):
     recon, report = neumann_series(trace, medium, rcfg, truth=truth_field, on_term=on_term)
     report.write_csv(os.path.join(out, "report.csv"))
     write_grid(os.path.join(out, "recon.tawg"), recon)
-    emit_pgm(recon, os.path.join(out, "recon.pgm"))
+    emit_pgm(recon, os.path.join(out, "recon.pgm"), _pgm_range(recon))
     terms = len(report.iterates)
     line = f"series: {terms} terms, converged={report.converged}"
     if report.mu_hat is not None:

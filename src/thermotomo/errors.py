@@ -32,7 +32,7 @@ class NumericalError(ThermotomoError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative solver hit its iteration cap. Carries the final residual."""
+    """Solver missed its residual tolerance. Carries the final residual."""
 
     def __init__(self, message, residual=None):
         if residual is not None:

@@ -62,10 +62,6 @@ class Medium:
     def c_max(self) -> float:
         return float(self.c_field.max())
 
-    @property
-    def c_min(self) -> float:
-        return float(self.c_field.min())
-
 
 def build_medium(spec: list[tuple[float, float]], grid: Grid,
                  mollify_width: float = 0.0) -> Medium:
@@ -83,8 +79,8 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigurationError(
             f"disks must be strictly nested (radii strictly decreasing), got {radii}")
-    if any(c <= 0 for _, c in layers):
-        raise ConfigurationError("layer speeds must be positive")
+    if not all(0 < c < math.inf for _, c in layers):
+        raise ConfigurationError("layer speeds must be positive and finite")
     if not 0 <= mollify_width < math.inf:
         raise ConfigurationError(
             f"mollify_width must be a finite non-negative width, got {mollify_width}")

@@ -3,8 +3,12 @@
 The stepper is the classic leapfrog scheme on the 5-point Laplacian with
 homogeneous Dirichlet data on the outermost ring of the computational box.
 ``forward`` requires the box to pad the measurement rectangle by at least
-c_max*T, so by finite speed of propagation the ring is never reached within
-[0, T] and the recorded trace is that of the unbounded medium.  Every solve
+c_out*T/2 + 16h, c_out the largest nodal speed outside the rectangle's
+interior: a wave reflected by the ring crosses the margin twice, which takes
+longer than T, and the 16 nodes cover the scheme's dispersive precursor.  The
+trace, and the state at T on the closed rectangle, are then the unbounded
+medium's to round-off, so a trace-only ``forward`` steps only the rectangle
+plus ceil(c_out*T/2h) + 16 nodes, copied once per solve.  Every solve
 runs the one time loop ``_march``: three preallocated levels rotate, and the
 kernel ``_leap`` writes each new level in place with one scratch array and
 weights (dt/h)^2 c^2 computed once per solve, so a step allocates nothing.
@@ -40,6 +44,7 @@ from .grid_field import Region, ScalarField, WaveState
 from .medium import Medium
 
 DEFAULT_CFL = 0.4
+_SLACK = 16     # nodes of box margin past c_out*T/2, for the dispersive precursor
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ class SolverConfig:
     @classmethod
     def for_time(cls, m: Medium, T: float, cfl: float = DEFAULT_CFL) -> "SolverConfig":
         """Largest stable dt that divides T into an integer number of steps."""
-        if not T > 0:
-            raise ConfigurationError(f"final time must be positive, got {T}")
+        if not 0 < T < math.inf:
+            raise ConfigurationError(f"final time must be positive and finite, got {T}")
         dt_max = cfl_dt(m, cfl)
         n = max(1, int(math.ceil(T / dt_max - 1e-12)))
         return cls(dt=T / n, n_steps=n, cfl=cfl)
@@ -266,16 +271,18 @@ def _support_inside(f: WaveState, omega: Region):
             "initial data must be supported strictly inside the measurement rectangle")
 
 
-def _check_box_margin(omega: Region, m: Medium, T: float):
-    g = m.grid
-    xmin, xmax, ymin, ymax = g.bounds
-    i0, i1 = omega.params["i0"], omega.params["i1"]
-    j0, j1 = omega.params["j0"], omega.params["j1"]
-    margin = min(g.xs[i0] - xmin, xmax - g.xs[i1], g.ys[j0] - ymin, ymax - g.ys[j1])
-    if margin + 1e-9 < m.c_max * T:
+def _check_box_margin(omega: Region, m: Medium, T: float) -> int:
+    """Check that the box pads the rectangle by c_out*T/2 + _SLACK*h; return the
+    nodes r = ceil(c_out*T/2h) + _SLACK around it that a trace-only solve steps."""
+    g, p = m.grid, omega.params
+    margin = g.h * min(p["i0"], g.nx - 1 - p["i1"], p["j0"], g.ny - 1 - p["j1"])
+    c_out = float(m.c_field[~omega.interior_mask].max())
+    need = 0.5 * c_out * T + _SLACK * g.h
+    if margin + 1e-9 < need:
         raise ConfigurationError(
-            f"computational box margin {margin:.4g} is below the required "
-            f"{m.c_max * T:.4g} (c_max*T)")
+            f"computational box margin {margin:.4g} is below the required {need:.4g} "
+            f"(c_out*T/2 + {_SLACK}h, c_out = {c_out:.4g} outside the rectangle's interior)")
+    return math.ceil(0.5 * c_out * T / g.h) + _SLACK
 
 
 def _check_trace_on(boundary: BoundaryTrace, omega: Region):
@@ -332,6 +339,10 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     Returns the boundary trace; with ``return_final`` also the state at t = T
     (velocity via the consistent two-level formula).  ``on_step(k, n_steps)``
     is called after each step when given.
+
+    The box must pad the rectangle by c_out*T/2 + 16h (see the module notes):
+    the trace and the final state on the closed rectangle then equal the
+    unbounded medium's; outside it, the final state holds the ring's echoes.
     """
     if omega.kind != "rectangle":
         raise ConfigurationError("measurement region must be a grid-aligned rectangle")
@@ -341,11 +352,17 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     _check_cfl(cfg.dt, m, cfg.cfl)
     _support_inside(f, omega)
-    _check_box_margin(omega, m, T)
+    r = _check_box_margin(omega, m, T)
 
     g, dt = m.grid, cfg.dt
-    bi, bj = omega.boundary_nodes
+    if return_final:        # the final state is returned on the whole box
+        r = max(g.nx, g.ny)
     i0, i1 = omega.params["i0"], omega.params["i1"]
+    j0, j1 = omega.params["j0"], omega.params["j1"]
+    a, b = max(i0 - r, 0), max(j0 - r, 0)
+    win = np.s_[a:i1 + r + 1, b:j1 + r + 1]
+    c_sq, (bi, bj) = np.ascontiguousarray(m.c_sq[win]), omega.boundary_nodes
+    bi, bj = bi - a, bj - b
     values = np.empty((cfg.n_steps + 1, bi.size))
 
     def record(k, curr, _prev):
@@ -353,13 +370,13 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
         if on_step is not None:
             on_step(k, cfg.n_steps)
 
-    prev = f.u.data.copy()
+    prev = f.u.data[win].copy()
     values[0] = prev[bi, bj]
-    curr = _taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
+    curr = _taylor_second_level(prev, f.ut.data[win], c_sq, g.h, dt)
     record(1, curr, prev)
     # the final state must be exact everywhere, the trace only on Ω's rows
-    rows = _band((prev, curr), cfg.n_steps, None if return_final else (i0, i1))
-    prev, curr = _march(prev, curr, _weights(m.c_sq, g.h, dt), range(2, cfg.n_steps + 1),
+    rows = _band((prev, curr), cfg.n_steps, None if return_final else (i0 - a, i1 - a))
+    prev, curr = _march(prev, curr, _weights(c_sq, g.h, dt), range(2, cfg.n_steps + 1),
                         "step", record=record, rows=rows)
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from thermotomo import cli
@@ -130,12 +132,18 @@ class TestCli:
 
     @pytest.mark.parametrize("line", ["recon.tol_rel = -1", "recon.tol_rel = nan",
                                       "medium.mollify_width = -0.1",
-                                      "medium.mollify_width = nan"])
+                                      "medium.mollify_width = nan",
+                                      "time.T = inf", "layer.1.speed = inf",
+                                      "omega.xmin = nan"])
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
+        # the line replaces its key's line in TINY, or is added
+        key = line.split(" = ")[0]
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY.replace("recon.tol_rel = 0.0", line))
+        path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
+                                if not kept.startswith(key + " ")) + line + "\n")
         assert main(["energy", "--config", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "duplicate" not in err
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a tiny solver.cfl asks forward for a trace of hundreds of GiB
@@ -160,6 +168,16 @@ class TestCli:
         assert (tmp_path / "out" / "recon.pgm").exists()
         for term in range(3):
             assert (tmp_path / "out" / f"recon_term_{term:02d}.pgm").exists()
+
+    def test_constant_reconstruction_writes_pgm(self, tmp_path):
+        # at T = 0.2 no wave reaches the detectors: the trace and every term are zero
+        text = (Path(__file__).parents[1] / "configs" / "example1.cfg").read_text()
+        path = tmp_path / "short.cfg"
+        path.write_text(text.replace("time.T = 4.0", "time.T = 0.2"))
+        out = tmp_path / "out"
+        assert main(["roundtrip", "--config", str(path), "--output-dir", str(out)]) == 0
+        assert not read_trace(out / "trace.taws").values.any()
+        assert (out / "recon.pgm").exists() and (out / "recon_term_00.pgm").exists()
 
     def test_forward_then_reconstruct(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))

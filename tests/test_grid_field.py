@@ -212,6 +212,17 @@ class TestProjection:
         rhs = dirichlet_energy(p, small_rect) + dirichlet_energy(phi, small_rect)
         assert abs(lhs - rhs) <= 10 * tol * lhs
 
+    def test_pythagorean_identity_at_round_off(self, small_grid, small_rect):
+        # boundary values ~1e-5 against the residual scale max(1, |g|): a solve
+        # stopped at tol leaves a defect ~1e-12, the direct solve one ~1e-16
+        tol = 1e-10
+        s = ScalarField.from_function(small_grid, lambda x, y: np.exp(-20 * (x * x + y * y)))
+        p = project_HD(s, small_rect, tol)
+        phi = harmonic_extension(small_rect.boundary_values(s), small_rect, tol)
+        lhs = dirichlet_energy(s, small_rect)
+        rhs = dirichlet_energy(p, small_rect) + dirichlet_energy(phi, small_rect)
+        assert abs(lhs - rhs) <= 1e-13 * lhs
+
     def test_idempotence(self, small_grid, small_disk):
         s = random_field(small_grid, 10)
         p1 = project_HD(s, small_disk, 1e-12)

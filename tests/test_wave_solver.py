@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermotomo import wave_solver
+from thermotomo.config import RunConfig
 from thermotomo.errors import (
     CompatibilityError,
     ConfigurationError,
@@ -173,6 +175,23 @@ class TestForward:
         with pytest.raises(ConfigurationError):
             forward(WaveState(centered_bump(g, kset), ScalarField.zeros(g)),
                     m, omega, 3.0, cfg)
+
+    @pytest.mark.parametrize("nodes, ok", [(28, False), (29, True)])
+    def test_margin_bound_is_half_the_outer_speed_times_T(self, nodes, ok):
+        # a fast disk inside Ω: c_max = 2 but c_out = 1, so T = 1 needs a margin
+        # of 0.5 + 16h = 28.5h; 28 nodes are just below it, 29 just above
+        h = 0.04
+        g = Grid(51 + 2 * nodes, 51 + 2 * nodes, h, origin=(-1.0 - nodes * h,) * 2)
+        m = build_medium([(0.5, 2.0)], g)
+        omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
+        assert omega.params["i0"] == nodes and m.c_max == 2.0
+        f = WaveState(centered_bump(g, Region.disk(g, (0.0, 0.0), 0.2)), ScalarField.zeros(g))
+        cfg = SolverConfig.for_time(m, 1.0)
+        if ok:
+            forward(f, m, omega, 1.0, cfg)
+        else:
+            with pytest.raises(ConfigurationError, match="c_out"):
+                forward(f, m, omega, 1.0, cfg)
 
     def test_nan_input_raises_instability_with_step(self):
         g, m, omega, kset = example1_setup()
@@ -563,7 +582,8 @@ def _band_case(name):
     """(grid, medium, omega, data, T) that put the light cone in different places."""
     T = 1.2
     if name == "nx_ne_ny":
-        g = Grid(97, 121, 4.6 / 120, origin=(-1.84, -2.3))   # x margin 0.84
+        # x margin 27h, just above T/2 + 16h: the trace window spans the box in x only
+        g = Grid(107, 121, 4.6 / 120, origin=(-1.0 - 27 * 4.6 / 120, -2.3))
         m = build_medium([(0.5, 0.5)], g)
         omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
         kset, T = Region.disk(g, (0.0, 0.0), 0.2), 0.8
@@ -658,6 +678,52 @@ class TestReferenceStepper:
         _, ref = _ref_exterior_neumann(tr, omega, [g.nearest_node(*p) for p in pts])
         assert probes.tobytes() == ref.tobytes()
         assert np.any(probes[:, 0] != 0.0)
+
+
+def _config_case(name):
+    cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / name)
+    g = cfg.build_grid()
+    m, omega, kset = cfg.build_medium(g), cfg.build_omega(g), cfg.build_kset(g)
+    return g, m, omega, cfg.build_phantom(g, kset), cfg.values["time.T"]
+
+
+class TestWindow:
+    """A trace-only forward steps only Ω ± ceil(c_out T/2h) + 16 nodes; the whole
+    box, stepped by ``_ref_forward``, stays its oracle to 1e-13 of the trace's peak."""
+
+    @staticmethod
+    def _gap(g, m, omega, u, T):
+        f = WaveState(u, ScalarField.zeros(g))
+        cfg = SolverConfig.for_time(m, T)
+        ref, _ = _ref_forward(f, m, omega, cfg)
+        got = forward(f, m, omega, T, cfg).values
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["example1.cfg", "example2_skull.cfg"])
+    def test_example_phantoms(self, name):
+        assert self._gap(*_config_case(name)) <= 1e-13
+
+    @staticmethod
+    def _corner_spike(g, omega):
+        # the source nearest the box edge, with every frequency the grid carries
+        u = ScalarField.zeros(g)
+        u.data[omega.params["i0"] + 1, omega.params["j0"] + 1] = 1.0
+        return u
+
+    @pytest.mark.parametrize("name", ["example1.cfg", "example2_skull.cfg"])
+    def test_spike_on_the_innermost_corner_node(self, name):
+        g, m, omega, _, T = _config_case(name)
+        assert self._gap(g, m, omega, self._corner_spike(g, omega), T) <= 1e-13
+
+    @pytest.mark.parametrize("layers", [[(1.2, 2.0), (0.5, 1.0)], [(4.5, 1.5), (0.5, 0.5)]])
+    def test_fast_layer_outside_the_rectangle(self, layers):
+        # c_out = c_max: a fast shell across ∂Ω, and one holding the whole window
+        # (a window sized by the background speed 1 misses the second by ~1e-4)
+        g = Grid(176, 176, 0.08, origin=(-7.0, -7.0))         # margin 6 = c_max*T
+        m = build_medium(layers, g)
+        omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
+        assert float(m.c_field[~omega.interior_mask].max()) == m.c_max
+        assert self._gap(g, m, omega, self._corner_spike(g, omega), 4.0) <= 1e-13
 
 
 class TestAllocation:
