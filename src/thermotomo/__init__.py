@@ -36,7 +36,6 @@ from .medium import (
     uniform_medium,
 )
 from .rays import (
-    Ray,
     RayBranchGraph,
     amplitude_coeffs,
     check_visibility,

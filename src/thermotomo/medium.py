@@ -119,14 +119,22 @@ def uniform_medium(grid: Grid, speed: float = BACKGROUND_SPEED) -> Medium:
 
 def speed_at(m: Medium, x: tuple[float, float]) -> float:
     """Exact piecewise value by disk membership (not the rasterized cache)."""
-    px, py = float(x[0]), float(x[1])
-    if not m.grid.contains_point(px, py):
-        raise DomainError(f"point {x} lies outside the grid")
-    r = math.hypot(px, py)
-    for radius, speed in reversed(m.layers):  # innermost first
-        if r < radius:
-            return speed
-    return BACKGROUND_SPEED
+    return float(speeds_at(m, np.array([x], dtype=np.float64))[0])
+
+
+def speeds_at(m: Medium, points: np.ndarray) -> np.ndarray:
+    """``speed_at`` at each row of an (n, 2) array of points."""
+    xmin, xmax, ymin, ymax = m.grid.bounds
+    px, py = points[:, 0], points[:, 1]
+    outside = ~((xmin <= px) & (px <= xmax) & (ymin <= py) & (py <= ymax))
+    if outside.any():
+        raise DomainError(f"point {tuple(points[outside][0].tolist())} lies outside the grid")
+    # math.hypot, not np.hypot: the two differ in the last bit
+    r = np.fromiter(map(math.hypot, px.tolist(), py.tolist()), dtype=np.float64, count=len(px))
+    c = np.full(len(r), BACKGROUND_SPEED)
+    for radius, speed in m.layers:  # outermost first; inner disks overwrite
+        c[r < radius] = speed
+    return c
 
 
 def critical_angle(iface: InterfaceDescriptor) -> float | None:

@@ -11,9 +11,13 @@ tolerance of tangency or of the critical angle are recorded as
 
 A point carries a visible singularity when one of the branch trees grown
 from (x, d) and (x, -d) has a transversal exit through the measurement
-rectangle before time T.  One depth-first event stream serves both uses:
-``trace_branches`` records all of it, and ``check_visibility`` walks the
-samples serially and stops each at its first exit.
+rectangle before time T.  One array kernel, ``_advance``, moves a whole
+generation of rays (struct-of-arrays rows) to their next events.
+``check_visibility`` launches every sample's two rays at once and advances
+them generation by generation, dropping a sample once it has an exit;
+``trace_branches`` grows one sample's full forest the same way and numbers
+its events depth first.  The kernel makes the float calls of tracing each
+ray alone, so both give bit for bit what a per-ray trace gives.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 # unused: the benchmark's traced mode (bench/op.py) wraps rays.ProcessPoolExecutor
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,34 +37,13 @@ from .errors import (
     TangencyError,
 )
 from .grid_field import Region
-from .medium import Medium, speed_at
+from .medium import Medium, speeds_at
 
 TANGENCY_TOL = 1e-9       # radians from grazing incidence
 CRITICAL_TOL = 1e-12      # radians from the critical angle
 _POSITION_EPS = 1e-12
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-@dataclass
-class Ray:
-    """Position, unit direction, elapsed time, accumulated energy weight, branch depth."""
-
-    x: np.ndarray
-    d: np.ndarray
-    t: float = 0.0
-    weight: float = 1.0
-    depth: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.d = np.asarray(self.d, dtype=np.float64)
-        n = float(np.hypot(*self.d))
-        if n == 0.0:
-            raise ConfigurationError("ray direction must be nonzero")
-        self.d = self.d / n
-        if not 0.0 <= self.weight <= 1.0 or self.t < 0:
-            raise ConfigurationError("ray weight must lie in [0,1] and time be nonnegative")
 
 
 @dataclass
@@ -126,17 +110,81 @@ class RayBranchGraph:
         return "\n".join(lines) + "\n"
 
 
-# -- local interface laws -------------------------------------------------------
+# -- local interface laws ---------------------------------------------------------
+#
+# Each law acts on rows: (n, 2) directions and normals, (n,) angles and speeds.
+# The float calls are those of the scalar formulas, so a row's result does not
+# depend on the batch it is in: ``np.vecdot`` is BLAS ddot bit for bit (a
+# hand-written x0*y0 + x1*y1 is not, under FMA), and acos, asin, sin and ``**``
+# come from Python (numpy's SIMD loops differ from them in the last bit).
+
+
+def _math(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) elementwise, as Python's max has it (0.0 for -0.0 and NaN)."""
+    return np.where(x > 0, x, 0.0)
+
+
+def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    dn = np.vecdot(d, n)
+    if (np.abs(dn) < math.sin(TANGENCY_TOL)).any():
+        raise TangencyError("incident direction is tangential to the surface")
+    return d - (2.0 * dn)[:, None] * n
+
+
+def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray):
+    """Transmitted directions, and a mask that is False on full internal reflection."""
+    if (c_in <= 0).any() or (c_out <= 0).any():
+        raise ConfigurationError("speeds must be positive")
+    dn = np.vecdot(d, n)
+    n = np.where((dn > 0)[:, None], -n, n)
+    dn = np.where(dn > 0, -dn, dn)
+    if (np.minimum(-dn, 1.0) < math.sin(TANGENCY_TOL)).any():
+        raise TangencyError("incident direction is tangential to the surface")
+    tang = d - dn[:, None] * n
+    sin_a = np.hypot(tang[:, 0], tang[:, 1])
+    alpha = _math(math.asin, np.minimum(sin_a, 1.0))
+    slower = c_in < c_out
+    alpha0 = np.full(len(dn), np.inf)
+    alpha0[slower] = _math(math.asin, c_in[slower] / c_out[slower])
+    if (np.abs(alpha - alpha0) < CRITICAL_TOL).any():
+        raise CriticalAngleError("incidence within tolerance of the critical angle")
+    sin_b = sin_a * c_out / c_in
+    cos_b = np.sqrt(_positive(1.0 - sin_b * sin_b))[:, None]
+    t_hat = tang / np.where(sin_a == 0.0, 1.0, sin_a)[:, None]
+    out = np.where((sin_a == 0.0)[:, None], -n * cos_b, sin_b[:, None] * t_hat - cos_b * n)
+    return out, ~(alpha > alpha0)
+
+
+def _phase_derivatives(alpha: np.ndarray, c_in: np.ndarray, c_out: np.ndarray):
+    s = _math(math.sin, alpha) / c_in
+    a = np.sqrt(_positive(_math(lambda c: c ** -2, c_in) - s * s))
+    b = np.sqrt(_positive(_math(lambda c: c ** -2, c_out) - s * s))
+    return a, b
+
+
+def _energy_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if (a <= 0).any():
+        raise DegenerateInputError(
+            f"incident normal derivative must be positive, got {a[a <= 0][0]}")
+    if (b < 0).any():
+        raise DegenerateInputError(
+            f"transmitted normal derivative must be nonnegative, got {b[b < 0][0]}")
+    frac = 4.0 * a * b / _math(lambda v: v ** 2, a + b)
+    return np.where(b == 0.0, 0.0, frac)
+
+
+def _one(v) -> np.ndarray:
+    """A scalar or a 2-vector as a batch of one."""
+    return np.array([v], dtype=np.float64)
 
 
 def reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Mirror reflection d - 2(d.n)n; rejects tangential incidence."""
-    d = np.asarray(d, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    dn = float(d @ n)
-    if abs(dn) < math.sin(TANGENCY_TOL):
-        raise TangencyError("incident direction is tangential to the surface")
-    return d - 2.0 * dn * n
+    return _reflect(_one(d), _one(n))[0]
 
 
 def snell_transmit(d: np.ndarray, n: np.ndarray, c_in: float, c_out: float):
@@ -147,32 +195,8 @@ def snell_transmit(d: np.ndarray, n: np.ndarray, c_in: float, c_out: float):
     at the critical angle (within CRITICAL_TOL) raises, matching the excluded
     tangent-transmission case.
     """
-    d = np.asarray(d, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if c_in <= 0 or c_out <= 0:
-        raise ConfigurationError("speeds must be positive")
-    dn = float(d @ n)
-    if dn > 0:
-        n = -n
-        dn = -dn
-    cos_a = min(-dn, 1.0)
-    if cos_a < math.sin(TANGENCY_TOL):
-        raise TangencyError("incident direction is tangential to the surface")
-    tang = d - dn * n
-    sin_a = float(np.hypot(*tang))
-    alpha = math.asin(min(sin_a, 1.0))
-    if c_in < c_out:
-        alpha0 = math.asin(c_in / c_out)
-        if abs(alpha - alpha0) < CRITICAL_TOL:
-            raise CriticalAngleError("incidence within tolerance of the critical angle")
-        if alpha > alpha0:
-            return None
-    sin_b = sin_a * c_out / c_in
-    cos_b = math.sqrt(max(0.0, 1.0 - sin_b * sin_b))
-    if sin_a == 0.0:
-        return -n * cos_b
-    t_hat = tang / sin_a
-    return sin_b * t_hat - cos_b * n
+    out, through = _snell(_one(d), _one(n), _one(c_in), _one(c_out))
+    return out[0] if through[0] else None
 
 
 def normal_phase_derivatives(alpha: float, c_in: float, c_out: float) -> tuple[float, float]:
@@ -182,11 +206,8 @@ def normal_phase_derivatives(alpha: float, c_in: float, c_out: float) -> tuple[f
     a = sqrt(1/c_in^2 - s^2) and b = sqrt(1/c_out^2 - s^2); b is 0 at and
     beyond the critical angle (no transmitted phase).
     """
-    s = math.sin(alpha) / c_in
-    a = math.sqrt(max(0.0, c_in ** -2 - s * s))
-    b_sq = c_out ** -2 - s * s
-    b = math.sqrt(b_sq) if b_sq > 0 else 0.0
-    return a, b
+    a, b = _phase_derivatives(_one(alpha), _one(c_in), _one(c_out))
+    return float(a[0]), float(b[0])
 
 
 def amplitude_coeffs(a: float, b: float) -> tuple[float, float]:
@@ -204,52 +225,55 @@ def amplitude_coeffs(a: float, b: float) -> tuple[float, float]:
 
 def energy_split(a: float, b: float) -> float:
     """High-frequency transmitted energy fraction 4ab/(a+b)^2 (0 when b = 0)."""
-    if a <= 0:
-        raise DegenerateInputError(f"incident normal derivative must be positive, got {a}")
-    if b < 0:
-        raise DegenerateInputError(f"transmitted normal derivative must be nonnegative, got {b}")
-    if b == 0.0:
-        return 0.0
-    return 4.0 * a * b / (a + b) ** 2
+    return float(_energy_split(_one(a), _one(b))[0])
 
 
 # -- tracing ---------------------------------------------------------------------
 
-
-def _circle_hit(x: np.ndarray, d: np.ndarray, radius: float) -> float | None:
-    """Smallest arclength t > eps with |x + t d| = radius, or None."""
-    b = float(x @ d)
-    c = float(x @ x) - radius * radius
-    disc = b * b - c
-    if disc <= 0:
-        return None
-    sq = math.sqrt(disc)
-    for t in (-b - sq, -b + sq):
-        if t > _POSITION_EPS * max(1.0, radius):
-            return t
-    return None
+_KINDS = ("expiry", "exit", "tangent_undetermined", "reflect", "transmit", "truncation")
+_EXPIRY, _EXIT, _UNDETERMINED, _REFLECT, _TRANSMIT, _TRUNCATION = range(len(_KINDS))
 
 
-def _rect_exit(x: np.ndarray, d: np.ndarray, rect: tuple[float, float, float, float]) -> float:
-    """Arclength to the first crossing of the rectangle boundary from inside."""
-    xmin, xmax, ymin, ymax = rect
-    ts = []
-    if d[0] > 0:
-        ts.append((xmax - x[0]) / d[0])
-    elif d[0] < 0:
-        ts.append((xmin - x[0]) / d[0])
-    if d[1] > 0:
-        ts.append((ymax - x[1]) / d[1])
-    elif d[1] < 0:
-        ts.append((ymin - x[1]) / d[1])
-    return min(t for t in ts if t > _POSITION_EPS)
+class _Scene(NamedTuple):
+    """What every ray of one trace shares.  Interfaces are sorted by ascending
+    radius, so a tie goes inward.  For interface k and a crossing j (0 outward,
+    1 inward), ``speeds[k, j]`` is (c_in, c_out) and ``critical[k, j]`` its
+    critical angle, inf if there is none."""
+
+    medium: Medium
+    sides: np.ndarray       # xmin, xmax, ymin, ymax
+    radius: np.ndarray
+    speeds: np.ndarray
+    critical: np.ndarray
+    T: float
+    max_depth: int
+    min_weight: float
 
 
-def _rect_normal(x: np.ndarray, rect: tuple[float, float, float, float]) -> np.ndarray:
-    xmin, xmax, ymin, ymax = rect
-    dists = [abs(x[0] - xmin), abs(x[0] - xmax), abs(x[1] - ymin), abs(x[1] - ymax)]
-    k = int(np.argmin(dists))
-    return np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)][k])
+class _Events(NamedTuple):
+    """One generation's events as columns, ordered by ray, a reflect before its transmit.
+
+    ``ray`` indexes the generation's rays; ``angle`` and the rows of
+    ``direction`` are NaN where the event has none; ``live`` marks the
+    reflect and transmit events whose branch continues as a ray.
+    """
+
+    ray: np.ndarray
+    kind: np.ndarray
+    x: np.ndarray
+    t: np.ndarray
+    weight: np.ndarray
+    depth: np.ndarray
+    angle: np.ndarray
+    direction: np.ndarray
+    live: np.ndarray
+
+    def nodes(self):
+        """The ``RayBranchGraph.add`` arguments after ``parent``, one tuple per event."""
+        angle = [None if math.isnan(a) else a for a in self.angle.tolist()]
+        direction = [None if math.isnan(v[0]) else v for v in self.direction]
+        return zip([_KINDS[k] for k in self.kind.tolist()], self.x, self.t.tolist(),
+                   self.weight.tolist(), self.depth.tolist(), angle, direction)
 
 
 def _omega_rect(omega: Region) -> tuple[float, float, float, float]:
@@ -260,73 +284,8 @@ def _omega_rect(omega: Region) -> tuple[float, float, float, float]:
             g.ys[omega.params["j0"]], g.ys[omega.params["j1"]])
 
 
-def _advance(ray: Ray, m: Medium, radii: list, rect, T: float,
-             max_depth: int, min_weight: float) -> list[tuple]:
-    """The events where ``ray`` next meets an interface, the rectangle or time T.
-
-    Each event is (kind, x, t, weight, depth, angle, direction, child): child
-    is the ray continuing from a reflect or transmit event, None on a leaf.
-    A branch below ``min_weight`` or at ``max_depth`` is a truncation leaf.
-    """
-    c_here = speed_at(m, ray.x)
-    hits = [(_circle_hit(ray.x, ray.d, r), r) for r in radii]
-    hits = [(t, r) for t, r in hits if t is not None]
-    t_circle, r_hit = min(hits, default=(math.inf, None))
-    t_rect = _rect_exit(ray.x, ray.d, rect)
-    t_event = min(t_circle, t_rect)
-    t_arrive = ray.t + t_event / c_here
-
-    if t_arrive >= T:
-        pos = ray.x + ray.d * (T - ray.t) * c_here
-        return [("expiry", pos, T, ray.weight, ray.depth, None, None, None)]
-
-    pos = ray.x + ray.d * t_event
-    if t_rect < t_circle:
-        n_out = _rect_normal(pos, rect)
-        if abs(float(ray.d @ n_out)) < math.sin(TANGENCY_TOL):
-            return [("tangent_undetermined", pos, t_arrive, ray.weight, ray.depth,
-                     None, None, None)]
-        return [("exit", pos, t_arrive, ray.weight, ray.depth, None, ray.d, None)]
-
-    # transversal circle hit
-    r_unit = pos / float(np.hypot(*pos))
-    going_out = float(ray.d @ r_unit) > 0
-    iface = next(i for i in m.interfaces if i.radius == r_hit)
-    c_in, c_out = (iface.c_int, iface.c_ext) if going_out else (iface.c_ext, iface.c_int)
-    surface_n = r_unit if going_out else -r_unit
-    cos_a = min(abs(float(ray.d @ r_unit)), 1.0)
-    alpha = math.acos(cos_a)
-    grazing = (math.pi / 2 - alpha) < TANGENCY_TOL
-    if grazing or (c_in < c_out and abs(alpha - math.asin(c_in / c_out)) < CRITICAL_TOL):
-        return [("tangent_undetermined", pos, t_arrive, ray.weight, ray.depth,
-                 alpha, None, None)]
-    a, b = normal_phase_derivatives(alpha, c_in, c_out)
-    transmitted = snell_transmit(ray.d, surface_n, c_in, c_out)
-    frac_t = energy_split(a, b) if transmitted is not None else 0.0
-    depth = ray.depth + 1
-
-    branches = (("reflect", reflect(ray.d, surface_n), ray.weight * (1.0 - frac_t)),
-                ("transmit", transmitted, ray.weight * frac_t))
-    events = []
-    for kind, d_new, w_new in branches:
-        if d_new is None:
-            continue
-        child = None
-        if w_new < min_weight or depth >= max_depth:
-            kind = "truncation"
-        else:
-            child = Ray(pos.copy(), d_new, t_arrive, w_new, depth)
-        events.append((kind, pos, t_arrive, w_new, depth, alpha, d_new, child))
-    return events
-
-
-def _branch_events(x0, d0, m: Medium, omega: Region, T: float, caps: dict | None):
-    """Yield the branch events grown from (x0, +d0) and (x0, -d0), depth first.
-
-    Each event is the argument tuple of ``RayBranchGraph.add``: (parent, kind,
-    x, t, weight, depth, angle, direction), with ``parent`` the index of an
-    earlier event.  The inputs are checked before the first event.
-    """
+def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
+    """Check the inputs every sample shares and gather them."""
     caps = dict(caps or {})
     max_depth = int(caps.pop("max_depth", 12))
     min_weight = float(caps.pop("min_weight", 1e-4))
@@ -334,36 +293,127 @@ def _branch_events(x0, d0, m: Medium, omega: Region, T: float, caps: dict | None
         raise ConfigurationError(f"unknown caps: {sorted(caps)}")
     if max_depth < 1 or min_weight <= 0:
         raise ConfigurationError("caps must be positive")
-    if not T >= 0:
-        raise ConfigurationError(f"observation time T must be nonnegative, got {T}")
-    rect = _omega_rect(omega)
-    x0 = np.asarray(x0, dtype=np.float64)
-    radii = [iface.radius for iface in m.interfaces]
-    if any(abs(np.hypot(*x0) - r) < 10 * _POSITION_EPS for r in radii):
+    if not 0 <= T < math.inf:
+        raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
+    ifaces = m.interfaces[::-1]
+    speeds = np.array([[(i.c_int, i.c_ext), (i.c_ext, i.c_int)] for i in ifaces]).reshape(-1, 2, 2)
+    critical = [math.asin(c_in / c_out) if c_in < c_out else math.inf
+                for c_in, c_out in speeds.reshape(-1, 2).tolist()]
+    return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]), speeds,
+                  np.array(critical).reshape(-1, 2), float(T), max_depth, min_weight)
+
+
+def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Rays (x, d) and (x, -d) for every position x and direction d, in that order."""
+    x0 = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    d0 = np.asarray(directions, dtype=np.float64).reshape(-1, 1, 2) * np.array([[1.0], [-1.0]])
+    r0 = np.hypot(x0[:, 0], x0[:, 1])
+    if (np.abs(r0[:, None] - s.radius) < 10 * _POSITION_EPS).any():
         raise ConfigurationError("launch point must not lie on an interface circle")
-    if not (rect[0] < x0[0] < rect[1] and rect[2] < x0[1] < rect[3]):
+    xmin, xmax, ymin, ymax = s.sides
+    if not ((xmin < x0[:, 0]) & (x0[:, 0] < xmax) & (ymin < x0[:, 1]) & (x0[:, 1] < ymax)).all():
         raise ConfigurationError("launch point must lie inside the measurement rectangle")
+    norm = np.hypot(d0[..., 0], d0[..., 1])
+    if (norm == 0.0).any():
+        raise ConfigurationError("ray direction must be nonzero")
+    d = (d0 / norm[..., None]).reshape(-1, 2)
+    return np.repeat(x0, len(d), axis=0), np.tile(d, (len(x0), 1))
 
-    roots = [Ray(x0.copy(), sgn * np.asarray(d0, dtype=float)) for sgn in (1.0, -1.0)]
-    if T == 0:
-        # zero observation time: each launch expires at once
-        for k, root in enumerate(roots):
-            yield None, "launch", root.x, 0.0, 1.0, 0, None, root.d
-            yield 2 * k, "expiry", root.x, 0.0, 1.0, 0, None, None
-        return
 
-    stack: list[tuple[int, Ray]] = []
-    for k, root in enumerate(roots):
-        yield None, "launch", root.x, 0.0, 1.0, 0, None, root.d
-        stack.append((k, root))
-    n_events = len(roots)
-    while stack:
-        parent, ray = stack.pop()
-        for *event, child in _advance(ray, m, radii, rect, T, max_depth, min_weight):
-            yield parent, *event
-            if child is not None:
-                stack.append((n_events, child))
-            n_events += 1
+def _advance(s: _Scene, x, d, t, w, depth) -> _Events:
+    """Every ray's events where it next meets an interface, the rectangle or time T.
+
+    Rays are rows: (n, 2) positions and unit directions, (n,) times, weights
+    and depths.  A ray ends in one leaf (expiry, exit, or tangent-undetermined
+    at grazing or critical incidence) or splits into a reflect and, below the
+    critical angle, a transmit event.  A branch below ``min_weight`` or at
+    ``max_depth`` is a truncation leaf.
+    """
+    c_here = speeds_at(s.medium, x)
+    b, xx = np.vecdot(x, d), np.vecdot(x, x)
+    t_circle, hit = np.full(len(t), np.inf), np.zeros(len(t), dtype=int)
+    for k, r in enumerate(s.radius.tolist()):
+        disc = b * b - (xx - r * r)
+        sq = np.sqrt(_positive(disc))
+        near, far, eps = -b - sq, -b + sq, _POSITION_EPS * max(1.0, r)
+        t_k = np.where(near > eps, near, np.where(far > eps, far, np.inf))
+        t_k[~(disc > 0)] = np.inf
+        closer = t_k < t_circle
+        t_circle[closer], hit[closer] = t_k[closer], k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_side = (np.where(d > 0, s.sides[1::2], s.sides[0::2]) - x) / d
+    t_rect = np.where((d != 0) & (t_side > _POSITION_EPS), t_side, np.inf).min(axis=1)
+    t_event = np.minimum(t_circle, t_rect)
+    t_arrive = t + t_event / c_here
+
+    expire = t_arrive >= s.T
+    pos = x + d * np.where(expire, 0.0, t_event)[:, None]
+    pos[expire] = x[expire] + d[expire] * (s.T - t[expire])[:, None] * c_here[expire, None]
+    kind = np.full(len(t), _EXPIRY)
+    t_ev = np.where(expire, s.T, t_arrive)
+    angle = np.full(len(t), np.nan)
+    direction = np.full(x.shape, np.nan)
+
+    ir = np.flatnonzero(~expire & (t_rect < t_circle))
+    axis = np.argmin(np.abs(pos[ir][:, [0, 0, 1, 1]] - s.sides), axis=1) // 2
+    grazing = np.abs(d[ir, axis]) < math.sin(TANGENCY_TOL)
+    kind[ir] = np.where(grazing, _UNDETERMINED, _EXIT)
+    direction[ir[~grazing]] = d[ir[~grazing]]
+
+    # transversal circle hits
+    ic = np.flatnonzero(~expire & ~(t_rect < t_circle))
+    p, dc, k = pos[ic], d[ic], hit[ic]
+    r_unit = p / np.hypot(p[:, 0], p[:, 1])[:, None]
+    dr = np.vecdot(dc, r_unit)
+    inward = np.where(dr > 0, 0, 1)
+    c_in, c_out = s.speeds[k, inward].T
+    normal = np.where(inward[:, None], -r_unit, r_unit)
+    alpha = _math(math.acos, np.minimum(np.abs(dr), 1.0))
+    angle[ic] = alpha
+    blocked = ((math.pi / 2 - alpha) < TANGENCY_TOL) | (
+        np.abs(alpha - s.critical[k, inward]) < CRITICAL_TOL)
+    kind[ic[blocked]] = _UNDETERMINED
+    split, ic = ~blocked, ic[~blocked]
+    a, b = _phase_derivatives(alpha[split], c_in[split], c_out[split])
+    d_t, through = _snell(dc[split], normal[split], c_in[split], c_out[split])
+    frac = np.zeros(len(ic))
+    frac[through] = _energy_split(a[through], b[through])
+    d_r = _reflect(dc[split], normal[split])
+
+    leaf = np.ones(len(t), dtype=bool)
+    leaf[ic] = False
+    il, it = np.flatnonzero(leaf), ic[through]
+    ray = np.concatenate((il, ic, it))
+    order = np.argsort(np.concatenate((2 * il, 2 * ic, 2 * it + 1)))
+    ray = ray[order]
+    kind = np.concatenate((kind[il], np.full(len(ic), _REFLECT),
+                           np.full(len(it), _TRANSMIT)))[order]
+    weight = np.concatenate((w[il], w[ic] * (1.0 - frac), w[it] * frac[through]))[order]
+    depth = np.concatenate((depth[il], depth[ic] + 1, depth[it] + 1))[order]
+    direction = np.concatenate((direction[il], d_r, d_t[through]))[order]
+    live = kind >= _REFLECT
+    kind[live & ((weight < s.min_weight) | (depth >= s.max_depth))] = _TRUNCATION
+    return _Events(ray, kind, pos[ray], t_ev[ray], weight, depth, angle[ray], direction,
+                   live & (kind != _TRUNCATION))
+
+
+def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray, done: np.ndarray):
+    """Advance the rays launched at (x, d) generation by generation.
+
+    Yields each generation's events with the ``owner`` of each event's ray
+    (launch i belongs to ``owner[i]``).  A caller that sets ``done[o]``
+    between generations drops owner o's remaining rays.
+    """
+    n = len(x)
+    t, w, depth = np.zeros(n), np.ones(n), np.zeros(n, dtype=int)
+    while len(t):
+        ev = _advance(s, x, d, t, w, depth)
+        owner = owner[ev.ray]
+        yield ev, owner
+        keep = ev.live & ~done[owner]
+        x, t, w, depth, owner = ev.x[keep], ev.t[keep], ev.weight[keep], ev.depth[keep], owner[keep]
+        d = ev.direction[keep] / np.hypot(ev.direction[keep, 0], ev.direction[keep, 1])[:, None]
+        del ev      # the caller drops its reference too, for a lower peak memory
 
 
 def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
@@ -372,10 +422,35 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
 
     caps: ``max_depth`` (interface events per path, default 12) and
     ``min_weight`` (branches below it become truncation leaves, default 1e-4).
+    The forest grows one generation at a time; its events are then numbered
+    depth first: the launches are 0 and 1, rays are taken last in, first out,
+    and one ray's events are numbered consecutively.
     """
+    s = _scene(m, omega, T, caps)
+    x, d = _launch(s, [x0], [d0])
     graph = RayBranchGraph()
-    for event in _branch_events(x0, d0, m, omega, T, caps):
-        graph.add(*event)
+    for k in range(2):
+        graph.add(None, "launch", x[k], 0.0, 1.0, 0, direction=d[k])
+        if T == 0:      # zero observation time: each launch expires at once
+            graph.add(2 * k, "expiry", x[k], 0.0, 1.0, 0)
+    if T == 0:
+        return graph
+    events: list[list] = [[], []]   # per ray: (node arguments, child ray or None)
+    first = 0                       # the current generation's first ray
+    for ev, _ in _grow(s, x, d, np.zeros(2, dtype=int), np.zeros(1, dtype=bool)):
+        nxt = len(events)
+        for ray, node, live in zip(ev.ray.tolist(), ev.nodes(), ev.live.tolist()):
+            events[first + ray].append((node, len(events) if live else None))
+            if live:
+                events.append([])
+        first = nxt
+    stack = [(0, 0), (1, 1)]        # (parent node, ray)
+    while stack:
+        parent, ray = stack.pop()
+        for node, child in events[ray]:
+            nid = graph.add(parent, *node)
+            if child is not None:
+                stack.append((nid, child))
     return graph
 
 
@@ -417,10 +492,10 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     """Sample kset positions and directions; each sample must have a branch
     exiting the rectangle transversally before T.
 
-    Samples are traced one after another, each only until its first exit
-    event, in the order ``trace_branches`` records them.  Returns
-    (all_covered, uncovered_samples); tangent-undetermined samples count as
-    uncovered.
+    All samples' rays advance together, one generation per call of the
+    kernel that ``trace_branches`` uses, and a sample's rays are dropped after
+    the generation in which one of them exits.  Returns (all_covered,
+    uncovered_samples); tangent-undetermined samples count as uncovered.
     """
     sampling = dict(sampling or {})
     n_pos = int(sampling.pop("n_pos", 64))
@@ -428,9 +503,14 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     caps = sampling.pop("caps", None)
     if sampling:
         raise ConfigurationError(f"unknown sampling keys: {sorted(sampling)}")
+    s = _scene(m, omega, T, caps)
     positions = sample_positions(kset, n_pos)
     directions = sample_directions(n_dir)
-    uncovered = [(tuple(x), tuple(d)) for x in positions for d in directions
-                 if not any(event[1] == "exit"
-                            for event in _branch_events(x, d, m, omega, T, caps))]
+    x, d = _launch(s, positions, directions)
+    covered = np.zeros(len(positions) * len(directions), dtype=bool)
+    for ev, sample in _grow(s, x, d, np.arange(len(x)) // 2, covered):
+        covered[sample[ev.kind == _EXIT]] = True
+        del ev, sample      # freed before the next generation is advanced
+    uncovered = [(tuple(positions[k // n_dir]), tuple(directions[k % n_dir]))
+                 for k in np.flatnonzero(~covered).tolist()]
     return (len(uncovered) == 0), uncovered

@@ -271,12 +271,11 @@ def _support_inside(f: WaveState, omega: Region):
             "initial data must be supported strictly inside the measurement rectangle")
 
 
-def _check_box_margin(omega: Region, m: Medium, T: float) -> int:
+def _check_box_margin(omega: Region, c_out: float, T: float) -> int:
     """Check that the box pads the rectangle by c_out*T/2 + _SLACK*h; return the
     nodes r = ceil(c_out*T/2h) + _SLACK around it that a trace-only solve steps."""
-    g, p = m.grid, omega.params
+    g, p = omega.grid, omega.params
     margin = g.h * min(p["i0"], g.nx - 1 - p["i1"], p["j0"], g.ny - 1 - p["j1"])
-    c_out = float(m.c_field[~omega.interior_mask].max())
     need = 0.5 * c_out * T + _SLACK * g.h
     if margin + 1e-9 < need:
         raise ConfigurationError(
@@ -352,7 +351,7 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     _check_cfl(cfg.dt, m, cfg.cfl)
     _support_inside(f, omega)
-    r = _check_box_margin(omega, m, T)
+    r = _check_box_margin(omega, float(m.c_field[~omega.interior_mask].max()), T)
 
     g, dt = m.grid, cfg.dt
     if return_final:        # the final state is returned on the whole box
@@ -445,6 +444,8 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
 def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
     """Unit-speed exterior solve driven by Dirichlet data on the rectangle boundary.
 
+    The box must pad the rectangle by T/2 + 16h, the rule of ``forward`` at
+    unit speed, so that the ring's echo does not reach the recorded nodes.
     Zero initial data; the rectangle interior is masked to zero so only the
     exterior nodes evolve.  Records the one-sided exterior normal difference
     quotient on the boundary nodes (axis quotients averaged at corners) and,
@@ -456,6 +457,7 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
     if dt > g.h / math.sqrt(2.0) * (1.0 + 1e-12):
         raise ConfigurationError("trace dt violates the unit-speed stability bound")
     _check_trace_on(boundary, omega)
+    _check_box_margin(omega, 1.0, boundary.T)
 
     bi, bj = omega.boundary_nodes
     i0, i1 = omega.params["i0"], omega.params["i1"]

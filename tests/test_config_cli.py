@@ -145,6 +145,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "duplicate" not in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_raytrace_non_finite_time_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY.replace("time.T = 1.2", f"time.T = {value}"))
+        assert main(["raytrace", "--config", str(path)]) == 2
+        assert "observation time T" in capsys.readouterr().err
+
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a tiny solver.cfl asks forward for a trace of hundreds of GiB
         def too_big(args):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,15 @@ from hypothesis import strategies as st
 
 from thermotomo import rays
 from thermotomo.config import RunConfig
-from thermotomo.errors import ConfigurationError, CriticalAngleError, TangencyError
+from thermotomo.errors import (
+    ConfigurationError,
+    CriticalAngleError,
+    DegenerateInputError,
+    DomainError,
+    TangencyError,
+)
 from thermotomo.grid_field import Grid, Region
-from thermotomo.medium import build_medium, uniform_medium
+from thermotomo.medium import BACKGROUND_SPEED, build_medium, uniform_medium
 from thermotomo.rays import (
     amplitude_coeffs,
     check_visibility,
@@ -156,6 +163,51 @@ class TestEnergySplit:
             assert b <= gamma * a + 1e-12
 
 
+def _same(fn, ref, *args):
+    """fn and its scalar reference give the same bits, or raise the same error."""
+    try:
+        want = ref(*args)
+    except Exception as exc:  # noqa: BLE001 -- the error itself is compared
+        with pytest.raises(type(exc)):
+            fn(*args)
+        return
+    got = fn(*args)
+    if want is None or isinstance(want, float):
+        assert got == want and type(got) is type(want)
+    elif isinstance(want, tuple):
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+class TestLawsMatchScalarReference:
+    """The array-backed laws give the per-ray scalar formulas' results bit for bit."""
+
+    @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), speeds, speeds)
+    @settings(max_examples=300)
+    def test_reflect_and_snell(self, phi, psi, c_in, c_out):
+        d = np.array([math.cos(phi), math.sin(phi)])
+        n = np.array([math.cos(psi), math.sin(psi)])
+        _same(reflect, _ref_reflect, d, n)
+        _same(snell_transmit, _ref_snell_transmit, d, n, c_in, c_out)
+
+    @given(st.floats(0, math.pi / 2), speeds, speeds)
+    @settings(max_examples=300)
+    def test_phase_derivatives_and_split(self, alpha, c_in, c_out):
+        _same(normal_phase_derivatives, _ref_normal_phase_derivatives, alpha, c_in, c_out)
+        a, b = _ref_normal_phase_derivatives(alpha, c_in, c_out)
+        _same(energy_split, _ref_energy_split, a, b)
+
+    def test_edge_cases(self):
+        n = np.array([0.0, 1.0])
+        for args in (([1.0, 0.0], n), ([0.0, -1.0], n), ([0.0, 1.0], n)):
+            _same(reflect, _ref_reflect, *args)
+            _same(snell_transmit, _ref_snell_transmit, *args, 1.0, 2.0)
+        _same(snell_transmit, _ref_snell_transmit, [0.6, -0.8], n, 0.0, 1.0)
+        for a, b in ((0.0, 1.0), (1.0, -1e-300), (1.0, 0.0), (2.0, 2.0)):
+            _same(energy_split, _ref_energy_split, a, b)
+
+
 class TestTraceBranches:
     def test_uniform_medium_straight_exit(self, setup):
         g, _, omega, _ = setup
@@ -239,6 +291,14 @@ class TestTraceBranches:
         with pytest.raises(ConfigurationError, match="nonnegative"):
             check_visibility(kset, m, omega, -1.0, {"n_pos": 2, "n_dir": 2})
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, setup, T):
+        g, m, omega, kset = setup
+        with pytest.raises(ConfigurationError, match="nonnegative and finite"):
+            trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, T)
+        with pytest.raises(ConfigurationError, match="nonnegative and finite"):
+            check_visibility(kset, m, omega, T, {"n_pos": 2, "n_dir": 2})
+
     def test_text_serialization_round_shape(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 2.0)
@@ -302,11 +362,135 @@ class TestVisibility:
             check_visibility(kset, m, omega, 1.0, {"n_positions": 4})
 
 
-# -- reference: the full-tree trace_branches loop, kept verbatim as the oracle ----------
+# -- reference: the per-ray scalar tracer, kept verbatim as the oracle ------------------
+#
+# The scalar interface laws, geometry helpers and speed lookup below are the
+# per-ray code the generation-batched kernel replaced, copied unchanged, so
+# the oracle shares no float arithmetic with the code under test.
+
+
+def _ref_speed_at(m, x):
+    px, py = float(x[0]), float(x[1])
+    if not m.grid.contains_point(px, py):
+        raise DomainError(f"point {x} lies outside the grid")
+    r = math.hypot(px, py)
+    for radius, speed in reversed(m.layers):  # innermost first
+        if r < radius:
+            return speed
+    return BACKGROUND_SPEED
+
+
+def _ref_reflect(d, n):
+    d = np.asarray(d, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    dn = float(d @ n)
+    if abs(dn) < math.sin(rays.TANGENCY_TOL):
+        raise TangencyError("incident direction is tangential to the surface")
+    return d - 2.0 * dn * n
+
+
+def _ref_snell_transmit(d, n, c_in, c_out):
+    d = np.asarray(d, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    if c_in <= 0 or c_out <= 0:
+        raise ConfigurationError("speeds must be positive")
+    dn = float(d @ n)
+    if dn > 0:
+        n = -n
+        dn = -dn
+    cos_a = min(-dn, 1.0)
+    if cos_a < math.sin(rays.TANGENCY_TOL):
+        raise TangencyError("incident direction is tangential to the surface")
+    tang = d - dn * n
+    sin_a = float(np.hypot(*tang))
+    alpha = math.asin(min(sin_a, 1.0))
+    if c_in < c_out:
+        alpha0 = math.asin(c_in / c_out)
+        if abs(alpha - alpha0) < rays.CRITICAL_TOL:
+            raise CriticalAngleError("incidence within tolerance of the critical angle")
+        if alpha > alpha0:
+            return None
+    sin_b = sin_a * c_out / c_in
+    cos_b = math.sqrt(max(0.0, 1.0 - sin_b * sin_b))
+    if sin_a == 0.0:
+        return -n * cos_b
+    t_hat = tang / sin_a
+    return sin_b * t_hat - cos_b * n
+
+
+def _ref_normal_phase_derivatives(alpha, c_in, c_out):
+    s = math.sin(alpha) / c_in
+    a = math.sqrt(max(0.0, c_in ** -2 - s * s))
+    b_sq = c_out ** -2 - s * s
+    b = math.sqrt(b_sq) if b_sq > 0 else 0.0
+    return a, b
+
+
+def _ref_energy_split(a, b):
+    if a <= 0:
+        raise DegenerateInputError(f"incident normal derivative must be positive, got {a}")
+    if b < 0:
+        raise DegenerateInputError(f"transmitted normal derivative must be nonnegative, got {b}")
+    if b == 0.0:
+        return 0.0
+    return 4.0 * a * b / (a + b) ** 2
+
+
+def _ref_circle_hit(x, d, radius):
+    b = float(x @ d)
+    c = float(x @ x) - radius * radius
+    disc = b * b - c
+    if disc <= 0:
+        return None
+    sq = math.sqrt(disc)
+    for t in (-b - sq, -b + sq):
+        if t > rays._POSITION_EPS * max(1.0, radius):
+            return t
+    return None
+
+
+def _ref_rect_exit(x, d, rect):
+    xmin, xmax, ymin, ymax = rect
+    ts = []
+    if d[0] > 0:
+        ts.append((xmax - x[0]) / d[0])
+    elif d[0] < 0:
+        ts.append((xmin - x[0]) / d[0])
+    if d[1] > 0:
+        ts.append((ymax - x[1]) / d[1])
+    elif d[1] < 0:
+        ts.append((ymin - x[1]) / d[1])
+    return min(t for t in ts if t > rays._POSITION_EPS)
+
+
+def _ref_rect_normal(x, rect):
+    xmin, xmax, ymin, ymax = rect
+    dists = [abs(x[0] - xmin), abs(x[0] - xmax), abs(x[1] - ymin), abs(x[1] - ymax)]
+    k = int(np.argmin(dists))
+    return np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)][k])
+
+
+@dataclass
+class Ray:
+    x: np.ndarray
+    d: np.ndarray
+    t: float = 0.0
+    weight: float = 1.0
+    depth: int = 0
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.d = np.asarray(self.d, dtype=np.float64)
+        n = float(np.hypot(*self.d))
+        if n == 0.0:
+            raise ConfigurationError("ray direction must be nonzero")
+        self.d = self.d / n
+        if not 0.0 <= self.weight <= 1.0 or self.t < 0:
+            raise ConfigurationError("ray weight must lie in [0,1] and time be nonnegative")
 
 
 def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
-    Ray, RayBranchGraph = rays.Ray, rays.RayBranchGraph
+    RayBranchGraph = rays.RayBranchGraph
     caps = dict(caps or {})
     max_depth = int(caps.pop("max_depth", 12))
     min_weight = float(caps.pop("min_weight", 1e-4))
@@ -339,11 +523,11 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
 
     while stack:
         parent, ray = stack.pop()
-        c_here = rays.speed_at(m, ray.x)
-        hits = [(rays._circle_hit(ray.x, ray.d, r), r) for r in radii]
+        c_here = _ref_speed_at(m, ray.x)
+        hits = [(_ref_circle_hit(ray.x, ray.d, r), r) for r in radii]
         hits = [(t, r) for t, r in hits if t is not None]
         t_circle, r_hit = min(hits, default=(math.inf, None))
-        t_rect = rays._rect_exit(ray.x, ray.d, rect)
+        t_rect = _ref_rect_exit(ray.x, ray.d, rect)
         t_event = min(t_circle, t_rect)
         t_arrive = ray.t + t_event / c_here
 
@@ -354,7 +538,7 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
 
         pos = ray.x + ray.d * t_event
         if t_rect < t_circle:
-            n_out = rays._rect_normal(pos, rect)
+            n_out = _ref_rect_normal(pos, rect)
             if abs(float(ray.d @ n_out)) < math.sin(rays.TANGENCY_TOL):
                 graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight, ray.depth)
             else:
@@ -380,9 +564,9 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
                 graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
                           ray.depth, angle=alpha)
                 continue
-        a, b = normal_phase_derivatives(alpha, c_in, c_out)
-        transmitted = snell_transmit(ray.d, surface_n, c_in, c_out)
-        frac_t = energy_split(a, b) if transmitted is not None else 0.0
+        a, b = _ref_normal_phase_derivatives(alpha, c_in, c_out)
+        transmitted = _ref_snell_transmit(ray.d, surface_n, c_in, c_out)
+        frac_t = _ref_energy_split(a, b) if transmitted is not None else 0.0
         depth = ray.depth + 1
 
         def extend(nid, child_ray):
@@ -393,7 +577,7 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
             else:
                 stack.append((nid, child_ray))
 
-        d_refl = reflect(ray.d, surface_n)
+        d_refl = _ref_reflect(ray.d, surface_n)
         w_refl = ray.weight * (1.0 - frac_t)
         nid = graph.add(parent, "reflect", pos, t_arrive, w_refl, depth,
                         angle=alpha, direction=d_refl)
@@ -405,6 +589,11 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
             extend(nid, Ray(pos.copy(), transmitted, t_arrive, w_tr, depth))
 
     return graph
+
+
+def _node_bits(n):
+    return (n.kind, n.parent, n.x.tobytes(), n.t, n.weight, n.depth, n.angle,
+            None if n.direction is None else n.direction.tobytes())
 
 
 def _geometries():
@@ -461,6 +650,53 @@ class TestReferenceTracer:
         visible, uncovered = check_visibility(kset, m, omega, T, sampling)
         assert not visible
         assert uncovered == expected
+
+    @pytest.mark.parametrize("name", ["skull", "example1"])
+    def test_sampled_nodes_match(self, geometries, name):
+        m, omega, kset, T = geometries[name]
+        for x in sample_positions(kset, 6):
+            for d in sample_directions(16):
+                got = trace_branches(x, d, m, omega, T).nodes
+                want = _ref_trace_branches(x, d, m, omega, T).nodes
+                assert [_node_bits(n) for n in got] == [_node_bits(n) for n in want]
+
+    @pytest.mark.parametrize("name,radius,n_dir", [("skull", 0.4, 96), ("example1", 0.45, 96)])
+    def test_uncovered_set_matches_at_bench_size(self, geometries, name, radius, n_dir):
+        m, omega, _, T = geometries[name]
+        kset = Region.disk(omega.grid, (0.0, 0.0), radius)
+        samples = [(tuple(x), tuple(d)) for x in sample_positions(kset, 24)
+                   for d in sample_directions(n_dir)]
+        expected = [s for s in samples
+                    if not _ref_trace_branches(*s, m, omega, T).has_clean_exit()]
+        assert 0 < len(expected) < len(samples)
+        assert check_visibility(kset, m, omega, T, {"n_pos": 24, "n_dir": n_dir}) == (
+            False, expected)
+
+    def test_law_error_raises_from_the_batch(self, geometries):
+        # A ray from (x0, 0) along +y meets the slow disk (radius 0.5, speeds
+        # 0.5 | 1) at the critical angle when x0 = 0.25.  The kernel flags the
+        # hit as undetermined from acos of the radial component, snell_transmit
+        # raises from asin of the tangential one; just past the 1e-12 window
+        # the two can disagree, and then the law's error must propagate.
+        m, omega, _, _ = geometries["example1"]
+        edge = 0.5e-12 * math.cos(math.pi / 6)     # x0 offset worth CRITICAL_TOL
+        raising = []
+        for x0 in (0.25 + sgn * edge + j * 2.0 ** -54 for sgn in (1, -1) for j in range(-60, 60)):
+            try:
+                want = _ref_trace_branches((x0, 0.0), (0.0, 1.0), m, omega, 4.0).to_text()
+            except CriticalAngleError:
+                raising.append(x0)
+                with pytest.raises(CriticalAngleError):
+                    trace_branches((x0, 0.0), (0.0, 1.0), m, omega, 4.0)
+            else:
+                assert trace_branches((x0, 0.0), (0.0, 1.0), m, omega, 4.0).to_text() == want
+        assert raising
+        # batched with a sample whose rays exit, the raising rays are not dropped
+        s = rays._scene(m, omega, 4.0, None)
+        x = np.array([(0.6, 0.0), (0.6, 0.0), (raising[0], 0.0), (raising[0], 0.0)])
+        d = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+        with pytest.raises(CriticalAngleError):
+            list(rays._grow(s, x, d, np.array([0, 0, 1, 1]), np.zeros(2, dtype=bool)))
 
     def test_undetermined_sample_uncovered(self, geometries):
         m, omega, _, _ = geometries["example1"]

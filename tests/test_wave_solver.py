@@ -367,6 +367,31 @@ class TestExterior:
             exterior_neumann(tr, omega)
 
 
+    def test_margin_below_half_T_rejected(self):
+        # a 0.3-wide pulse on [-1, 1]^2 traced over T = 3.39 with h = 0.04: a
+        # 10-node margin lets the ring's echo into the Neumann data (2.75 times
+        # their peak without the check), so it is rejected; T/2 + 16h needs 59
+        h, T = 0.04, 3.39
+
+        def box(margin):
+            n = 51 + 2 * margin
+            g = Grid(n, n, h, origin=(-1.0 - margin * h,) * 2)
+            return g, Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
+
+        g, omega = box(60)
+        m = uniform_medium(g)
+        f = WaveState(centered_bump(g, Region.disk(g, (0.0, 0.0), 0.6), sigma=0.15),
+                      ScalarField.zeros(g))
+        tr = forward(f, m, omega, T, SolverConfig.for_time(m, T))
+        wide = exterior_neumann(tr, omega).values
+        assert np.abs(wide).max() > 0
+        assert np.array_equal(wide, exterior_neumann(tr, box(70)[1]).values)
+        with pytest.raises(ConfigurationError, match="margin"):
+            exterior_neumann(tr, box(10)[1])
+        with pytest.raises(ConfigurationError, match="margin"):
+            exterior_field_probes(tr, box(10)[1], [(1.2, 0.0)])
+
+
 class TestBoundaryTrace:
     def test_arithmetic(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
