@@ -17,7 +17,6 @@ from .grid_field import (
     Region,
     ScalarField,
     WaveState,
-    apply_wave_operator,
     dirichlet_energy,
     energy,
     harmonic_extension,
@@ -64,7 +63,6 @@ from .wave_solver import (
     exterior_neumann,
     forward,
     solve_backward,
-    step,
 )
 
 __version__ = "0.1.0"

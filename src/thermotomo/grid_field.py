@@ -240,6 +240,14 @@ class Region:
     # -- geometry helpers ----------------------------------------------------
 
     @property
+    def box(self) -> tuple[int, int, int, int]:
+        """(i0, i1, j0, j1) of a rectangle; a disk raises ConfigurationError."""
+        if self.kind != "rectangle":
+            raise ConfigurationError("region must be a grid-aligned rectangle, not a disk")
+        p = self.params
+        return p["i0"], p["i1"], p["j0"], p["j1"]
+
+    @property
     def boundary_coords(self) -> np.ndarray:
         """(n_boundary, 2) physical coordinates in boundary-node order."""
         ii, jj = self.boundary_nodes
@@ -294,25 +302,6 @@ class Region:
 
 
 # -- discrete operators -------------------------------------------------------
-
-
-def laplacian(data: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian; zero on the outermost ring."""
-    out = np.zeros_like(data)
-    out[1:-1, 1:-1] = (
-        data[2:, 1:-1] + data[:-2, 1:-1] + data[1:-1, 2:] + data[1:-1, :-2]
-        - 4.0 * data[1:-1, 1:-1]
-    ) / (h * h)
-    return out
-
-
-def apply_wave_operator(s: ScalarField, m: "Medium") -> ScalarField:
-    """c(x)^2 times the 5-point Laplacian of s; zero on the outermost grid ring."""
-    if s.grid != m.grid:
-        raise ConfigurationError("field and medium live on different grids")
-    out = laplacian(s.data, s.grid.h)
-    out[1:-1, 1:-1] *= m.c_sq[1:-1, 1:-1]
-    return ScalarField(s.grid, out)
 
 
 def dirichlet_energy(s: ScalarField, r: Region) -> float:
@@ -406,9 +395,7 @@ def _support_cutoff(center: tuple[float, float], sigma: float, support: Region) 
         rad = support.params["radius"]
         cut = rad - float(np.hypot(cx - scx, cy - scy))
     else:
-        g = support.grid
-        i0, i1 = support.params["i0"], support.params["i1"]
-        j0, j1 = support.params["j0"], support.params["j1"]
+        g, (i0, i1, j0, j1) = support.grid, support.box
         cut = min(cx - g.xs[i0], g.xs[i1] - cx, cy - g.ys[j0], g.ys[j1] - cy)
     if cut < 3.0 * sigma:
         raise ConfigurationError(

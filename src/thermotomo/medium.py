@@ -18,7 +18,6 @@ from .errors import ConfigurationError, DomainError
 from .grid_field import Grid
 
 BACKGROUND_SPEED = 1.0
-CENTER = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,6 @@ class InterfaceDescriptor:
         if self.c_int == self.c_ext:
             raise ConfigurationError(
                 f"interface at radius {self.radius} has equal speeds on both sides")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return CENTER
 
 
 @dataclass(eq=False)

@@ -277,11 +277,8 @@ class _Events(NamedTuple):
 
 
 def _omega_rect(omega: Region) -> tuple[float, float, float, float]:
-    if omega.kind != "rectangle":
-        raise ConfigurationError("measurement region must be a rectangle")
-    g = omega.grid
-    return (g.xs[omega.params["i0"]], g.xs[omega.params["i1"]],
-            g.ys[omega.params["j0"]], g.ys[omega.params["j1"]])
+    g, (i0, i1, j0, j1) = omega.grid, omega.box
+    return (g.xs[i0], g.xs[i1], g.ys[j0], g.ys[j1])
 
 
 def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
@@ -469,9 +466,7 @@ def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
         r = rad * ((k + 0.5) / n_pos) ** 0.25 * 0.98
         th = k * GOLDEN_ANGLE
         return np.column_stack((cx + r * np.cos(th), cy + r * np.sin(th)))
-    g = kset.grid
-    i0, i1 = kset.params["i0"], kset.params["i1"]
-    j0, j1 = kset.params["j0"], kset.params["j1"]
+    g, (i0, i1, j0, j1) = kset.grid, kset.box
     side = max(1, int(math.ceil(math.sqrt(n_pos))))
     xs = np.linspace(g.xs[i0] + 0.25 * g.h, g.xs[i1] - 0.25 * g.h, side)
     ys = np.linspace(g.ys[j0] + 0.25 * g.h, g.ys[j1] - 0.25 * g.h, side)

@@ -46,8 +46,7 @@ class ReconConfig:
     cfl: float = DEFAULT_CFL
 
     def __post_init__(self):
-        if self.omega.kind != "rectangle":
-            raise ConfigurationError("omega must be a grid-aligned rectangle")
+        self.omega.box  # raises unless omega is a rectangle
         if self.omega.grid != self.kset.grid:
             raise ConfigurationError("omega and kset live on different grids")
         if not self.T > 0:

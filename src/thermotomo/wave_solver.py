@@ -8,11 +8,14 @@ interior: a wave reflected by the ring crosses the margin twice, which takes
 longer than T, and the 16 nodes cover the scheme's dispersive precursor.  The
 trace, and the state at T on the closed rectangle, are then the unbounded
 medium's to round-off, so a trace-only ``forward`` steps only the rectangle
-plus ceil(c_out*T/2h) + 16 nodes, copied once per solve.  Every solve
-runs the one time loop ``_march``: three preallocated levels rotate, and the
-kernel ``_leap`` writes each new level in place with one scratch array and
-weights (dt/h)^2 c^2 computed once per solve, so a step allocates nothing.
-Its operation order is the textbook one, bit for bit.
+plus ceil(c_out*T/2h) + 16 nodes, copied once per solve.  Every solve is
+``_solve`` -> ``_march``: ``_solve`` pins level 0, seeds level 1 by the
+Taylor step (with -u_t for the backward solve) and hands both to the one time
+loop ``_march``, where three preallocated levels rotate and the kernel
+``_leap`` writes each new level in place with one scratch array and weights
+(dt/h)^2 c^2 computed once per solve, so a step allocates nothing.  Its
+operation order is the textbook one, bit for bit; each solve adds only its
+geometry, the nodes it pins and what it records.
 
 The padded box is mostly empty, so ``forward``, ``evolve`` and the exterior
 solve step only the discrete light cone (``_band``): the scheme moves data
@@ -140,25 +143,11 @@ def cfl_dt(m: Medium, cfl: float) -> float:
     return cfl * m.grid.h / (m.c_max * math.sqrt(2.0))
 
 
-def _check_cfl(dt: float, m: Medium, cfl: float = 1.0):
-    limit = cfl * m.grid.h / (m.c_max * math.sqrt(2.0))
+def _check_cfl(dt: float, h: float, c_max: float, cfl: float = 1.0):
+    limit = cfl * h / (c_max * math.sqrt(2.0))
     if dt > limit * (1.0 + 1e-12):
         raise ConfigurationError(
-            f"dt {dt:.6g} violates the stability bound {limit:.6g} for this medium")
-
-
-def step(prev: ScalarField, curr: ScalarField, m: Medium, dt: float,
-         step_index: int | None = None) -> ScalarField:
-    """One leapfrog step: 2*curr - prev + dt^2 c^2 Lap(curr); ring held at zero."""
-    if prev.grid != curr.grid or curr.grid != m.grid:
-        raise ConfigurationError("fields and medium live on different grids")
-    _check_cfl(dt, m)
-    nxt = np.zeros_like(curr.data)
-    _leap_into(nxt, prev.data, curr.data, m.c_sq, m.grid.h, dt)
-    if not np.all(np.isfinite(nxt)):
-        where = f" at step {step_index}" if step_index is not None else ""
-        raise InstabilityError(f"non-finite values appeared{where}")
-    return ScalarField(curr.grid, nxt)
+            f"dt {dt:.6g} violates the stability bound {limit:.6g} for speed {c_max:.6g}")
 
 
 def _weights(c_sq, h, dt):
@@ -196,13 +185,6 @@ def _leap(out, prev, curr, w, scratch, lo, hi):
     np.multiply(c[a:b], 2.0, out=scratch)
     scratch -= prev.reshape(-1)[a:b]
     np.add(scratch, o, out=o)
-
-
-def _leap_into(out, prev, curr, c_sq, h, dt):
-    """One interior leapfrog update written into ``out``; ring rows untouched."""
-    w, tmp = _weights(c_sq, h, dt), np.zeros(curr.shape)
-    _leap(tmp, prev, curr, w, np.empty_like(w), 1, curr.shape[0] - 2)
-    out[1:-1, 1:-1] = tmp[1:-1, 1:-1]
 
 
 def _march(prev, curr, w, steps, where, pin=None, record=None, rows=None):
@@ -255,6 +237,27 @@ def _taylor_second_level(u0, ut0, c_sq, h, dt):
     return u1
 
 
+def _solve(u0, ut0, c_sq, h, dt, levels, where, pin=None, record=None, band=None):
+    """The one seeded solve: time levels ``levels`` (a range) from Cauchy data (u0, ut0).
+
+    Level ``levels[0]`` is a copy of u0 on a zero outer ring, pinned; level
+    ``levels[1]`` is its Taylor step, pinned and recorded; ``_march`` builds
+    the rest with the same ``pin`` and ``record``, over ``_band``'s light cone
+    when ``band`` = (dst, src) is given.  Returns the last two levels.
+    """
+    prev = u0.copy()
+    prev[[0, -1], :] = prev[:, [0, -1]] = 0.0
+    if pin is not None:
+        pin(levels[0], prev)
+    curr = _taylor_second_level(prev, ut0, c_sq, h, dt)
+    if pin is not None:
+        pin(levels[1], curr)
+    if record is not None:
+        record(levels[1], curr, prev)
+    rows = None if band is None else _band((prev, curr), len(levels) - 1, *band)
+    return _march(prev, curr, _weights(c_sq, h, dt), levels[2:], where, pin, record, rows)
+
+
 def _consistent_ut(u_last, u_prev, c_sq, h, dt):
     """Time derivative matching the Taylor seed: (u^N - u^{N-1})/dt + dt/2 c^2 Lap u^N."""
     ut = (u_last - u_prev) / dt
@@ -271,11 +274,15 @@ def _support_inside(f: WaveState, omega: Region):
             "initial data must be supported strictly inside the measurement rectangle")
 
 
+def _gap(g, i0, i1, j0, j1) -> float:
+    """Distance from the nodes [i0..i1] x [j0..j1] to the nearest side of the box."""
+    return g.h * min(i0, g.nx - 1 - i1, j0, g.ny - 1 - j1)
+
+
 def _check_box_margin(omega: Region, c_out: float, T: float) -> int:
     """Check that the box pads the rectangle by c_out*T/2 + _SLACK*h; return the
     nodes r = ceil(c_out*T/2h) + _SLACK around it that a trace-only solve steps."""
-    g, p = omega.grid, omega.params
-    margin = g.h * min(p["i0"], g.nx - 1 - p["i1"], p["j0"], g.ny - 1 - p["j1"])
+    g, margin = omega.grid, _gap(omega.grid, *omega.box)
     need = 0.5 * c_out * T + _SLACK * g.h
     if margin + 1e-9 < need:
         raise ConfigurationError(
@@ -307,26 +314,20 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     if sample_every < 1:
         raise ConfigurationError(f"sample_every must be at least 1, got {sample_every}")
-    _check_cfl(cfg.dt, m, cfg.cfl)
     g, dt = m.grid, cfg.dt
+    _check_cfl(dt, g.h, m.c_max, cfg.cfl)
 
     def pin(k, arr):
-        if pin_zero is not None:
-            arr[pin_zero.boundary_nodes] = 0.0
+        arr[pin_zero.boundary_nodes] = 0.0
 
     def sample(k, curr, prev):
-        if on_sample is not None and k % sample_every == 0:
+        if k % sample_every == 0:
             ut = _consistent_ut(curr, prev, m.c_sq, g.h, dt)
             on_sample(k, WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut)))
 
-    prev = f.u.data.copy()
-    prev[[0, -1], :] = prev[:, [0, -1]] = 0.0     # the outer ring is Dirichlet zero
-    pin(0, prev)
-    curr = _taylor_second_level(prev, f.ut.data, m.c_sq, g.h, dt)
-    pin(1, curr)
-    sample(1, curr, prev)
-    prev, curr = _march(prev, curr, _weights(m.c_sq, g.h, dt), range(2, cfg.n_steps + 1),
-                        "step", pin, sample, _band((prev, curr), cfg.n_steps))
+    prev, curr = _solve(f.u.data, f.ut.data, m.c_sq, g.h, dt, range(cfg.n_steps + 1), "step",
+                        None if pin_zero is None else pin,
+                        None if on_sample is None else sample, (None, None))
     ut = _consistent_ut(curr, prev, m.c_sq, g.h, dt)
     return WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
 
@@ -343,40 +344,34 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     the trace and the final state on the closed rectangle then equal the
     unbounded medium's; outside it, the final state holds the ring's echoes.
     """
-    if omega.kind != "rectangle":
-        raise ConfigurationError("measurement region must be a grid-aligned rectangle")
+    i0, i1, j0, j1 = omega.box
     if f.grid != m.grid or omega.grid != m.grid:
         raise ConfigurationError("state, medium and region must share one grid")
     if abs(cfg.T - T) > 1e-9 * max(T, 1.0):
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
-    _check_cfl(cfg.dt, m, cfg.cfl)
+    g, dt = m.grid, cfg.dt
+    _check_cfl(dt, g.h, m.c_max, cfg.cfl)
     _support_inside(f, omega)
     r = _check_box_margin(omega, float(m.c_field[~omega.interior_mask].max()), T)
 
-    g, dt = m.grid, cfg.dt
     if return_final:        # the final state is returned on the whole box
         r = max(g.nx, g.ny)
-    i0, i1 = omega.params["i0"], omega.params["i1"]
-    j0, j1 = omega.params["j0"], omega.params["j1"]
     a, b = max(i0 - r, 0), max(j0 - r, 0)
     win = np.s_[a:i1 + r + 1, b:j1 + r + 1]
     c_sq, (bi, bj) = np.ascontiguousarray(m.c_sq[win]), omega.boundary_nodes
-    bi, bj = bi - a, bj - b
     values = np.empty((cfg.n_steps + 1, bi.size))
+    values[0] = f.u.data[bi, bj]
+    bi, bj = bi - a, bj - b
 
     def record(k, curr, _prev):
         values[k] = curr[bi, bj]
         if on_step is not None:
             on_step(k, cfg.n_steps)
 
-    prev = f.u.data[win].copy()
-    values[0] = prev[bi, bj]
-    curr = _taylor_second_level(prev, f.ut.data[win], c_sq, g.h, dt)
-    record(1, curr, prev)
     # the final state must be exact everywhere, the trace only on Ω's rows
-    rows = _band((prev, curr), cfg.n_steps, None if return_final else (i0 - a, i1 - a))
-    prev, curr = _march(prev, curr, _weights(c_sq, g.h, dt), range(2, cfg.n_steps + 1),
-                        "step", record=record, rows=rows)
+    dst = None if return_final else (i0 - a, i1 - a)
+    prev, curr = _solve(f.u.data[win], f.ut.data[win], c_sq, g.h, dt, range(cfg.n_steps + 1),
+                        "step", record=record, band=(dst, None))
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)
     if not return_final:
@@ -393,14 +388,13 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     Interior nodes follow the leapfrog recurrence; rectangle-boundary nodes
     are pinned to the recorded trace at every level.  Returns [v(0), v_t(0)].
     """
-    if omega.kind != "rectangle":
-        raise ConfigurationError("backward solve needs a grid-aligned rectangle")
+    i0, i1, j0, j1 = omega.box
     if cauchy_at_T.grid != m.grid or omega.grid != m.grid:
         raise ConfigurationError("state, medium and region must share one grid")
     _check_trace_on(boundary, omega)
-    _check_cfl(boundary.dt, m)
-
     g, dt = m.grid, boundary.dt
+    _check_cfl(dt, g.h, m.c_max)
+
     n = boundary.n_steps
     bi, bj = omega.boundary_nodes
     scale = max(1.0, float(np.max(np.abs(boundary.values))))
@@ -411,27 +405,16 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
             f"(tolerance {1e-9 * scale:.3e})")
 
     # step window-sized arrays, whose outer ring is the pinned rectangle boundary
-    i0, i1 = omega.params["i0"], omega.params["i1"]
-    j0, j1 = omega.params["j0"], omega.params["j1"]
     win = (slice(i0, i1 + 1), slice(j0, j1 + 1))
     c_sq, wi, wj = m.c_sq[win], bi - i0, bj - j0
 
     def pin(k, arr):
         arr[wi, wj] = boundary.values[k]
 
-    # two seed levels at t = T and T - dt
-    u0, ut0 = cauchy_at_T.u.data[win], cauchy_at_T.ut.data[win]
-    v_n, v_n1 = u0.copy(), np.zeros_like(u0)
-    v_n1[1:-1, 1:-1] = (u0[1:-1, 1:-1] - dt * ut0[1:-1, 1:-1]
-                        + 0.5 * ((dt * dt) / (g.h * g.h)) * c_sq[1:-1, 1:-1] * _lap_sum(u0))
-    pin(n, v_n)
-    pin(n - 1, v_n1)
-    if on_step is not None:
-        on_step(1, n)
     record = None if on_step is None else (lambda k, _curr, _prev: on_step(n - k, n))
-    # level k is built from (v^{k+2}, v^{k+1})
-    v1, v0 = _march(v_n, v_n1, _weights(c_sq, g.h, dt), range(n - 2, -1, -1),
-                    "backward step", pin, record)
+    # levels n down to 0; a Taylor step with -u_t seeds level n - 1
+    v1, v0 = _solve(cauchy_at_T.u.data[win], -cauchy_at_T.ut.data[win], c_sq, g.h, dt,
+                    range(n, -1, -1), "backward step", pin, record)
 
     # invert the forward Taylor seed for v_t(0)
     u, ut = np.zeros(g.shape), np.zeros(g.shape)
@@ -451,17 +434,13 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
     quotient on the boundary nodes (axis quotients averaged at corners) and,
     optionally, u at probe nodes.
     """
-    if omega.kind != "rectangle":
-        raise ConfigurationError("exterior solve needs a grid-aligned rectangle")
+    i0, i1, j0, j1 = omega.box
     g, dt = omega.grid, boundary.dt
-    if dt > g.h / math.sqrt(2.0) * (1.0 + 1e-12):
-        raise ConfigurationError("trace dt violates the unit-speed stability bound")
+    _check_cfl(dt, g.h, 1.0)
     _check_trace_on(boundary, omega)
     _check_box_margin(omega, 1.0, boundary.T)
 
     bi, bj = omega.boundary_nodes
-    i0, i1 = omega.params["i0"], omega.params["i1"]
-    j0, j1 = omega.params["j0"], omega.params["j1"]
     # outward axis neighbor per boundary node; the four corners carry two and
     # average both axis quotients
     di = (bi == i1).astype(int) - (bi == i0)
@@ -489,17 +468,13 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
         if probes is not None:
             probes[k] = arr[pi, pj]
 
-    prev = np.zeros(g.shape)
-    pin(0, prev)
-    record(0, prev, None)
-    ones = np.ones(g.shape)
-    curr = _taylor_second_level(prev, np.zeros(g.shape), ones, g.h, dt)
-    pin(1, curr)
-    record(1, curr, prev)
+    u0, ones = np.zeros(g.shape), np.ones(g.shape)
+    pin(0, u0)
+    record(0, u0, None)
     # data enters on rows i0..i1 at every level; the normal quotients read i0-1..i1+1
     read = [i0 - 1, i1 + 1] + ([] if probes is None else pi.tolist())
-    _march(prev, curr, _weights(ones, g.h, dt), range(2, n_steps + 1), "exterior step",
-           pin, record, _band((prev, curr), n_steps, (min(read), max(read)), (i0, i1)))
+    _solve(u0, np.zeros(g.shape), ones, g.h, dt, range(n_steps + 1), "exterior step",
+           pin, record, ((min(read), max(read)), (i0, i1)))
     return normal, probes
 
 
@@ -513,8 +488,14 @@ def exterior_neumann(boundary: BoundaryTrace, omega: Region) -> BoundaryTrace:
 
 def exterior_field_probes(boundary: BoundaryTrace, omega: Region,
                           points: list[tuple[float, float]]) -> np.ndarray:
-    """Time series of the exterior solution at the grid nodes nearest to ``points``."""
+    """Time series of the exterior solution at the grid nodes nearest to ``points``.
+
+    The ring's echo travels at least margin + d to a probe node at distance d
+    from the box's outer ring, so each probe needs margin + d >= T + 32h
+    (``_SLACK`` nodes for each crossing); a probe nearer the ring is rejected.
+    """
     g = omega.grid
+    margin, need = _gap(g, *omega.box), boundary.T + 2 * _SLACK * g.h
     nodes = []
     for (x, y) in points:
         if not g.contains_point(x, y):
@@ -522,6 +503,11 @@ def exterior_field_probes(boundary: BoundaryTrace, omega: Region,
         i, j = g.nearest_node(x, y)
         if omega.mask[i, j]:
             raise ConfigurationError(f"probe point {(x, y)} lies inside the rectangle")
+        reach = margin + _gap(g, i, i, j, j)
+        if reach + 1e-9 < need:
+            raise ConfigurationError(
+                f"probe point {(x, y)} is within the ring's echo: box margin plus its "
+                f"distance to the ring is {reach:.4g}, below T + {2 * _SLACK}h = {need:.4g}")
         nodes.append((i, j))
     _, probes = _exterior_solve(boundary, omega, probe_nodes=nodes)
     return probes

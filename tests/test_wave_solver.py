@@ -32,7 +32,6 @@ from thermotomo.wave_solver import (
     exterior_neumann,
     forward,
     solve_backward,
-    step,
 )
 
 from conftest import centered_bump, example1_setup, random_field
@@ -55,48 +54,54 @@ class TestCflDt:
             cfl_dt(uniform_medium(g), 0.0)
 
 
+def _leapfrog(prev, curr, m, dt, n):
+    """n steps of the solver's time loop from (prev, curr): the last two levels."""
+    w = wave_solver._weights(m.c_sq, m.grid.h, dt)
+    return wave_solver._march(prev.data.copy(), curr.data.copy(), w, range(n), "step")
+
+
 class TestStep:
     def test_zero_stays_zero(self, small_grid, small_medium):
         z = ScalarField.zeros(small_grid)
-        out = step(z, z, small_medium, cfl_dt(small_medium, 0.4))
-        assert np.all(out.data == 0.0)
+        _, out = _leapfrog(z, z, small_medium, cfl_dt(small_medium, 0.4), 1)
+        assert np.all(out == 0.0)
 
     def test_constant_preserved_inside(self, small_grid, small_medium):
         kappa = 2.5
         c = ScalarField(small_grid, np.full(small_grid.shape, kappa))
-        out = step(c, c, small_medium, cfl_dt(small_medium, 0.4))
-        assert np.allclose(out.data[1:-1, 1:-1], kappa)
-        assert np.all(out.data[0, :] == 0.0)
+        _, out = _leapfrog(c, c, small_medium, cfl_dt(small_medium, 0.4), 1)
+        assert np.allclose(out[1:-1, 1:-1], kappa)
+        assert np.all(out[0, :] == 0.0)
 
     def test_single_step_reversibility(self, small_grid, small_medium):
         dt = cfl_dt(small_medium, 0.4)
         a, b = random_field(small_grid, 1), random_field(small_grid, 2)
         a.data[0, :] = a.data[-1, :] = a.data[:, 0] = a.data[:, -1] = 0.0
         b.data[0, :] = b.data[-1, :] = b.data[:, 0] = b.data[:, -1] = 0.0
-        c = step(a, b, small_medium, dt)
-        back = step(c, b, small_medium, dt)
-        assert np.allclose(back.data, a.data, atol=1e-13)
+        _, c = _leapfrog(a, b, small_medium, dt, 1)
+        _, back = _leapfrog(ScalarField(small_grid, c), b, small_medium, dt, 1)
+        assert np.allclose(back, a.data, atol=1e-13)
 
     def test_hundred_step_reversibility(self, small_grid):
         m = build_medium([(0.4, 0.5)], small_grid)
         dt = cfl_dt(m, 0.4)
         kc = Region.disk(small_grid, (0.0, 0.0), 0.3)
         f = centered_bump(small_grid, kc, sigma=0.06)
-        states = [f, step(f, f, m, dt)]
-        for _ in range(99):
-            states.append(step(states[-2], states[-1], m, dt))
-        a, b = states[-1], states[-2]     # (u^100, u^99)
-        for _ in range(99):
-            a, b = b, step(a, b, m, dt)   # (u^n, u^{n-1})
+        first = _leapfrog(f, f, m, dt, 1)[1]                 # u^1 from (u^{-1}, u^0) = (f, f)
+        u99, u100 = _leapfrog(f, f, m, dt, 100)
+        b, a = _leapfrog(ScalarField(small_grid, u100), ScalarField(small_grid, u99),
+                         m, dt, 99)                          # (u^1, u^0)
         scale = np.max(np.abs(f.data))
-        assert np.max(np.abs(a.data - states[1].data)) <= 1e-10 * scale
-        assert np.max(np.abs(b.data - states[0].data)) <= 1e-10 * scale
+        assert np.max(np.abs(b - first)) <= 1e-10 * scale
+        assert np.max(np.abs(a - f.data)) <= 1e-10 * scale
 
-    def test_cfl_violation_rejected(self, small_grid, small_medium):
-        z = ScalarField.zeros(small_grid)
-        bad_dt = 1.01 * small_grid.h / math.sqrt(2)
-        with pytest.raises(ConfigurationError):
-            step(z, z, small_medium, bad_dt)
+    def test_cfl_violation_rejected(self, small_grid, small_medium, small_rect):
+        bad = SolverConfig(dt=1.01 * small_grid.h / math.sqrt(2), n_steps=4)
+        z = WaveState.zeros(small_grid)
+        with pytest.raises(ConfigurationError, match="stability bound"):
+            evolve(z, small_medium, bad.T, bad)
+        with pytest.raises(ConfigurationError, match="stability bound"):
+            forward(z, small_medium, small_rect, bad.T, bad)
 
 
 class TestForward:
@@ -208,6 +213,17 @@ class TestForward:
             evolve(WaveState.zeros(g), m, 1.2, cfg, on_sample=lambda k, st: None,
                    sample_every=0)
 
+    def test_evolve_holds_the_outer_ring_at_zero(self):
+        # data on the outermost ring is replaced by the Dirichlet zero
+        g, m, omega, kset = example1_setup(N=61)
+        cfg = SolverConfig.for_time(m, 0.3)
+        u = random_field(g, 3)
+        inner = u.copy()
+        inner.data[[0, -1], :] = inner.data[:, [0, -1]] = 0.0
+        a = evolve(WaveState(u, ScalarField.zeros(g)), m, 0.3, cfg)
+        b = evolve(WaveState(inner, ScalarField.zeros(g)), m, 0.3, cfg)
+        assert _states_equal(a, b)
+
 
 class TestSolveBackward:
     def test_zero_everything(self):
@@ -316,6 +332,22 @@ class TestSolveBackward:
         assert e_coarse / e_fine >= 1.5
 
 
+def _pulse_box(margin, h=0.04):
+    """Ω = [-1, 1]^2 padded by ``margin`` nodes of spacing h."""
+    n = 51 + 2 * margin
+    return Region.rectangle_from_physical(Grid(n, n, h, origin=(-1.0 - margin * h,) * 2),
+                                          -1.0, 1.0, -1.0, 1.0)
+
+
+def _pulse_trace(margin, T=3.39):
+    """The trace over T of a 0.3-wide pulse at the origin, and its Ω = _pulse_box(margin)."""
+    omega = _pulse_box(margin)
+    g, m = omega.grid, uniform_medium(omega.grid)
+    f = WaveState(centered_bump(g, Region.disk(g, (0.0, 0.0), 0.6), sigma=0.15),
+                  ScalarField.zeros(g))
+    return forward(f, m, omega, T, SolverConfig.for_time(m, T)), omega
+
+
 class TestExterior:
     def test_zero_trace_zero_neumann(self):
         g, m, omega, kset = example1_setup()
@@ -333,7 +365,7 @@ class TestExterior:
         f = WaveState(centered_bump(g, kset), ScalarField.zeros(g))
         cfg = SolverConfig.for_time(m, T)
         tr = forward(f, m, omega, T, cfg)
-        pts = [(1.4, 0.3), (-1.7, -1.1), (0.2, 1.9)]
+        pts = [(1.4, 0.3), (-1.7, -1.1), (0.2, 1.85)]
         probes = exterior_field_probes(tr, omega, pts)
         nodes = [g.nearest_node(*p) for p in pts]
         recorded = np.zeros_like(probes)
@@ -368,28 +400,29 @@ class TestExterior:
 
 
     def test_margin_below_half_T_rejected(self):
-        # a 0.3-wide pulse on [-1, 1]^2 traced over T = 3.39 with h = 0.04: a
-        # 10-node margin lets the ring's echo into the Neumann data (2.75 times
+        # a 10-node margin lets the ring's echo into the Neumann data (2.75 times
         # their peak without the check), so it is rejected; T/2 + 16h needs 59
-        h, T = 0.04, 3.39
-
-        def box(margin):
-            n = 51 + 2 * margin
-            g = Grid(n, n, h, origin=(-1.0 - margin * h,) * 2)
-            return g, Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
-
-        g, omega = box(60)
-        m = uniform_medium(g)
-        f = WaveState(centered_bump(g, Region.disk(g, (0.0, 0.0), 0.6), sigma=0.15),
-                      ScalarField.zeros(g))
-        tr = forward(f, m, omega, T, SolverConfig.for_time(m, T))
+        tr, omega = _pulse_trace(60)
         wide = exterior_neumann(tr, omega).values
         assert np.abs(wide).max() > 0
-        assert np.array_equal(wide, exterior_neumann(tr, box(70)[1]).values)
+        assert np.array_equal(wide, exterior_neumann(tr, _pulse_box(70)).values)
         with pytest.raises(ConfigurationError, match="margin"):
-            exterior_neumann(tr, box(10)[1])
+            exterior_neumann(tr, _pulse_box(10))
         with pytest.raises(ConfigurationError, match="margin"):
-            exterior_field_probes(tr, box(10)[1], [(1.2, 0.0)])
+            exterior_field_probes(tr, _pulse_box(10), [(1.2, 0.0)])
+
+    def test_probe_within_the_rings_echo_rejected(self):
+        # a 59-node margin passes the margin rule, but a probe 2 nodes inside
+        # the ring differs from a 90-node box by 97 % of its peak, so it is
+        # rejected (margin + its distance to the ring, 2.44, is below
+        # T + 32h = 4.67); the probe beside the rectangle reaches 4.68 and
+        # gives the same bytes on both boxes
+        tr, omega = _pulse_trace(59)
+        with pytest.raises(ConfigurationError, match=r"probe point \(-3.28, 0.0\)"):
+            exterior_field_probes(tr, omega, [(-3.28, 0.0)])
+        near = exterior_field_probes(tr, omega, [(-1.04, 0.0)])
+        assert np.abs(near).max() > 0
+        assert near.tobytes() == exterior_field_probes(tr, _pulse_box(90), [(-1.04, 0.0)]).tobytes()
 
 
 class TestBoundaryTrace:
@@ -694,11 +727,11 @@ class TestReferenceStepper:
         assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega)[0])
 
     def test_exterior_field_probes(self, setup):
-        # the far probes widen the rows the exterior solve must keep exact
+        # probes past Ω's rows widen the rows the exterior solve must keep exact
         g, m, omega, f = setup
         cfg = SolverConfig.for_time(m, 1.2)
         tr = forward(f, m, omega, 1.2, cfg)
-        pts = [(2.1, -2.0), (-1.9, 0.3), (1.2, 0.0)]
+        pts = [(1.15, -0.5), (-1.15, 0.3), (0.4, 1.15)]
         probes = exterior_field_probes(tr, omega, pts)
         _, ref = _ref_exterior_neumann(tr, omega, [g.nearest_node(*p) for p in pts])
         assert probes.tobytes() == ref.tobytes()
