@@ -46,17 +46,27 @@ def write_grid(path, field: ScalarField):
     _atomic_write(path, header + field.data.astype("<f8").tobytes(order="C"))
 
 
-def read_grid(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _GRID_HEADER.size:
-        raise FormatError(f"file too short for a TAWG header ({len(raw)} bytes)",
+def _read(path, header: struct.Struct, magic: bytes):
+    """Whole file and its header fields after the magic and version, both checked."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}")
+    name = magic.decode("ascii")
+    if len(raw) < header.size:
+        raise FormatError(f"file too short for a {name} header ({len(raw)} bytes)",
                           offset=len(raw))
-    magic, version, nx, ny, ox, oy, h = _GRID_HEADER.unpack_from(raw)
-    if magic != GRID_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {GRID_MAGIC!r}", offset=0)
+    found, version, *fields = header.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"bad magic {found!r}, expected {magic!r}", offset=0)
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported TAWG version {version}", offset=4)
+        raise FormatError(f"unsupported {name} version {version}", offset=4)
+    return raw, fields
+
+
+def read_grid(path) -> ScalarField:
+    raw, (nx, ny, ox, oy, h) = _read(path, _GRID_HEADER, GRID_MAGIC)
     expected = _GRID_HEADER.size + nx * ny * 8
     if len(raw) != expected:
         raise FormatError(
@@ -76,16 +86,7 @@ def write_trace(path, trace: BoundaryTrace):
 
 
 def read_trace(path) -> BoundaryTrace:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _TRACE_HEADER.size:
-        raise FormatError(f"file too short for a TAWS header ({len(raw)} bytes)",
-                          offset=len(raw))
-    magic, version, n_times, n_det, dt = _TRACE_HEADER.unpack_from(raw)
-    if magic != TRACE_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {TRACE_MAGIC!r}", offset=0)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported TAWS version {version}", offset=4)
+    raw, (n_times, n_det, dt) = _read(path, _TRACE_HEADER, TRACE_MAGIC)
     coords_bytes = n_det * 16
     expected = _TRACE_HEADER.size + coords_bytes + n_times * n_det * 8
     if len(raw) != expected:

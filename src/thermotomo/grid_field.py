@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, ConvergenceError
 
@@ -173,7 +171,7 @@ class Region:
         if ((self.interior_mask | self.boundary_mask) & ring).any():
             raise ConfigurationError("region touches the outermost grid ring")
         self.mask = self.interior_mask | self.boundary_mask
-        self._harmonic_system = None  # assembled lazily, cached per region
+        self._harmonic_system = None  # block-row LU, factored lazily, cached per region
 
     # -- constructors ------------------------------------------------------
 
@@ -264,40 +262,41 @@ class Region:
     # -- harmonic system -----------------------------------------------------
 
     def _assemble_harmonic(self):
-        """Sparse 5-point system over interior unknowns and its LU factors (cached)."""
+        """Block-row LU of the 5-point system, on the closure's box grown by a node (cached).
+
+        Grid row k of interior nodes must be one run, on consecutive rows; it
+        couples by -1 to the same j in rows k +- 1.  Block k holds, in flat
+        window indices, its run, inv(S_k) for S_k = tridiag(-1, 4, -1) -
+        inv(S_{k-1}) on the j-overlap, its overlap with row k+1 and that
+        overlap in row k+1, and the columns of inv(S_k) on the overlap.
+        """
         if self._harmonic_system is not None:
             return self._harmonic_system
-        nx, ny = self.grid.shape
-        idx = -np.ones(self.grid.shape, dtype=np.int64)
-        ii, jj = np.nonzero(self.interior_mask)
-        n = ii.size
-        idx[ii, jj] = np.arange(n)
-        bidx = -np.ones(self.grid.shape, dtype=np.int64)
-        bi, bj = self.boundary_nodes
-        bidx[bi, bj] = np.arange(bi.size)
-        rows, cols, vals = [], [], []
-        brows, bcols = [], []
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = ii + di, jj + dj
-            nint = idx[ni, nj]
-            nbnd = bidx[ni, nj]
-            in_int = nint >= 0
-            in_bnd = nbnd >= 0
-            if not np.all(in_int | in_bnd):
-                raise ConfigurationError("interior node has a neighbor outside the region closure")
-            rows.append(np.arange(n)[in_int]); cols.append(nint[in_int])
-            vals.append(-np.ones(in_int.sum()))
-            brows.append(np.arange(n)[in_bnd]); bcols.append(nbnd[in_bnd])
-        a = sp.coo_matrix(
-            (np.concatenate(vals + [4.0 * np.ones(n)]),
-             (np.concatenate(rows + [np.arange(n)]), np.concatenate(cols + [np.arange(n)]))),
-            shape=(n, n)).tocsr()
-        # boundary coupling: rhs = B @ boundary_values
-        b = sp.coo_matrix(
-            (np.ones(sum(len(r) for r in brows)),
-             (np.concatenate(brows), np.concatenate(bcols))),
-            shape=(n, bi.size)).tocsr()
-        self._harmonic_system = (a, b, (ii, jj), spla.splu(a.tocsc()))
+        ii, jj = np.nonzero(self.mask)
+        win = (slice(ii.min() - 1, ii.max() + 2), slice(jj.min() - 1, jj.max() + 2))
+        inner, closed = self.interior_mask[win], self.mask[win]
+        covered = closed[:-2, 1:-1] & closed[2:, 1:-1] & closed[1:-1, :-2] & closed[1:-1, 2:]
+        if (inner[1:-1, 1:-1] & ~covered).any():
+            raise ConfigurationError("interior node has a neighbor outside the region closure")
+        rows, w = np.flatnonzero(inner.any(axis=1)), inner.shape[1]
+        blocks, prev = [], None
+        for i in range(rows[0], rows[-1] + 1):
+            cols = np.flatnonzero(inner[i])
+            if cols.size == 0 or cols[-1] + 1 - cols[0] != cols.size:
+                raise ConfigurationError("interior must be one run per row on consecutive rows")
+            a, b = i * w + int(cols[0]), i * w + int(cols[-1]) + 1
+            s = 4.0 * np.eye(b - a) - np.eye(b - a, k=1) - np.eye(b - a, k=-1)
+            if prev is not None:
+                pa, pb, pinv = prev
+                lo, hi = max(a - w, pa), max(a - w, pa, min(b - w, pb))
+                here, there = slice(lo + w - a, hi + w - a), slice(lo - pa, hi - pa)
+                s[here, here] -= pinv[there, there]
+                blocks.append((slice(pa, pb), pinv, slice(lo, hi), slice(lo + w, hi + w),
+                               pinv[:, there].copy()))
+            prev = (a, b, np.linalg.inv(s))
+        blocks.append((slice(prev[0], prev[1]), prev[2], slice(0, 0), slice(0, 0), None))
+        nodes = (self.boundary_nodes[0] - win[0].start) * w + self.boundary_nodes[1] - win[1].start
+        self._harmonic_system = (win, nodes, inner, blocks)
         return self._harmonic_system
 
 
@@ -344,30 +343,37 @@ def harmonic_extension(boundary_values: np.ndarray, r: Region,
                        tol: float = DEFAULT_HARMONIC_TOL) -> ScalarField:
     """Discrete harmonic field on r matching the given boundary node values.
 
-    Solves the 5-point system with the region's sparse LU factors, factored
-    once per region, and checks that the max-norm residual of the stencil sum
-    (h^2 times the discrete Laplacian) is at most tol * max(1, max|boundary_values|).
-    Zero outside the region.
+    The right-hand side is the 5-point sum of the boundary values; one forward
+    and one backward sweep of the region's block-row LU (factored once per
+    region) solve for the interior, on r's window.  Checks that the max-norm
+    residual of the stencil sum (h^2 times the discrete Laplacian) is at most
+    tol * max(1, max|boundary_values|).  Zero outside the region.
     """
-    if not tol > 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
     g = np.asarray(boundary_values, dtype=np.float64)
-    bi, bj = r.boundary_nodes
-    if g.shape != (bi.size,):
-        raise ConfigurationError(
-            f"expected {bi.size} boundary values, got shape {g.shape}")
+    n = r.boundary_nodes[0].size
+    if g.shape != (n,):
+        raise ConfigurationError(f"expected {n} boundary values, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ConfigurationError("boundary values must be finite")
-    a, b, (ii, jj), lu = r._assemble_harmonic()
-    rhs = b @ g
+    win, nodes, inner, blocks = r._assemble_harmonic()
+    u, rhs = np.zeros(inner.size), np.zeros(inner.size)
+    u[nodes] = g
+    v = u.reshape(inner.shape)
+    rhs.reshape(inner.shape)[1:-1, 1:-1] = v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:]
+    for run, sinv, overlap, below, _ in blocks:
+        np.dot(sinv, rhs[run], out=u[run])
+        rhs[below] += u[overlap]
+    for run, _, _, below, cols in reversed(blocks[:-1]):
+        u[run] += cols @ u[below]
+    stencil = 4.0 * v[1:-1, 1:-1] - v[:-2, 1:-1] - v[2:, 1:-1] - v[1:-1, :-2] - v[1:-1, 2:]
     target = tol * max(1.0, float(np.max(np.abs(g))))
-    x = lu.solve(rhs)
-    resid = float(np.max(np.abs(rhs - a @ x)))
+    resid = float(np.max(np.abs(stencil[inner[1:-1, 1:-1]])))
     if resid > target:
         raise ConvergenceError(f"harmonic solve residual exceeds {target:.3e}", residual=resid)
     out = np.zeros(r.grid.shape)
-    out[ii, jj] = x
-    out[bi, bj] = g
+    out[win] = v
     return ScalarField(r.grid, out)
 
 

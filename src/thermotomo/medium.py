@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError, DomainError
 from .grid_field import Grid
@@ -98,6 +97,7 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
         outside = speed
 
     if mollify_width > 0:
+        from scipy.ndimage import gaussian_filter  # so runs without a Gaussian load no scipy
         c = gaussian_filter(c, sigma=mollify_width, mode="nearest")
     return Medium(grid=grid, layers=layers, interfaces=tuple(interfaces),
                   c_field=c, mollify_width=mollify_width)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigurationError, DegenerateInputError
 from .grid_field import (
@@ -55,6 +54,9 @@ class ReconConfig:
             raise ConfigurationError(f"m_max must be at least 1, got {self.m_max}")
         if not self.tol_rel >= 0:
             raise ConfigurationError(f"tol_rel must be non-negative, got {self.tol_rel}")
+        if not 0 < self.harmonic_tol < math.inf:
+            raise ConfigurationError(
+                f"harmonic_tol must be positive and finite, got {self.harmonic_tol}")
         if (self.kset.mask & ~self.omega.interior_mask).any():
             raise ConfigurationError("kset must lie strictly inside omega")
 
@@ -211,6 +213,7 @@ def _random_zero_trace_field(cfg: ReconConfig, seed: int) -> ScalarField:
     rng = np.random.default_rng(seed)
     data = np.zeros(g.shape)
     data[cfg.kset.mask] = rng.standard_normal(int(cfg.kset.mask.sum()))
+    from scipy.ndimage import gaussian_filter  # so runs without a Gaussian load no scipy
     data = gaussian_filter(data, sigma=SEED_SMOOTH_SIGMA)
     data[~cfg.kset.mask] = 0.0
     return project_HD(ScalarField(g, data), cfg.kset, cfg.harmonic_tol)

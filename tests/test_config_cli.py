@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -144,6 +148,41 @@ class TestCli:
         assert main(["energy", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "duplicate" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "-1e-10", "0", "nan"])
+    def test_harmonic_tol_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        # rejected with the config, before the forward solve writes its trace
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, TINY + f"recon.harmonic_tol = {value}\n", output_dir=str(out))
+        assert main(["roundtrip", "--config", cfg]) == 2
+        assert "harmonic_tol must be positive and finite" in capsys.readouterr().err
+        assert not (out / "trace.taws").exists()
+
+    @pytest.mark.parametrize("trace", ["/nonexistent.taws", "a directory"])
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys, trace):
+        trace = str(tmp_path) if trace == "a directory" else trace
+        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+        assert main(["reconstruct", "--config", cfg, "--trace", trace]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and trace in err
+
+    def test_solver_commands_load_no_scipy(self, tmp_path):
+        # scipy is loaded only for a Gaussian (medium.mollify_width > 0, knorm's seed)
+        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+        script = textwrap.dedent("""
+            import sys
+            from thermotomo.cli import main
+            for cmd in ("forward", "reconstruct", "roundtrip", "raytrace", "energy"):
+                assert main([cmd, "--config", sys.argv[1]]) == 0, cmd
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+        """)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_raytrace_non_finite_time_exits_2(self, tmp_path, capsys, value):

@@ -100,6 +100,13 @@ class TestTraceFormat:
             read_trace(path)
 
 
+    @pytest.mark.parametrize("reader", [read_grid, read_trace])
+    def test_unreadable_path_is_a_format_error(self, tmp_path, reader):
+        for path in (tmp_path / "missing.taws", tmp_path):
+            with pytest.raises(FormatError, match="cannot read"):
+                reader(path)
+
+
 class TestPgm:
     def test_linear_map_values(self, tmp_path):
         # 0 -> 0, 1 -> 65535, 0.5 -> 32768, 0.25 -> 16384 under range (0, 1)

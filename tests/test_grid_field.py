@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from thermotomo.config import RunConfig
 from thermotomo.errors import ConfigurationError, ConvergenceError
 from thermotomo.grid_field import (
     Grid,
@@ -175,6 +180,103 @@ class TestHarmonicExtension:
         rhs = (2.0 * harmonic_extension(g1, small_disk, 1e-12)
                - 0.7 * harmonic_extension(g2, small_disk, 1e-12))
         assert np.allclose(lhs.data, rhs.data, atol=1e-9)
+
+
+def _ref_harmonic_extension(boundary_values, r, tol):
+    """The sparse COO -> CSR -> splu assembly and solve, kept as the oracle."""
+    nx, ny = r.grid.shape
+    idx = -np.ones(r.grid.shape, dtype=np.int64)
+    ii, jj = np.nonzero(r.interior_mask)
+    n = ii.size
+    idx[ii, jj] = np.arange(n)
+    bidx = -np.ones(r.grid.shape, dtype=np.int64)
+    bi, bj = r.boundary_nodes
+    bidx[bi, bj] = np.arange(bi.size)
+    rows, cols, vals = [], [], []
+    brows, bcols = [], []
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        ni, nj = ii + di, jj + dj
+        nint = idx[ni, nj]
+        nbnd = bidx[ni, nj]
+        in_int = nint >= 0
+        in_bnd = nbnd >= 0
+        if not np.all(in_int | in_bnd):
+            raise ConfigurationError("interior node has a neighbor outside the region closure")
+        rows.append(np.arange(n)[in_int]); cols.append(nint[in_int])
+        vals.append(-np.ones(in_int.sum()))
+        brows.append(np.arange(n)[in_bnd]); bcols.append(nbnd[in_bnd])
+    a = sp.coo_matrix(
+        (np.concatenate(vals + [4.0 * np.ones(n)]),
+         (np.concatenate(rows + [np.arange(n)]), np.concatenate(cols + [np.arange(n)]))),
+        shape=(n, n)).tocsr()
+    # boundary coupling: rhs = B @ boundary_values
+    b = sp.coo_matrix(
+        (np.ones(sum(len(r) for r in brows)),
+         (np.concatenate(brows), np.concatenate(bcols))),
+        shape=(n, bi.size)).tocsr()
+    lu = spla.splu(a.tocsc())
+    g = np.asarray(boundary_values, dtype=np.float64)
+    rhs = b @ g
+    target = tol * max(1.0, float(np.max(np.abs(g))))
+    x = lu.solve(rhs)
+    resid = float(np.max(np.abs(rhs - a @ x)))
+    if resid > target:
+        raise ConvergenceError(f"harmonic solve residual exceeds {target:.3e}", residual=resid)
+    out = np.zeros(r.grid.shape)
+    out[ii, jj] = x
+    out[bi, bj] = g
+    return ScalarField(r.grid, out)
+
+
+def _example_regions():
+    for name in ("example1.cfg", "example2_skull.cfg"):
+        cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / name)
+        g = cfg.build_grid()
+        yield f"{name}:omega", cfg.build_omega(g)
+        yield f"{name}:kset", cfg.build_kset(g)
+
+
+class TestBlockRowSolve:
+    """The block-row LU against the sparse LU it replaced."""
+
+    def test_matches_sparse_lu(self, small_rect, small_disk):
+        regions = [*_example_regions(), ("small_rect", small_rect), ("small_disk", small_disk)]
+        rng = np.random.default_rng(2024)
+        for name, r in regions:
+            for _ in range(20):
+                g = rng.standard_normal(r.boundary_nodes[0].size) * rng.uniform(0.1, 10.0)
+                got = harmonic_extension(g, r, 1e-12).data
+                want = _ref_harmonic_extension(g, r, 1e-12).data
+                gap = float(np.max(np.abs(got - want)))
+                assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(g)))), (name, gap)
+
+    def test_two_runs_in_one_row_rejected(self, small_grid):
+        # two 3x3 squares side by side: row 5 holds interior nodes at j = 5 and j = 9
+        interior = np.zeros(small_grid.shape, dtype=bool)
+        interior[5, 5] = interior[5, 9] = True
+        ring = np.zeros(small_grid.shape, dtype=bool)
+        ring[4:7, 4:7] = ring[4:7, 8:11] = True
+        ring &= ~interior
+        r = Region(small_grid, "two squares", interior, np.nonzero(ring), {})
+        with pytest.raises(ConfigurationError, match="one run per row"):
+            harmonic_extension(np.ones(int(ring.sum())), r)
+
+    def test_rows_with_a_gap_rejected(self, small_grid):
+        # the same squares stacked in one column: row 7 holds no interior node
+        interior = np.zeros(small_grid.shape, dtype=bool)
+        interior[5, 5] = interior[9, 5] = True
+        ring = np.zeros(small_grid.shape, dtype=bool)
+        ring[4:7, 4:7] = ring[8:11, 4:7] = True
+        ring &= ~interior
+        r = Region(small_grid, "two squares", interior, np.nonzero(ring), {})
+        with pytest.raises(ConfigurationError, match="consecutive rows"):
+            harmonic_extension(np.ones(int(ring.sum())), r)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+    def test_tolerance_must_be_positive_and_finite(self, small_rect, tol):
+        g = np.ones(small_rect.boundary_nodes[0].size)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            harmonic_extension(g, small_rect, tol)
 
 
 class TestProjection:
