@@ -59,7 +59,6 @@ from .wave_solver import (
     SolverConfig,
     cfl_dt,
     evolve,
-    exterior_field_probes,
     exterior_neumann,
     forward,
     solve_backward,

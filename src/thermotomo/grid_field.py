@@ -38,9 +38,11 @@ class Grid:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ConfigurationError(f"grid needs at least 3x3 nodes, got {self.nx}x{self.ny}")
-        if not self.h > 0:
-            raise ConfigurationError(f"grid spacing must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ConfigurationError(f"grid spacing must be positive and finite, got {self.h}")
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not np.isfinite(self.origin).all():
+            raise ConfigurationError(f"grid origin must be finite, got {self.origin}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -429,8 +431,9 @@ def make_phantom(kind: str, params: dict, g: Grid, support: Region) -> ScalarFie
     xx, yy = g.meshgrid()
     data = np.zeros(g.shape)
     for center, sigma in bumps:
-        if sigma <= 0:
-            raise ConfigurationError(f"bump sigma must be positive, got {sigma}")
+        if not (0 < sigma < np.inf and np.isfinite(center).all()):
+            raise ConfigurationError(
+                f"bump needs a finite center and a positive finite sigma, got {center}, {sigma}")
         cut = _support_cutoff(center, sigma, support)
         r2 = (xx - center[0]) ** 2 + (yy - center[1]) ** 2
         tail = np.exp(-0.5 * (cut / sigma) ** 2)

@@ -43,7 +43,6 @@ class Medium:
     layers: tuple[tuple[float, float], ...]  # (radius, speed), outermost first
     interfaces: tuple[InterfaceDescriptor, ...]
     c_field: np.ndarray
-    mollify_width: float = 0.0
 
     @property
     def c_sq(self) -> np.ndarray:
@@ -99,8 +98,7 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
     if mollify_width > 0:
         from scipy.ndimage import gaussian_filter  # so runs without a Gaussian load no scipy
         c = gaussian_filter(c, sigma=mollify_width, mode="nearest")
-    return Medium(grid=grid, layers=layers, interfaces=tuple(interfaces),
-                  c_field=c, mollify_width=mollify_width)
+    return Medium(grid=grid, layers=layers, interfaces=tuple(interfaces), c_field=c)
 
 
 def uniform_medium(grid: Grid, speed: float = BACKGROUND_SPEED) -> Medium:

@@ -288,8 +288,8 @@ def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     min_weight = float(caps.pop("min_weight", 1e-4))
     if caps:
         raise ConfigurationError(f"unknown caps: {sorted(caps)}")
-    if max_depth < 1 or min_weight <= 0:
-        raise ConfigurationError("caps must be positive")
+    if max_depth < 1 or not 0 < min_weight < math.inf:
+        raise ConfigurationError("caps must be positive and finite")
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigurationError, DomainError, InstabilityError
+from .errors import CompatibilityError, ConfigurationError, InstabilityError
 from .grid_field import Region, ScalarField, WaveState
 from .medium import Medium
 
@@ -274,15 +274,11 @@ def _support_inside(f: WaveState, omega: Region):
             "initial data must be supported strictly inside the measurement rectangle")
 
 
-def _gap(g, i0, i1, j0, j1) -> float:
-    """Distance from the nodes [i0..i1] x [j0..j1] to the nearest side of the box."""
-    return g.h * min(i0, g.nx - 1 - i1, j0, g.ny - 1 - j1)
-
-
 def _check_box_margin(omega: Region, c_out: float, T: float) -> int:
     """Check that the box pads the rectangle by c_out*T/2 + _SLACK*h; return the
     nodes r = ceil(c_out*T/2h) + _SLACK around it that a trace-only solve steps."""
-    g, margin = omega.grid, _gap(omega.grid, *omega.box)
+    (i0, i1, j0, j1), g = omega.box, omega.grid
+    margin = g.h * min(i0, g.nx - 1 - i1, j0, g.ny - 1 - j1)
     need = 0.5 * c_out * T + _SLACK * g.h
     if margin + 1e-9 < need:
         raise ConfigurationError(
@@ -382,7 +378,7 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
 
 
 def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
-                   omega: Region, on_step=None) -> WaveState:
+                   omega: Region) -> WaveState:
     """Solve the mixed problem on [0,T] x omega backwards from t = T.
 
     Interior nodes follow the leapfrog recurrence; rectangle-boundary nodes
@@ -411,10 +407,9 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     def pin(k, arr):
         arr[wi, wj] = boundary.values[k]
 
-    record = None if on_step is None else (lambda k, _curr, _prev: on_step(n - k, n))
     # levels n down to 0; a Taylor step with -u_t seeds level n - 1
     v1, v0 = _solve(cauchy_at_T.u.data[win], -cauchy_at_T.ut.data[win], c_sq, g.h, dt,
-                    range(n, -1, -1), "backward step", pin, record)
+                    range(n, -1, -1), "backward step", pin)
 
     # invert the forward Taylor seed for v_t(0)
     u, ut = np.zeros(g.shape), np.zeros(g.shape)
@@ -424,15 +419,16 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     return WaveState(ScalarField(g, u), ScalarField(g, ut))
 
 
-def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
-    """Unit-speed exterior solve driven by Dirichlet data on the rectangle boundary.
+def exterior_neumann(boundary: BoundaryTrace, omega: Region) -> BoundaryTrace:
+    """Exterior Neumann data generated by the trace: solves the unit-speed
+    exterior problem with Dirichlet data = boundary and returns the one-sided
+    exterior normal difference quotient on the rectangle boundary per step
+    (axis quotients averaged at the corners).
 
     The box must pad the rectangle by T/2 + 16h, the rule of ``forward`` at
     unit speed, so that the ring's echo does not reach the recorded nodes.
     Zero initial data; the rectangle interior is masked to zero so only the
-    exterior nodes evolve.  Records the one-sided exterior normal difference
-    quotient on the boundary nodes (axis quotients averaged at corners) and,
-    optionally, u at probe nodes.
+    exterior nodes evolve.
     """
     i0, i1, j0, j1 = omega.box
     g, dt = omega.grid, boundary.dt
@@ -448,13 +444,7 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
     n1i, n1j = bi + di, bj + dj * (di == 0)
     corner = (di != 0) & (dj != 0)
     ci, cj, n2j = bi[corner], bj[corner], (bj + dj)[corner]
-    n_steps = boundary.n_steps
-    normal = np.zeros((n_steps + 1, bi.size))
-    probes = None
-    if probe_nodes is not None:
-        probes = np.zeros((n_steps + 1, len(probe_nodes)))
-        pi, pj = np.asarray(probe_nodes).T
-
+    normal = np.zeros((boundary.n_steps + 1, bi.size))
     interior_win = (slice(i0 + 1, i1), slice(j0 + 1, j1))
 
     def pin(k, arr):
@@ -465,49 +455,11 @@ def _exterior_solve(boundary: BoundaryTrace, omega: Region, probe_nodes=None):
         q = (arr[n1i, n1j] - arr[bi, bj]) / g.h
         q[corner] = 0.5 * (q[corner] + (arr[ci, n2j] - arr[ci, cj]) / g.h)
         normal[k] = q
-        if probes is not None:
-            probes[k] = arr[pi, pj]
 
-    u0, ones = np.zeros(g.shape), np.ones(g.shape)
+    u0 = np.zeros(g.shape)
     pin(0, u0)
     record(0, u0, None)
     # data enters on rows i0..i1 at every level; the normal quotients read i0-1..i1+1
-    read = [i0 - 1, i1 + 1] + ([] if probes is None else pi.tolist())
-    _solve(u0, np.zeros(g.shape), ones, g.h, dt, range(n_steps + 1), "exterior step",
-           pin, record, ((min(read), max(read)), (i0, i1)))
-    return normal, probes
-
-
-def exterior_neumann(boundary: BoundaryTrace, omega: Region) -> BoundaryTrace:
-    """Exterior Neumann data generated by the trace: solves the unit-speed
-    exterior problem with Dirichlet data = boundary and returns the one-sided
-    exterior normal difference quotient on the rectangle boundary per step."""
-    normal, _ = _exterior_solve(boundary, omega)
-    return BoundaryTrace(points=omega.boundary_coords, dt=boundary.dt, values=normal)
-
-
-def exterior_field_probes(boundary: BoundaryTrace, omega: Region,
-                          points: list[tuple[float, float]]) -> np.ndarray:
-    """Time series of the exterior solution at the grid nodes nearest to ``points``.
-
-    The ring's echo travels at least margin + d to a probe node at distance d
-    from the box's outer ring, so each probe needs margin + d >= T + 32h
-    (``_SLACK`` nodes for each crossing); a probe nearer the ring is rejected.
-    """
-    g = omega.grid
-    margin, need = _gap(g, *omega.box), boundary.T + 2 * _SLACK * g.h
-    nodes = []
-    for (x, y) in points:
-        if not g.contains_point(x, y):
-            raise DomainError(f"probe point {(x, y)} lies outside the grid")
-        i, j = g.nearest_node(x, y)
-        if omega.mask[i, j]:
-            raise ConfigurationError(f"probe point {(x, y)} lies inside the rectangle")
-        reach = margin + _gap(g, i, i, j, j)
-        if reach + 1e-9 < need:
-            raise ConfigurationError(
-                f"probe point {(x, y)} is within the ring's echo: box margin plus its "
-                f"distance to the ring is {reach:.4g}, below T + {2 * _SLACK}h = {need:.4g}")
-        nodes.append((i, j))
-    _, probes = _exterior_solve(boundary, omega, probe_nodes=nodes)
-    return probes
+    _solve(u0, np.zeros(g.shape), np.ones(g.shape), g.h, dt, range(boundary.n_steps + 1),
+           "exterior step", pin, record, ((i0 - 1, i1 + 1), (i0, i1)))
+    return BoundaryTrace(points=omega.boundary_coords, dt=dt, values=normal)

@@ -138,7 +138,8 @@ class TestCli:
                                       "medium.mollify_width = -0.1",
                                       "medium.mollify_width = nan",
                                       "time.T = inf", "layer.1.speed = inf",
-                                      "omega.xmin = nan"])
+                                      "omega.xmin = nan", "phantom.1.sigma = nan",
+                                      "phantom.1.cx = nan"])
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
         # the line replaces its key's line in TINY, or is added
         key = line.split(" = ")[0]

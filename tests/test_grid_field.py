@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ class TestGridAndRegion:
             Grid(2, 5, 0.1)
         with pytest.raises(ConfigurationError):
             Grid(5, 5, 0.0)
+        for h, origin in ((math.nan, (0.0, 0.0)), (math.inf, (0.0, 0.0)),
+                          (0.1, (math.nan, 0.0)), (0.1, (0.0, math.inf))):
+            with pytest.raises(ConfigurationError):
+                Grid(5, 5, h, origin)
 
     def test_node_positions(self):
         g = Grid(5, 7, 0.5, origin=(1.0, -2.0))

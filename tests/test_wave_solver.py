@@ -10,7 +10,6 @@ from thermotomo.config import RunConfig
 from thermotomo.errors import (
     CompatibilityError,
     ConfigurationError,
-    DomainError,
     InstabilityError,
 )
 from thermotomo.grid_field import (
@@ -28,7 +27,6 @@ from thermotomo.wave_solver import (
     SolverConfig,
     cfl_dt,
     evolve,
-    exterior_field_probes,
     exterior_neumann,
     forward,
     solve_backward,
@@ -358,39 +356,6 @@ class TestExterior:
         out = exterior_neumann(tr, omega)
         assert np.all(out.values == 0.0)
 
-    def test_exterior_solution_matches_forward_field(self):
-        # the trace determines the field outside omega; probes agree
-        g, m, omega, kset = example1_setup(N=201, L=5.2)
-        T = 1.5
-        f = WaveState(centered_bump(g, kset), ScalarField.zeros(g))
-        cfg = SolverConfig.for_time(m, T)
-        tr = forward(f, m, omega, T, cfg)
-        pts = [(1.4, 0.3), (-1.7, -1.1), (0.2, 1.85)]
-        probes = exterior_field_probes(tr, omega, pts)
-        nodes = [g.nearest_node(*p) for p in pts]
-        recorded = np.zeros_like(probes)
-        recorded[0] = [f.u.data[i, j] for (i, j) in nodes]
-
-        def on_sample(k, st):
-            if k < recorded.shape[0]:
-                recorded[k] = [st.u.data[i, j] for (i, j) in nodes]
-
-        evolve(f, m, T, cfg, on_sample=on_sample)
-        denom = max(np.linalg.norm(recorded), 1e-300)
-        assert np.linalg.norm(probes - recorded) / denom <= 0.02
-
-    def test_probe_inside_rectangle_rejected(self):
-        g, m, omega, kset = example1_setup()
-        cfg = SolverConfig.for_time(m, 1.2)
-        tr = BoundaryTrace(points=omega.boundary_coords, dt=cfg.dt,
-                           values=np.zeros((cfg.n_steps + 1,
-                                            omega.boundary_nodes[0].size)))
-        with pytest.raises(ConfigurationError):
-            exterior_field_probes(tr, omega, [(0.0, 0.0)])
-        # outside the grid: nearest_node would clamp it onto the zero ring
-        with pytest.raises(DomainError):
-            exterior_field_probes(tr, omega, [(50.0, 50.0)])
-
     def test_one_sample_trace_rejected(self):
         g, m, omega, kset = example1_setup()
         tr = BoundaryTrace(points=omega.boundary_coords, dt=SolverConfig.for_time(m, 1.2).dt,
@@ -408,21 +373,6 @@ class TestExterior:
         assert np.array_equal(wide, exterior_neumann(tr, _pulse_box(70)).values)
         with pytest.raises(ConfigurationError, match="margin"):
             exterior_neumann(tr, _pulse_box(10))
-        with pytest.raises(ConfigurationError, match="margin"):
-            exterior_field_probes(tr, _pulse_box(10), [(1.2, 0.0)])
-
-    def test_probe_within_the_rings_echo_rejected(self):
-        # a 59-node margin passes the margin rule, but a probe 2 nodes inside
-        # the ring differs from a 90-node box by 97 % of its peak, so it is
-        # rejected (margin + its distance to the ring, 2.44, is below
-        # T + 32h = 4.67); the probe beside the rectangle reaches 4.68 and
-        # gives the same bytes on both boxes
-        tr, omega = _pulse_trace(59)
-        with pytest.raises(ConfigurationError, match=r"probe point \(-3.28, 0.0\)"):
-            exterior_field_probes(tr, omega, [(-3.28, 0.0)])
-        near = exterior_field_probes(tr, omega, [(-1.04, 0.0)])
-        assert np.abs(near).max() > 0
-        assert near.tobytes() == exterior_field_probes(tr, _pulse_box(90), [(-1.04, 0.0)]).tobytes()
 
 
 class TestBoundaryTrace:
@@ -582,7 +532,7 @@ def _ref_solve_backward(boundary, cauchy_at_T, m, omega):
     return WaveState(ScalarField(g, v0), ScalarField(g, vt0))
 
 
-def _ref_exterior_neumann(boundary, omega, probe_nodes=()):
+def _ref_exterior_neumann(boundary, omega):
     g = omega.grid
     dt = boundary.dt
     bi, bj = omega.boundary_nodes
@@ -601,7 +551,6 @@ def _ref_exterior_neumann(boundary, omega, probe_nodes=()):
     n2j[cj == j1] += 1
     n_steps = boundary.n_steps
     normal = np.zeros((n_steps + 1, bi.size))
-    probes = np.zeros((n_steps + 1, len(probe_nodes)))
     ones = np.ones(g.shape)
     interior_win = (slice(i0 + 1, i1), slice(j0 + 1, j1))
 
@@ -609,7 +558,6 @@ def _ref_exterior_neumann(boundary, omega, probe_nodes=()):
         q = (arr[n1i, n1j] - arr[bi, bj]) / g.h
         q[corner] = 0.5 * (q[corner] + (arr[n2i, n2j] - arr[ci, cj]) / g.h)
         normal[level] = q
-        probes[level] = [arr[i, j] for (i, j) in probe_nodes]
 
     prev = np.zeros(g.shape)
     prev[bi, bj] = boundary.values[0]
@@ -629,7 +577,7 @@ def _ref_exterior_neumann(boundary, omega, probe_nodes=()):
             raise InstabilityError(f"non-finite values appeared at exterior step {k}")
         prev, curr, nxt = curr, nxt, prev
         record(k, curr)
-    return normal, probes
+    return normal
 
 
 def _states_equal(a, b):
@@ -724,18 +672,7 @@ class TestReferenceStepper:
         cfg = SolverConfig.for_time(m, 1.2)
         tr = forward(f, m, omega, 1.2, cfg)
         out = exterior_neumann(tr, omega)
-        assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega)[0])
-
-    def test_exterior_field_probes(self, setup):
-        # probes past Ω's rows widen the rows the exterior solve must keep exact
-        g, m, omega, f = setup
-        cfg = SolverConfig.for_time(m, 1.2)
-        tr = forward(f, m, omega, 1.2, cfg)
-        pts = [(1.15, -0.5), (-1.15, 0.3), (0.4, 1.15)]
-        probes = exterior_field_probes(tr, omega, pts)
-        _, ref = _ref_exterior_neumann(tr, omega, [g.nearest_node(*p) for p in pts])
-        assert probes.tobytes() == ref.tobytes()
-        assert np.any(probes[:, 0] != 0.0)
+        assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega))
 
 
 def _config_case(name):
