@@ -409,6 +409,10 @@ def _support_cutoff(center: tuple[float, float], sigma: float, support: Region) 
         raise ConfigurationError(
             f"bump at {center} with sigma {sigma} escapes the support region "
             f"(3*sigma = {3 * sigma:.4g} > clearance {cut:.4g})")
+    if not np.isfinite((cut / sigma) * (cut / sigma)):
+        raise ConfigurationError(
+            f"bump sigma {sigma} is too small: the Gaussian's exponent at the "
+            f"clearance {cut:.4g} is not finite")
     return cut
 
 

@@ -104,8 +104,8 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
 def uniform_medium(grid: Grid, speed: float = BACKGROUND_SPEED) -> Medium:
     """Constant-speed medium with no interfaces (c must still be 1 outside any
     would-be domain, so non-unit speeds are for controlled experiments only)."""
-    if speed <= 0:
-        raise ConfigurationError("speed must be positive")
+    if not 0 < speed < math.inf:
+        raise ConfigurationError(f"speed must be positive and finite, got {speed}")
     c = np.full(grid.shape, float(speed))
     return Medium(grid=grid, layers=(), interfaces=(), c_field=c)
 

@@ -23,8 +23,6 @@ ray alone, so both give bit for bit what a per-ray trace gives.
 from __future__ import annotations
 
 import math
-# unused: the benchmark's traced mode (bench/op.py) wraps rays.ProcessPoolExecutor
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +36,17 @@ from .errors import (
 )
 from .grid_field import Region
 from .medium import Medium, speeds_at
+
+
+def __getattr__(name):
+    # unused here: the benchmark's traced mode (bench/op.py) wraps
+    # rays.ProcessPoolExecutor; importing it on first access keeps
+    # multiprocessing out of every other process
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TANGENCY_TOL = 1e-9       # radians from grazing incidence
 CRITICAL_TOL = 1e-12      # radians from the critical angle

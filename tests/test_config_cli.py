@@ -139,7 +139,8 @@ class TestCli:
                                       "medium.mollify_width = nan",
                                       "time.T = inf", "layer.1.speed = inf",
                                       "omega.xmin = nan", "phantom.1.sigma = nan",
-                                      "phantom.1.cx = nan"])
+                                      "phantom.1.cx = nan", "layer.1.speed = 1e300",
+                                      "solver.cfl = 1e-300", "phantom.1.sigma = 1e-300"])
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
         # the line replaces its key's line in TINY, or is added
         key = line.split(" = ")[0]
@@ -182,6 +183,24 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_cli_import_loads_no_process_pool(self):
+        # rays.ProcessPoolExecutor is imported on first access only
+        script = textwrap.dedent("""
+            import sys
+            import thermotomo.cli
+            loaded = sorted(m for m in sys.modules
+                            if m == "concurrent.futures.process" or m.split(".")[0] == "multiprocessing")
+            assert not loaded, loaded
+            from thermotomo import rays
+            assert rays.ProcessPoolExecutor.__name__ == "ProcessPoolExecutor"
+        """)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 

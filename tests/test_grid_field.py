@@ -372,3 +372,9 @@ class TestPhantom:
     def test_unknown_kind_rejected(self, small_grid, small_disk):
         with pytest.raises(ConfigurationError):
             make_phantom("ring", {}, small_grid, small_disk)
+
+    def test_sigma_with_an_overflowing_exponent_rejected(self, small_grid, small_disk):
+        # (clearance / sigma)^2 overflows a float
+        with pytest.raises(ConfigurationError, match="exponent"):
+            make_phantom("gaussian_bump", {"center": (0.0, 0.0), "sigma": 1e-300},
+                         small_grid, small_disk)

@@ -69,6 +69,11 @@ class TestBuildMedium:
         with pytest.raises(ConfigurationError, match="mollify_width"):
             build_medium([(0.5, 0.5)], grid, mollify_width=width)
 
+    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan, math.inf])
+    def test_uniform_medium_needs_a_finite_positive_speed(self, grid, speed):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            uniform_medium(grid, speed)
+
 
 class TestSpeedAt:
     def test_out_of_bounds(self, grid):
