@@ -23,7 +23,6 @@ _SCALAR_KEYS = {
     "kset.xmin": float, "kset.xmax": float, "kset.ymin": float, "kset.ymax": float,
     "time.T": float,
     "solver.cfl": float,
-    "medium.mollify_width": float,
     "recon.m_max": int, "recon.tol_rel": float, "recon.harmonic_tol": float,
     "phantom.kind": str,
     "rays.n_pos": int, "rays.n_dir": int, "rays.max_depth": int, "rays.min_weight": float,
@@ -132,7 +131,7 @@ class RunConfig:
 
     def build_medium(self, grid: Grid) -> Medium:
         spec = [(layer["radius"], layer["speed"]) for layer in self.layers]
-        return build_medium(spec, grid, mollify_width=self.get("medium.mollify_width", 0.0))
+        return build_medium(spec, grid)
 
     def build_omega(self, grid: Grid) -> Region:
         v = self.values

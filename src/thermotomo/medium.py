@@ -56,14 +56,19 @@ class Medium:
         return float(self.c_field.max())
 
 
-def build_medium(spec: list[tuple[float, float]], grid: Grid,
-                 mollify_width: float = 0.0) -> Medium:
+def _check_speed(c: float):
+    """Reject a speed that is not positive and finite, or whose square, the
+    solver's weight, is not (it over- or underflows)."""
+    if not (0 < c and 0 < c * c < math.inf):
+        raise ConfigurationError(
+            f"speed must be positive and finite, and so must its square, got {c}")
+
+
+def build_medium(spec: list[tuple[float, float]], grid: Grid) -> Medium:
     """Build a nested-disk medium from (radius, speed) pairs, outermost first.
 
     Node speed is the speed of the innermost disk containing the node, 1
-    outside all disks.  ``mollify_width`` (in units of h, default 0) smooths
-    the cached nodal samples with a Gaussian of that width; the exact
-    ``speed_at`` map stays sharp.
+    outside all disks.
     """
     layers = tuple((float(r), float(c)) for r, c in spec)
     radii = [r for r, _ in layers]
@@ -72,11 +77,8 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigurationError(
             f"disks must be strictly nested (radii strictly decreasing), got {radii}")
-    if not all(0 < c < math.inf for _, c in layers):
-        raise ConfigurationError("layer speeds must be positive and finite")
-    if not 0 <= mollify_width < math.inf:
-        raise ConfigurationError(
-            f"mollify_width must be a finite non-negative width, got {mollify_width}")
+    for _, c in layers:
+        _check_speed(c)
     xmin, xmax, ymin, ymax = grid.bounds
     if layers:
         r0 = radii[0]
@@ -94,18 +96,13 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid,
     for radius, speed in layers:
         interfaces.append(InterfaceDescriptor(radius=radius, c_int=speed, c_ext=outside))
         outside = speed
-
-    if mollify_width > 0:
-        from scipy.ndimage import gaussian_filter  # so runs without a Gaussian load no scipy
-        c = gaussian_filter(c, sigma=mollify_width, mode="nearest")
     return Medium(grid=grid, layers=layers, interfaces=tuple(interfaces), c_field=c)
 
 
 def uniform_medium(grid: Grid, speed: float = BACKGROUND_SPEED) -> Medium:
     """Constant-speed medium with no interfaces (c must still be 1 outside any
     would-be domain, so non-unit speeds are for controlled experiments only)."""
-    if not 0 < speed < math.inf:
-        raise ConfigurationError(f"speed must be positive and finite, got {speed}")
+    _check_speed(speed)
     c = np.full(grid.shape, float(speed))
     return Medium(grid=grid, layers=(), interfaces=(), c_field=c)
 

@@ -17,23 +17,22 @@ writes each new level in place with one scratch array and weights
 operation order is the textbook one, bit for bit; each solve adds only its
 geometry, the nodes it pins and what it records.
 
-The padded box is mostly empty.  ``evolve``, the exterior solve and a
-``forward`` that returns the final state step only the rows of the discrete
-light cone (``_band``): the scheme moves data one row per step, so step k of
-n computes the rows within k-1 of the rows where levels 0 and 1 are nonzero
-and, when only some rows are read after the solve, within n-k of those rows.
-The other rows are exact zeros or never read, so these outputs stay
-bit-identical to stepping the whole box.  A trace-only ``forward`` steps the
-physical cones in both axes instead (``_phases``, ``_march_boxes``): steps
-2..n fall into 16 runs, and each run copies its two levels into contiguous
-arrays cut to one box, holding Ω's box and the nodes both within
-c_max*t + 24h of the source's nonzero nodes, t the run's last step, and within
-c_out*(T - t) + 24h of Ω's box, t its first.  Past the first cone lies only
-the scheme's dispersive precursor, and nothing past the second reaches Ω by
-T, so the trace is the whole box's to about 1e-15 of its peak (the tests hold
-it to 1e-13), not bit for bit.  The box is copied once per run because a 2-D
-window stepped in place in a larger array needs strided views, which numpy
-steps 3 to 6 times slower per node than one contiguous flat range.
+The padded box is mostly empty, so ``forward`` steps light cones in both axes
+(``_phases``, ``_march_boxes``): steps 2..n fall into 16 runs, and each run
+copies its two levels into contiguous arrays cut to one box, holding Ω's box
+and the cone of the source's nonzero nodes at the run's last step t, cut,
+for a trace alone, to Ω's backward cone at its first.  A trace-only
+``forward`` steps the physical cones, within c_max*t + 24h of the source and
+c_out*(T - t) + 24h of Ω's box.  Past the first lies only the scheme's
+dispersive precursor, and nothing past the second reaches Ω by T, so the
+trace is the whole box's to about 1e-15 of its peak (the tests hold it to
+1e-13), not bit for bit.  A ``forward`` that returns the final state reads
+every node, so it steps the whole box's discrete cone: the scheme moves data
+one node per step, the box's ring stays outside it, and the nodes left out
+are exact zeros, so its outputs are the whole box's bit for bit.  The box is
+copied once per run because a 2-D window stepped in place in a larger array
+needs strided views, which numpy steps 3 to 6 times slower per node than one
+contiguous flat range.  ``evolve`` and the exterior solve step the whole box.
 
 Time-derivative convention: the solver hands back
 ``u_t(T) = (u^N - u^{N-1})/dt + (dt/2) c^2 Lap u^N``,
@@ -57,7 +56,7 @@ from .medium import Medium
 DEFAULT_CFL = 0.4
 _SLACK = 16     # nodes of box margin past c_out*T/2, for the dispersive precursor
 _CONE_SLACK = 24    # nodes a trace-only box keeps past each physical cone, for the same
-_PHASES = 16        # runs of steps, one box each, in a trace-only forward
+_PHASES = 16        # runs of steps, one box each, in a forward
 
 
 @dataclass(frozen=True)
@@ -177,21 +176,17 @@ def _lap_sum(u):
     return u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]
 
 
-def _leap(out, prev, curr, w, scratch, lo, hi):
+def _leap(out, prev, curr, w, scratch):
     """Allocation-free leapfrog kernel: out = 2 curr - prev + w _lap_sum(curr).
 
-    Steps rows lo..hi of C-ordered grids (1 <= lo, hi <= nx-2; none if hi < lo)
-    as one flat range from node (lo, 1) to (hi, ny-2), slicing ``w`` and
-    ``scratch``, both over (1, 1) to (nx-2, ny-2), to match.  Its side ring
+    Steps the interior rows of C-ordered grids as one flat range from node
+    (1, 1) to (nx-2, ny-2), the range of ``w`` and ``scratch``.  Its side ring
     nodes get 2 curr - prev (w is zero there), so a zero ring stays zero.  The
     textbook operation order is kept, so results are bit-identical to it.
     """
-    if hi < lo:
-        return
     ny = curr.shape[1]
-    a, b = lo * ny + 1, (hi + 1) * ny - 1
+    a, b = ny + 1, curr.size - ny - 1
     o, c = out.reshape(-1)[a:b], curr.reshape(-1)
-    w, scratch = w[a - ny - 1:b - ny - 1], scratch[a - ny - 1:b - ny - 1]
     np.add(c[a + ny:b + ny], c[a - ny:b - ny], out=o)
     o += c[a + 1:b + 1]
     o += c[a - 1:b - 1]
@@ -202,50 +197,27 @@ def _leap(out, prev, curr, w, scratch, lo, hi):
     np.add(scratch, o, out=o)
 
 
-def _march(prev, curr, w, steps, where, pin=None, record=None, rows=None, work=None):
+def _march(prev, curr, w, steps, where, pin=None, record=None, work=None):
     """The one leapfrog time loop: from C-ordered levels (prev, curr), one level
     per index in ``steps`` in three rotating buffers, without allocating per step.
     ``pin(k, nxt)`` edits each new level in place before its finiteness
-    check; ``record(k, curr, prev)`` sees each accepted level.  ``rows(k)``,
-    a ``_band``, gives the rows (lo, hi) that step k computes and checks
-    (default: every interior row); the others keep what their buffer held.
-    ``work`` = (nxt, scratch, finite) lends the third level (shaped like curr,
-    zero outer ring) and the kernel's scratch and check buffers, else they are
-    allocated.  Returns the last two levels.
+    check; ``record(k, curr, prev)`` sees each accepted level.  ``work`` =
+    (nxt, scratch, finite) lends the third level (shaped like curr, zero outer
+    ring) and the kernel's scratch and check buffers, else they are allocated.
+    Returns the last two levels.
     """
     nxt, scratch, finite = work or (
         np.zeros(curr.shape), np.empty_like(w), np.empty(curr.shape, dtype=bool))
-    top = curr.shape[0] - 2
     for k in steps:
-        lo, hi = rows(k) if rows else (1, top)
-        _leap(nxt, prev, curr, w, scratch, lo, hi)
+        _leap(nxt, prev, curr, w, scratch)
         if pin is not None:
             pin(k, nxt)
-        if not np.isfinite(nxt[lo:hi + 1], out=finite[lo:hi + 1]).all():
+        if not np.isfinite(nxt[1:-1], out=finite[1:-1]).all():
             raise InstabilityError(f"non-finite values appeared at {where} {k}")
         prev, curr, nxt = curr, nxt, prev
         if record is not None:
             record(k, curr, prev)
     return prev, curr
-
-
-def _band(levels, n, dst=None, src=None):
-    """``_march``'s ``rows`` for steps 2..n: the discrete light cone of the data.
-
-    Data moves one row per step, so level k is zero outside the nonzero rows of
-    ``levels`` (levels 0 and 1) and of ``src`` = (lo, hi), rows pinned to data at
-    every level, widened by k-1; only rows within n-k of ``dst`` = (lo, hi), the
-    rows read after the solve, can still reach them.  Turns -0.0 in ``levels``
-    into the +0.0 a step writes: rows outside the band keep what a buffer held.
-    """
-    for a in levels:
-        a += 0.0
-    nz = [*np.flatnonzero(levels[0].any(axis=1) | levels[1].any(axis=1)), *(src or ())]
-    if not nz:
-        return lambda k: (1, 0)
-    lo, hi, top = min(nz), max(nz), levels[0].shape[0] - 2
-    d0, d1 = dst or (1 - n, top + n)        # no dst: every row is read
-    return lambda k: (max(lo - k + 1, d0 - n + k, 1), min(hi + k - 1, d1 + n - k, top))
 
 
 def _taylor_second_level(u0, ut0, c_sq, h, dt):
@@ -271,28 +243,27 @@ def _seed(u0, ut0, c_sq, h, dt, levels, pin=None, record=None):
     return prev, curr
 
 
-def _solve(u0, ut0, c_sq, h, dt, levels, where, pin=None, record=None, band=None):
-    """The one seeded solve: time levels ``levels`` (a range) from Cauchy data (u0, ut0).
-
-    ``_seed`` gives the first two levels; ``_march`` builds the rest with the
-    same ``pin`` and ``record``, over ``_band``'s light cone when ``band`` =
-    (dst, src) is given.  Returns the last two levels.
+def _solve(u0, ut0, c_sq, h, dt, levels, where, pin=None, record=None):
+    """The one seeded solve on the whole box: time levels ``levels`` (a range)
+    from Cauchy data (u0, ut0).  ``_seed`` gives the first two levels and
+    ``_march`` builds the rest with the same ``pin`` and ``record``.  Returns
+    the last two levels.
     """
     prev, curr = _seed(u0, ut0, c_sq, h, dt, levels, pin, record)
-    rows = None if band is None else _band((prev, curr), len(levels) - 1, *band)
-    return _march(prev, curr, _weights(c_sq, h, dt), levels[2:], where, pin, record, rows)
+    return _march(prev, curr, _weights(c_sq, h, dt), levels[2:], where, pin, record)
 
 
-def _phases(levels, box, n, src_speed, dst_speed):
-    """The trace-only ``forward``'s schedule: steps 2..n cut into up to ``_PHASES``
-    runs (steps, box), each box (r0, r1, c0, c1) of the levels' arrays, ring included.
+def _phases(levels, box, n, slack, src_speed, dst_speed=None):
+    """``forward``'s schedule: steps 2..n cut into up to ``_PHASES`` runs
+    (steps, box), each box (r0, r1, c0, c1) of the levels' arrays, ring included.
 
     By step k1 the data have moved at most ``src_speed`` * k1 nodes (speeds in
     nodes per step) from the nonzero nodes of ``levels`` (levels 0 and 1);
     from step k0 only nodes within ``dst_speed`` * (n - k0) of ``box`` =
-    (i0, i1, j0, j1), Ω's box, can still reach Ω by step n.  A run over
-    k0..k1 steps Ω's box and one ring united with the overlap of the two cones,
-    each grown by ``_CONE_SLACK`` nodes, clipped to the arrays.
+    (i0, i1, j0, j1), Ω's box, can still reach Ω by step n (no ``dst_speed``:
+    every node is read).  A run over k0..k1 steps Ω's box and one ring united
+    with the overlap of the two cones, each grown by ``slack`` nodes, clipped
+    to the arrays.
     """
     nz = (levels[0] != 0.0) | (levels[1] != 0.0)
     src = [np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))]
@@ -301,8 +272,8 @@ def _phases(levels, box, n, src_speed, dst_speed):
     for k0, k1 in zip(ks, ks[1:]):
         if k0 == k1:
             continue
-        s = math.ceil(src_speed * (k1 - 1)) + _CONE_SLACK
-        d = math.ceil(dst_speed * (n - k0)) + _CONE_SLACK
+        s = math.ceil(src_speed * (k1 - 1)) + slack
+        d = math.inf if dst_speed is None else math.ceil(dst_speed * (n - k0)) + slack
         out = []
         for (lo, hi), nodes, size in zip((box[:2], box[2:]), src, nz.shape):
             a, b = lo - 1, hi + 1
@@ -329,7 +300,7 @@ def _march_boxes(levels, c_sq, h, dt, schedule, record_at):
     the levels cut to the box (r0, r1, c0, c1) of their arrays, ring included:
     nodes new to a box start at zero and its ring stays zero.  The buffers are
     sized once, to the largest box; ``record_at(r0, c0)`` gives each run's
-    ``record``.
+    ``record``.  Returns the last two levels and their arrays' origin (r0, c0).
     """
     boxes = [(r1 - r0 + 1, c1 - c0 + 1) for _, (r0, r1, c0, c1) in schedule]
     flat = np.empty((5, max((a * b for a, b in boxes), default=0)))   # 3 levels, w, scratch
@@ -348,6 +319,7 @@ def _march_boxes(levels, c_sq, h, dt, schedule, record_at):
         prev, curr = _march(p, c, w, steps, "step", record=record_at(r0, c0), work=work)
         m, at = len(steps) % 3, (r0, c0)
         slots = slots[m:] + slots[:m]           # _march rotates its levels once a step
+    return (prev, curr), at
 
 
 def _consistent_ut(u_last, u_prev, c_sq, h, dt):
@@ -416,7 +388,7 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
 
     prev, curr = _solve(f.u.data, f.ut.data, m.c_sq, g.h, dt, range(cfg.n_steps + 1), "step",
                         None if pin_zero is None else pin,
-                        None if on_sample is None else sample, (None, None))
+                        None if on_sample is None else sample)
     ut = _consistent_ut(curr, prev, m.c_sq, g.h, dt)
     return WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
 
@@ -432,10 +404,12 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     The box must pad the rectangle by c_out*T/2 + 16h (see the module notes):
     the trace and the final state on the closed rectangle then equal the
     unbounded medium's; outside it, the final state holds the ring's echoes.
-    With ``return_final`` the whole box is stepped, over the rows of the
-    discrete light cone, bit for bit; a trace alone steps, in phases, boxes
-    of the source's and the rectangle's physical cones and equals the whole
-    box's trace to round-off.
+    One stepper runs the steps in 16 phases, each on a box of light cones.  A
+    trace alone steps where the source's and the rectangle's physical cones
+    overlap and equals the whole box's trace to round-off.  With
+    ``return_final`` every node is read, so the boxes hold the source's
+    discrete cone in the whole box, and trace and state are the whole box's
+    bit for bit.
     """
     i0, i1, j0, j1 = omega.box
     if f.grid != m.grid or omega.grid != m.grid:
@@ -459,25 +433,26 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
                 on_step(k, n)
         return record
 
-    if return_final:        # exact on the whole box: the rows of the discrete light cone
-        prev, curr = _solve(f.u.data, f.ut.data, m.c_sq, h, dt, range(n + 1), "step",
-                            record=record_at(0, 0), band=(None, None))
-    else:                   # seeded on Ω ± r, then stepped on the boxes of the physical cones
-        a, b = max(i0 - r, 0), max(j0 - r, 0)
-        win = np.s_[a:i1 + r + 1, b:j1 + r + 1]
-        levels = _seed(f.u.data[win], f.ut.data[win], m.c_sq[win], h, dt, range(2),
-                       record=record_at(a, b))
-        schedule = _phases(levels, (i0 - a, i1 - a, j0 - b, j1 - b), n,
-                           m.c_max * dt / h, c_out * dt / h)
-        _march_boxes(levels, m.c_sq[win], h, dt, schedule,
-                     lambda r0, c0: record_at(a + r0, b + c0))
+    if return_final:    # every node is read: the whole box, its cone one node a step
+        r, cones = g.nx + g.ny, (0, 1.0)
+    else:               # Ω ± r, the source's cone at c_max and Ω's backward cone at c_out
+        cones = (_CONE_SLACK, m.c_max * dt / h, c_out * dt / h)
+    a, b = max(i0 - r, 0), max(j0 - r, 0)
+    win = np.s_[a:i1 + r + 1, b:j1 + r + 1]
+    levels = _seed(f.u.data[win], f.ut.data[win], m.c_sq[win], h, dt, range(2),
+                   record=record_at(a, b))
+    schedule = _phases(levels, (i0 - a, i1 - a, j0 - b, j1 - b), n, *cones)
+    (prev, curr), at = _march_boxes(levels, m.c_sq[win], h, dt, schedule,
+                                    lambda r0, c0: record_at(a + r0, b + c0))
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)
     if not return_final:
         return trace
-    ut = _consistent_ut(curr, prev, m.c_sq, h, dt)
-    final = WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
-    return trace, final
+    u, u_prev = np.empty(g.shape), np.empty(g.shape)
+    _paste(u, (-a, -b), curr, at)
+    _paste(u_prev, (-a, -b), prev, at)
+    ut = _consistent_ut(u, u_prev, m.c_sq, h, dt)
+    return trace, WaveState(ScalarField(g, u), ScalarField(g, ut))
 
 
 def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
@@ -562,7 +537,6 @@ def exterior_neumann(boundary: BoundaryTrace, omega: Region) -> BoundaryTrace:
     u0 = np.zeros(g.shape)
     pin(0, u0)
     record(0, u0, None)
-    # data enters on rows i0..i1 at every level; the normal quotients read i0-1..i1+1
     _solve(u0, np.zeros(g.shape), np.ones(g.shape), g.h, dt, range(boundary.n_steps + 1),
-           "exterior step", pin, record, ((i0 - 1, i1 + 1), (i0, i1)))
+           "exterior step", pin, record)
     return BoundaryTrace(points=omega.boundary_coords, dt=dt, values=normal)

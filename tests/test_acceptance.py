@@ -377,7 +377,7 @@ def test_criterion_8_solver_hygiene():
             far = dist > m3.c_max * (k * dt3) + 5 * g3.h
             worst_tail = max(worst_tail, float(np.max(np.abs(curr[far]))) / peak)
 
-    # band=None: every row is stepped, so the tail beyond the cone is computed
+    # _solve steps the whole box, so the tail beyond the cone is computed
     _solve(f3.data, np.zeros(g3.shape), m3.c_sq, g3.h, dt3, range(401), "step", record=tail)
 
     elapsed = time.perf_counter() - t0

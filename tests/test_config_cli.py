@@ -131,16 +131,21 @@ class TestCli:
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY + "grid.nz = 4\n")
-        assert main(["energy", "--config", str(path)]) == 2
+        # medium.mollify_width is a removed key
+        for line in ("grid.nz = 4", "medium.mollify_width = 0.5"):
+            path.write_text(TINY + line + "\n")
+            assert main(["energy", "--config", str(path)]) == 2
+            assert "unknown key" in capsys.readouterr().err
 
+    # medium.mollify_width is a removed key: any value of it is rejected as unknown
     @pytest.mark.parametrize("line", ["recon.tol_rel = -1", "recon.tol_rel = nan",
                                       "medium.mollify_width = -0.1",
                                       "medium.mollify_width = nan",
                                       "time.T = inf", "layer.1.speed = inf",
                                       "omega.xmin = nan", "phantom.1.sigma = nan",
                                       "phantom.1.cx = nan", "layer.1.speed = 1e300",
-                                      "solver.cfl = 1e-300", "phantom.1.sigma = 1e-300"])
+                                      "solver.cfl = 1e-300", "phantom.1.sigma = 1e-300",
+                                      "layer.1.speed = 1e-300"])
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
         # the line replaces its key's line in TINY, or is added
         key = line.split(" = ")[0]
@@ -169,7 +174,7 @@ class TestCli:
         assert err.startswith("error: cannot read") and trace in err
 
     def test_solver_commands_load_no_scipy(self, tmp_path):
-        # scipy is loaded only for a Gaussian (medium.mollify_width > 0, knorm's seed)
+        # scipy is loaded only for knorm's Gaussian power-iteration seed
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         script = textwrap.dedent("""
             import sys
@@ -210,6 +215,13 @@ class TestCli:
         path.write_text(TINY.replace("time.T = 1.2", f"time.T = {value}"))
         assert main(["raytrace", "--config", str(path)]) == 2
         assert "observation time T" in capsys.readouterr().err
+
+    def test_raytrace_speed_with_an_infinite_square_exits_2(self, tmp_path, capsys):
+        # rejected with the medium, not by the ray tracer's incidence check (exit 3)
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY.replace("layer.1.speed = 0.5", "layer.1.speed = 1e300"))
+        assert main(["raytrace", "--config", str(path)]) == 2
+        assert "must its square" in capsys.readouterr().err
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a tiny solver.cfl asks forward for a trace of hundreds of GiB

@@ -57,19 +57,18 @@ class TestBuildMedium:
         with pytest.raises(ConfigurationError):
             build_medium([(1.5, 0.5)], grid)
 
-    def test_mollification_stays_in_speed_range(self, grid):
-        m = build_medium([(0.5, 0.5)], grid, mollify_width=2.0)
-        assert m.c_field.min() >= 0.5 - 1e-12
-        assert m.c_field.max() <= 1.0 + 1e-12
-        sharp = build_medium([(0.5, 0.5)], grid)
-        assert not np.array_equal(m.c_field, sharp.c_field)
+    @pytest.mark.parametrize("speed", [1e300, 1e-300])
+    def test_speed_whose_square_overflows_or_underflows_rejected(self, grid, speed):
+        # squared unchecked, 1e300 gave c_sq = inf and 1e-300 gave c_sq = 0
+        for spec in ([(0.5, speed)], [(0.9, 2.0), (0.5, speed)]):
+            with pytest.raises(ConfigurationError, match="square"):
+                build_medium(spec, grid)
 
-    @pytest.mark.parametrize("width", [-0.1, math.nan, math.inf])
-    def test_bad_mollify_width_rejected(self, grid, width):
-        with pytest.raises(ConfigurationError, match="mollify_width"):
-            build_medium([(0.5, 0.5)], grid, mollify_width=width)
+    def test_extreme_speeds_with_a_finite_square_accepted(self, grid):
+        m = build_medium([(0.5, 1e150), (0.3, 1e-150)], grid)
+        assert np.isfinite(m.c_sq).all() and m.c_sq.min() > 0
 
-    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan, math.inf, 1e300, 1e-300])
     def test_uniform_medium_needs_a_finite_positive_speed(self, grid, speed):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             uniform_medium(grid, speed)
