@@ -1,8 +1,9 @@
 """Command-line entry points tying the pipeline together.
 
 Subcommands: forward, reconstruct, raytrace, knorm, energy, roundtrip.
-Exit codes: 0 success, 2 configuration or file-format error (a run too
-large for memory included), 3 numerical failure.  Given one config file and
+Exit codes: 0 success, 2 configuration, file-format or file-system error (an
+output path that is a file, or a run too large for memory, included), 3
+numerical failure.  Given one config file and
 seed, repeated runs produce identical output bytes.
 """
 
@@ -218,7 +219,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigurationError, FormatError) as exc:
+    except (ConfigurationError, FormatError, OSError) as exc:
+        # OSError: a file-system refusal, such as an output directory that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -14,7 +14,7 @@ from .errors import ConfigurationError
 from .grid_field import Grid, Region, ScalarField, make_phantom
 from .medium import Medium, build_medium
 from .recon import ReconConfig
-from .wave_solver import DEFAULT_CFL, SolverConfig
+from .wave_solver import SolverConfig
 
 _SCALAR_KEYS = {
     "grid.nx": int, "grid.ny": int, "grid.h": float, "grid.ox": float, "grid.oy": float,
@@ -22,7 +22,6 @@ _SCALAR_KEYS = {
     "kset.kind": str, "kset.cx": float, "kset.cy": float, "kset.radius": float,
     "kset.xmin": float, "kset.xmax": float, "kset.ymin": float, "kset.ymax": float,
     "time.T": float,
-    "solver.cfl": float,
     "recon.m_max": int, "recon.tol_rel": float, "recon.harmonic_tol": float,
     "phantom.kind": str,
     "rays.n_pos": int, "rays.n_dir": int, "rays.max_depth": int, "rays.min_weight": float,
@@ -117,7 +116,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}")
 
     def get(self, key, default=None):
@@ -175,12 +174,10 @@ class RunConfig:
             omega=omega, kset=kset, T=self.values["time.T"],
             m_max=self.get("recon.m_max", 8),
             tol_rel=self.get("recon.tol_rel", 1e-4),
-            harmonic_tol=self.get("recon.harmonic_tol", 1e-10),
-            cfl=self.get("solver.cfl", DEFAULT_CFL))
+            harmonic_tol=self.get("recon.harmonic_tol", 1e-10))
 
     def solver_config(self, m: Medium) -> SolverConfig:
-        return SolverConfig.for_time(
-            m, self.values["time.T"], cfl=self.get("solver.cfl", DEFAULT_CFL))
+        return SolverConfig.for_time(m, self.values["time.T"])
 
     def ray_caps(self) -> dict:
         return {"max_depth": self.get("rays.max_depth", 12),

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by the whole package.
 
 The CLI maps these onto exit codes: configuration and file-format problems
-exit with 2, numerical failures with 3.
+exit with 2, as do the OSErrors of the file system, numerical failures with 3.
 """
 
 

@@ -27,7 +27,7 @@ from .grid_field import (
     project_HD,
 )
 from .medium import Medium
-from .wave_solver import DEFAULT_CFL, BoundaryTrace, SolverConfig, forward, solve_backward
+from .wave_solver import BoundaryTrace, SolverConfig, forward, solve_backward
 
 SEED_SMOOTH_SIGMA = 3.0  # in units of h; keeps power-iteration seeds in the resolved band
 
@@ -42,7 +42,6 @@ class ReconConfig:
     m_max: int = 8
     tol_rel: float = 1e-4
     harmonic_tol: float = 1e-10
-    cfl: float = DEFAULT_CFL
 
     def __post_init__(self):
         self.omega.box  # raises unless omega is a rectangle
@@ -54,9 +53,10 @@ class ReconConfig:
             raise ConfigurationError(f"m_max must be at least 1, got {self.m_max}")
         if not self.tol_rel >= 0:
             raise ConfigurationError(f"tol_rel must be non-negative, got {self.tol_rel}")
-        if not 0 < self.harmonic_tol < math.inf:
-            raise ConfigurationError(
-                f"harmonic_tol must be positive and finite, got {self.harmonic_tol}")
+        # no float64 residual certifies a tolerance below machine epsilon
+        if not np.finfo(float).eps <= self.harmonic_tol < math.inf:
+            raise ConfigurationError(f"harmonic_tol must be finite and at least "
+                                     f"{np.finfo(float).eps:.3g}, got {self.harmonic_tol}")
         if (self.kset.mask & ~self.omega.interior_mask).any():
             raise ConfigurationError("kset must lie strictly inside omega")
 
@@ -73,7 +73,7 @@ class ReconConfig:
                     f"kset comes within 2h of the interface at radius {iface.radius}")
 
     def solver_config(self, m: Medium) -> SolverConfig:
-        return SolverConfig.for_time(m, self.T, cfl=self.cfl)
+        return SolverConfig.for_time(m, self.T)
 
 
 @dataclass

@@ -53,7 +53,7 @@ from .errors import CompatibilityError, ConfigurationError, InstabilityError
 from .grid_field import Region, ScalarField, WaveState
 from .medium import Medium
 
-DEFAULT_CFL = 0.4
+_CFL = 0.4          # the fraction of the stability bound ``SolverConfig.for_time`` steps at
 _SLACK = 16     # nodes of box margin past c_out*T/2, for the dispersive precursor
 _CONE_SLACK = 24    # nodes a trace-only box keeps past each physical cone, for the same
 _PHASES = 16        # runs of steps, one box each, in a forward
@@ -61,36 +61,35 @@ _PHASES = 16        # runs of steps, one box each, in a forward
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters: step size, step count and CFL number."""
+    """Time-stepping parameters: step size and step count.  Every solve checks
+    dt against the stability bound h / (c_max sqrt(2)); ``for_time`` takes 0.4 of it."""
 
     dt: float
     n_steps: int
-    cfl: float = DEFAULT_CFL
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be at least 1, got {self.n_steps}")
-        if not 0 < self.cfl < 1:
-            raise ConfigurationError(f"CFL number must lie in (0,1), got {self.cfl}")
 
     @property
     def T(self) -> float:
         return self.dt * self.n_steps
 
     @classmethod
-    def for_time(cls, m: Medium, T: float, cfl: float = DEFAULT_CFL) -> "SolverConfig":
-        """Largest stable dt that divides T into an integer number of steps."""
+    def for_time(cls, m: Medium, T: float) -> "SolverConfig":
+        """Largest dt of at most 0.4 times the stability bound that divides T
+        into an integer number of steps."""
         if not 0 < T < math.inf:
             raise ConfigurationError(f"final time must be positive and finite, got {T}")
-        dt_max = cfl_dt(m, cfl)
+        dt_max = cfl_dt(m, _CFL)
         steps = T / dt_max if dt_max > 0 else math.inf
         if not steps <= np.iinfo(np.intp).max:         # also nan
             raise ConfigurationError(
                 f"T = {T:.6g} takes {steps:.6g} steps of the stable dt, more than can be indexed")
         n = max(1, int(math.ceil(steps - 1e-12)))
-        return cls(dt=T / n, n_steps=n, cfl=cfl)
+        return cls(dt=T / n, n_steps=n)
 
 
 @dataclass(eq=False)
@@ -156,8 +155,9 @@ def cfl_dt(m: Medium, cfl: float) -> float:
     return cfl * m.grid.h / (m.c_max * math.sqrt(2.0))
 
 
-def _check_cfl(dt: float, h: float, c_max: float, cfl: float = 1.0):
-    limit = cfl * h / (c_max * math.sqrt(2.0))
+def _check_cfl(dt: float, h: float, c_max: float):
+    """Reject a dt above the scheme's stability bound h / (c_max sqrt(2))."""
+    limit = h / (c_max * math.sqrt(2.0))
     if dt > limit * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt {dt:.6g} violates the stability bound {limit:.6g} for speed {c_max:.6g}")
@@ -376,7 +376,7 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
     if sample_every < 1:
         raise ConfigurationError(f"sample_every must be at least 1, got {sample_every}")
     g, dt = m.grid, cfg.dt
-    _check_cfl(dt, g.h, m.c_max, cfg.cfl)
+    _check_cfl(dt, g.h, m.c_max)
 
     def pin(k, arr):
         arr[pin_zero.boundary_nodes] = 0.0
@@ -417,7 +417,7 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     if abs(cfg.T - T) > 1e-9 * max(T, 1.0):
         raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
     g, h, dt, n = m.grid, m.grid.h, cfg.dt, cfg.n_steps
-    _check_cfl(dt, h, m.c_max, cfg.cfl)
+    _check_cfl(dt, h, m.c_max)
     _support_inside(f, omega)
     c_out = float(m.c_field[~omega.interior_mask].max())
     r, (bi, bj) = _check_box_margin(omega, c_out, T), omega.boundary_nodes

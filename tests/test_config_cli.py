@@ -126,13 +126,28 @@ class TestCli:
         assert main(["energy", "--config", "/nonexistent/run.cfg"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(TINY.encode() + b"# \xff\n")
+        assert main(["energy", "--config", str(path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["forward", "reconstruct", "roundtrip", "raytrace",
+                                     "knorm", "energy"])
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys, cmd):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([cmd, "--config", write_cfg(tmp_path), "--output-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(taken) in err
+
     def test_unknown_subcommand_exits_2(self):
         assert main(["frobnicate", "--config", "x"]) == 2
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        # medium.mollify_width is a removed key
-        for line in ("grid.nz = 4", "medium.mollify_width = 0.5"):
+        # medium.mollify_width and solver.cfl are removed keys
+        for line in ("grid.nz = 4", "medium.mollify_width = 0.5", "solver.cfl = 0.4"):
             path.write_text(TINY + line + "\n")
             assert main(["energy", "--config", str(path)]) == 2
             assert "unknown key" in capsys.readouterr().err
@@ -156,13 +171,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "duplicate" not in err
 
-    @pytest.mark.parametrize("value", ["inf", "-1e-10", "0", "nan"])
+    @pytest.mark.parametrize("value", ["inf", "-1e-10", "0", "nan", "1e-300"])
     def test_harmonic_tol_must_be_positive_and_finite(self, tmp_path, capsys, value):
         # rejected with the config, before the forward solve writes its trace
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, TINY + f"recon.harmonic_tol = {value}\n", output_dir=str(out))
         assert main(["roundtrip", "--config", cfg]) == 2
-        assert "harmonic_tol must be positive and finite" in capsys.readouterr().err
+        assert "harmonic_tol must be finite and at least" in capsys.readouterr().err
         assert not (out / "trace.taws").exists()
 
     @pytest.mark.parametrize("trace", ["/nonexistent.taws", "a directory"])
@@ -224,7 +239,7 @@ class TestCli:
         assert "must its square" in capsys.readouterr().err
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
-        # e.g. a tiny solver.cfl asks forward for a trace of hundreds of GiB
+        # e.g. a long time.T asks forward for a trace of hundreds of GiB
         def too_big(args):
             raise MemoryError("Unable to allocate 413. GiB for an array")
         monkeypatch.setattr(cli, "cmd_forward", too_big)
