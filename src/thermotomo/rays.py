@@ -132,6 +132,11 @@ def _math(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
 
 
+def _critical(c_in: float, c_out: float) -> float:
+    """Critical incidence angle from the c_in side, inf when there is none."""
+    return math.asin(c_in / c_out) if c_in < c_out else math.inf
+
+
 def _positive(x: np.ndarray) -> np.ndarray:
     """max(0.0, x) elementwise, as Python's max has it (0.0 for -0.0 and NaN)."""
     return np.where(x > 0, x, 0.0)
@@ -144,10 +149,12 @@ def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     return d - (2.0 * dn)[:, None] * n
 
 
-def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray):
-    """Transmitted directions, and a mask that is False on full internal reflection."""
-    if (c_in <= 0).any() or (c_out <= 0).any():
-        raise ConfigurationError("speeds must be positive")
+def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
+           alpha0: np.ndarray):
+    """Transmitted directions, and a mask that is False on full internal reflection.
+
+    ``alpha0`` is each row's critical angle, ``_critical(c_in, c_out)``.
+    """
     dn = np.vecdot(d, n)
     n = np.where((dn > 0)[:, None], -n, n)
     dn = np.where(dn > 0, -dn, dn)
@@ -156,9 +163,6 @@ def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray):
     tang = d - dn[:, None] * n
     sin_a = np.hypot(tang[:, 0], tang[:, 1])
     alpha = _math(math.asin, np.minimum(sin_a, 1.0))
-    slower = c_in < c_out
-    alpha0 = np.full(len(dn), np.inf)
-    alpha0[slower] = _math(math.asin, c_in[slower] / c_out[slower])
     if (np.abs(alpha - alpha0) < CRITICAL_TOL).any():
         raise CriticalAngleError("incidence within tolerance of the critical angle")
     sin_b = sin_a * c_out / c_in
@@ -168,10 +172,12 @@ def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray):
     return out, ~(alpha > alpha0)
 
 
-def _phase_derivatives(alpha: np.ndarray, c_in: np.ndarray, c_out: np.ndarray):
+def _phase_derivatives(alpha: np.ndarray, c_in: np.ndarray, inv_sq_in: np.ndarray,
+                       inv_sq_out: np.ndarray):
+    """(a, b) from the incidence angles, c_in, and c_in^-2 and c_out^-2 (Python's ``**``)."""
     s = _math(math.sin, alpha) / c_in
-    a = np.sqrt(_positive(_math(lambda c: c ** -2, c_in) - s * s))
-    b = np.sqrt(_positive(_math(lambda c: c ** -2, c_out) - s * s))
+    a = np.sqrt(_positive(inv_sq_in - s * s))
+    b = np.sqrt(_positive(inv_sq_out - s * s))
     return a, b
 
 
@@ -204,7 +210,10 @@ def snell_transmit(d: np.ndarray, n: np.ndarray, c_in: float, c_out: float):
     at the critical angle (within CRITICAL_TOL) raises, matching the excluded
     tangent-transmission case.
     """
-    out, through = _snell(_one(d), _one(n), _one(c_in), _one(c_out))
+    if c_in <= 0 or c_out <= 0:
+        raise ConfigurationError("speeds must be positive")
+    out, through = _snell(_one(d), _one(n), _one(c_in), _one(c_out),
+                          _one(_critical(c_in, c_out)))
     return out[0] if through[0] else None
 
 
@@ -215,7 +224,8 @@ def normal_phase_derivatives(alpha: float, c_in: float, c_out: float) -> tuple[f
     a = sqrt(1/c_in^2 - s^2) and b = sqrt(1/c_out^2 - s^2); b is 0 at and
     beyond the critical angle (no transmitted phase).
     """
-    a, b = _phase_derivatives(_one(alpha), _one(c_in), _one(c_out))
+    a, b = _phase_derivatives(_one(alpha), _one(c_in), _one(float(c_in) ** -2),
+                              _one(float(c_out) ** -2))
     return float(a[0]), float(b[0])
 
 
@@ -246,13 +256,15 @@ _EXPIRY, _EXIT, _UNDETERMINED, _REFLECT, _TRANSMIT, _TRUNCATION = range(len(_KIN
 class _Scene(NamedTuple):
     """What every ray of one trace shares.  Interfaces are sorted by ascending
     radius, so a tie goes inward.  For interface k and a crossing j (0 outward,
-    1 inward), ``speeds[k, j]`` is (c_in, c_out) and ``critical[k, j]`` its
-    critical angle, inf if there is none."""
+    1 inward), ``speeds[k, j]`` is (c_in, c_out), ``inv_sq[k, j]`` is
+    (c_in^-2, c_out^-2) and ``critical[k, j]`` the critical angle, inf if there
+    is none."""
 
     medium: Medium
     sides: np.ndarray       # xmin, xmax, ymin, ymax
     radius: np.ndarray
     speeds: np.ndarray
+    inv_sq: np.ndarray
     critical: np.ndarray
     T: float
     max_depth: int
@@ -302,10 +314,11 @@ def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]
-    speeds = np.array([[(i.c_int, i.c_ext), (i.c_ext, i.c_int)] for i in ifaces]).reshape(-1, 2, 2)
-    critical = [math.asin(c_in / c_out) if c_in < c_out else math.inf
-                for c_in, c_out in speeds.reshape(-1, 2).tolist()]
-    return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]), speeds,
+    speeds = [[(i.c_int, i.c_ext), (i.c_ext, i.c_int)] for i in ifaces]
+    inv_sq = [[(c_in ** -2, c_out ** -2) for c_in, c_out in ks] for ks in speeds]
+    critical = [[_critical(c_in, c_out) for c_in, c_out in ks] for ks in speeds]
+    return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]),
+                  np.array(speeds).reshape(-1, 2, 2), np.array(inv_sq).reshape(-1, 2, 2),
                   np.array(critical).reshape(-1, 2), float(T), max_depth, min_weight)
 
 
@@ -373,15 +386,16 @@ def _advance(s: _Scene, x, d, t, w, depth) -> _Events:
     dr = np.vecdot(dc, r_unit)
     inward = np.where(dr > 0, 0, 1)
     c_in, c_out = s.speeds[k, inward].T
+    inv_sq_in, inv_sq_out = s.inv_sq[k, inward].T
+    alpha0 = s.critical[k, inward]
     normal = np.where(inward[:, None], -r_unit, r_unit)
     alpha = _math(math.acos, np.minimum(np.abs(dr), 1.0))
     angle[ic] = alpha
-    blocked = ((math.pi / 2 - alpha) < TANGENCY_TOL) | (
-        np.abs(alpha - s.critical[k, inward]) < CRITICAL_TOL)
+    blocked = ((math.pi / 2 - alpha) < TANGENCY_TOL) | (np.abs(alpha - alpha0) < CRITICAL_TOL)
     kind[ic[blocked]] = _UNDETERMINED
     split, ic = ~blocked, ic[~blocked]
-    a, b = _phase_derivatives(alpha[split], c_in[split], c_out[split])
-    d_t, through = _snell(dc[split], normal[split], c_in[split], c_out[split])
+    a, b = _phase_derivatives(alpha[split], c_in[split], inv_sq_in[split], inv_sq_out[split])
+    d_t, through = _snell(dc[split], normal[split], c_in[split], c_out[split], alpha0[split])
     frac = np.zeros(len(ic))
     frac[through] = _energy_split(a[through], b[through])
     d_r = _reflect(dc[split], normal[split])
