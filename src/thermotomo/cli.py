@@ -125,17 +125,21 @@ def cmd_raytrace(args) -> int:
     T = cfg.values["time.T"]
     sampling = cfg.ray_sampling()
     visible, uncovered = check_visibility(kset, medium, omega, T, sampling)
-    uncovered_set = set(uncovered)
     positions = sample_positions(kset, sampling["n_pos"])
     directions = sample_directions(sampling["n_dir"])
+    xs, ds = positions.tolist(), directions.tolist()
+    row_of = {tuple(x): i for i, x in enumerate(xs)}
+    col_of = {tuple(d): j for j, d in enumerate(ds)}
+    covered = [[1] * len(ds) for _ in xs]
+    for x, d in uncovered:
+        covered[row_of[x]][col_of[d]] = 0
+    x_text = [[f"{v:.12g}" for v in x] for x in xs]
+    d_text = [[f"{v:.12g}" for v in d] for d in ds]
     with open(os.path.join(out, "visibility.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "dx", "dy", "covered"])
-        for x in positions:
-            for d in directions:
-                covered = (tuple(x), tuple(d)) not in uncovered_set
-                w.writerow([f"{x[0]:.12g}", f"{x[1]:.12g}",
-                            f"{d[0]:.12g}", f"{d[1]:.12g}", int(covered)])
+        w.writerows([*x, *d, c] for x, flags in zip(x_text, covered)
+                    for d, c in zip(d_text, flags))
     n_graphs = min(4, len(positions))
     for k in range(n_graphs):
         g = trace_branches(positions[k], directions[0], medium, omega, T, cfg.ray_caps())

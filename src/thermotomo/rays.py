@@ -2,7 +2,10 @@
 
 Rays are straight segments traversed at the local layer speed.  At every
 transversal circle hit the ray splits into a reflected branch and, below the
-critical angle, a transmitted branch; branch energy weights follow the
+critical angle, a transmitted branch.  Each ray carries its speed: looked up
+at the launch point, then c_in for a reflected branch and c_out for a
+transmitted one (a hit point lies on its circle only to rounding, so no
+lookup there can tell the sides apart).  Branch energy weights follow the
 high-frequency split 4ab/(a+b)^2 with a, b the normal phase derivatives of
 the incident and transmitted phases (tau = 1 normalization; the split is
 homogeneous of degree zero, so the normalization drops out).  Hits within
@@ -151,10 +154,8 @@ def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
            alpha0: np.ndarray):
-    """Transmitted directions, and a mask that is False on full internal reflection.
-
-    ``alpha0`` is each row's critical angle, ``_critical(c_in, c_out)``.
-    """
+    """Transmitted directions, and a mask that is False on full internal reflection
+    (incidence past the critical angle ``alpha0``, inf where there is none)."""
     dn = np.vecdot(d, n)
     n = np.where((dn > 0)[:, None], -n, n)
     dn = np.where(dn > 0, -dn, dn)
@@ -275,8 +276,9 @@ class _Events(NamedTuple):
     """One generation's events as columns, ordered by ray, a reflect before its transmit.
 
     ``ray`` indexes the generation's rays; ``angle`` and the rows of
-    ``direction`` are NaN where the event has none; ``live`` marks the
-    reflect and transmit events whose branch continues as a ray.
+    ``direction`` are NaN where the event has none; ``speed`` is the layer
+    speed a branch leaves the event with; ``live`` marks the reflect and
+    transmit events whose branch continues as a ray.
     """
 
     ray: np.ndarray
@@ -285,6 +287,7 @@ class _Events(NamedTuple):
     t: np.ndarray
     weight: np.ndarray
     depth: np.ndarray
+    speed: np.ndarray
     angle: np.ndarray
     direction: np.ndarray
     live: np.ndarray
@@ -339,16 +342,16 @@ def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(x0, len(d), axis=0), np.tile(d, (len(x0), 1))
 
 
-def _advance(s: _Scene, x, d, t, w, depth) -> _Events:
+def _advance(s: _Scene, x, d, c, t, w, depth) -> _Events:
     """Every ray's events where it next meets an interface, the rectangle or time T.
 
-    Rays are rows: (n, 2) positions and unit directions, (n,) times, weights
-    and depths.  A ray ends in one leaf (expiry, exit, or tangent-undetermined
-    at grazing or critical incidence) or splits into a reflect and, below the
-    critical angle, a transmit event.  A branch below ``min_weight`` or at
-    ``max_depth`` is a truncation leaf.
+    Rays are rows: (n, 2) positions and unit directions, (n,) layer speeds,
+    times, weights and depths.  A ray ends in one leaf (expiry, exit, or
+    tangent-undetermined at grazing or critical incidence) or splits into a
+    reflect and, below the critical angle, a transmit event; the reflected
+    branch keeps c_in and the transmitted one takes c_out.  A branch below
+    ``min_weight`` or at ``max_depth`` is a truncation leaf.
     """
-    c_here = speeds_at(s.medium, x)
     b, xx = np.vecdot(x, d), np.vecdot(x, x)
     t_circle, hit = np.full(len(t), np.inf), np.zeros(len(t), dtype=int)
     for k, r in enumerate(s.radius.tolist()):
@@ -359,15 +362,15 @@ def _advance(s: _Scene, x, d, t, w, depth) -> _Events:
         t_k[~(disc > 0)] = np.inf
         closer = t_k < t_circle
         t_circle[closer], hit[closer] = t_k[closer], k
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_side = (np.where(d > 0, s.sides[1::2], s.sides[0::2]) - x) / d
     t_rect = np.where((d != 0) & (t_side > _POSITION_EPS), t_side, np.inf).min(axis=1)
     t_event = np.minimum(t_circle, t_rect)
-    t_arrive = t + t_event / c_here
+    t_arrive = t + t_event / c
 
     expire = t_arrive >= s.T
     pos = x + d * np.where(expire, 0.0, t_event)[:, None]
-    pos[expire] = x[expire] + d[expire] * (s.T - t[expire])[:, None] * c_here[expire, None]
+    pos[expire] = x[expire] + d[expire] * (s.T - t[expire])[:, None] * c[expire, None]
     kind = np.full(len(t), _EXPIRY)
     t_ev = np.where(expire, s.T, t_arrive)
     angle = np.full(len(t), np.nan)
@@ -410,10 +413,11 @@ def _advance(s: _Scene, x, d, t, w, depth) -> _Events:
                            np.full(len(it), _TRANSMIT)))[order]
     weight = np.concatenate((w[il], w[ic] * (1.0 - frac), w[it] * frac[through]))[order]
     depth = np.concatenate((depth[il], depth[ic] + 1, depth[it] + 1))[order]
+    speed = np.concatenate((c[il], c_in[split], c_out[split][through]))[order]
     direction = np.concatenate((direction[il], d_r, d_t[through]))[order]
     live = kind >= _REFLECT
     kind[live & ((weight < s.min_weight) | (depth >= s.max_depth))] = _TRUNCATION
-    return _Events(ray, kind, pos[ray], t_ev[ray], weight, depth, angle[ray], direction,
+    return _Events(ray, kind, pos[ray], t_ev[ray], weight, depth, speed, angle[ray], direction,
                    live & (kind != _TRUNCATION))
 
 
@@ -425,13 +429,14 @@ def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray, done: np.n
     between generations drops owner o's remaining rays.
     """
     n = len(x)
-    t, w, depth = np.zeros(n), np.ones(n), np.zeros(n, dtype=int)
+    c, t, w, depth = speeds_at(s.medium, x), np.zeros(n), np.ones(n), np.zeros(n, dtype=int)
     while len(t):
-        ev = _advance(s, x, d, t, w, depth)
+        ev = _advance(s, x, d, c, t, w, depth)
         owner = owner[ev.ray]
         yield ev, owner
         keep = ev.live & ~done[owner]
-        x, t, w, depth, owner = ev.x[keep], ev.t[keep], ev.weight[keep], ev.depth[keep], owner[keep]
+        x, c, t, w = ev.x[keep], ev.speed[keep], ev.t[keep], ev.weight[keep]
+        depth, owner = ev.depth[keep], owner[keep]
         d = ev.direction[keep] / np.hypot(ev.direction[keep, 0], ev.direction[keep, 1])[:, None]
         del ev      # the caller drops its reference too, for a lower peak memory
 
@@ -529,6 +534,7 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     for ev, sample in _grow(s, x, d, np.arange(len(x)) // 2, covered):
         covered[sample[ev.kind == _EXIT]] = True
         del ev, sample      # freed before the next generation is advanced
-    uncovered = [(tuple(positions[k // n_dir]), tuple(directions[k % n_dir]))
+    xs, ds = positions.tolist(), directions.tolist()
+    uncovered = [(tuple(xs[k // n_dir]), tuple(ds[k % n_dir]))
                  for k in np.flatnonzero(~covered).tolist()]
     return (len(uncovered) == 0), uncovered

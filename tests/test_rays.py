@@ -1,10 +1,12 @@
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermotomo import rays
@@ -17,7 +19,7 @@ from thermotomo.errors import (
     TangencyError,
 )
 from thermotomo.grid_field import Grid, Region
-from thermotomo.medium import BACKGROUND_SPEED, build_medium, uniform_medium
+from thermotomo.medium import BACKGROUND_SPEED, build_medium, speed_at, uniform_medium
 from thermotomo.rays import (
     amplitude_coeffs,
     check_visibility,
@@ -273,6 +275,14 @@ class TestTraceBranches:
         kinds = [n.kind for n in graph.nodes]
         assert "tangent_undetermined" in kinds
 
+    def test_subnormal_direction_component(self, setup):
+        # the y side's hit time (side - y)/5e-324 overflows to inf: no hit, no warning
+        g, m, omega, _ = setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = trace_branches((0.1, 0.2), (1.0, 5e-324), m, omega, 4.0)
+        assert graph.exits()
+
     def test_zero_time_expires(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 0.0)
@@ -370,7 +380,11 @@ class TestVisibility:
 #
 # The scalar interface laws, geometry helpers and speed lookup below are the
 # per-ray code the generation-batched kernel replaced, copied unchanged, so
-# the oracle shares no float arithmetic with the code under test.
+# the oracle shares no float arithmetic with the code under test.  One change:
+# a ray carries its layer speed, looked up at the launch point and then c_in
+# for a reflected branch and c_out for a transmitted one, because a hit point
+# lies on its circle only to rounding, so looking the speed up there gives
+# either side's.
 
 
 def _ref_speed_at(m, x):
@@ -478,6 +492,7 @@ def _ref_rect_normal(x, rect):
 class Ray:
     x: np.ndarray
     d: np.ndarray
+    speed: float
     t: float = 0.0
     weight: float = 1.0
     depth: int = 0
@@ -506,7 +521,7 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
         # zero observation time: both launches expire immediately
         graph = RayBranchGraph()
         for sgn in (1.0, -1.0):
-            root = Ray(x0, sgn * np.asarray(d0, dtype=float))
+            root = Ray(x0, sgn * np.asarray(d0, dtype=float), _ref_speed_at(m, x0))
             nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
             graph.add(nid, "expiry", root.x, 0.0, 1.0, 0)
         return graph
@@ -521,13 +536,13 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
     graph = RayBranchGraph()
     stack = []
     for sgn in (1.0, -1.0):
-        root = Ray(x0.copy(), sgn * np.asarray(d0, dtype=float))
+        root = Ray(x0.copy(), sgn * np.asarray(d0, dtype=float), _ref_speed_at(m, x0))
         nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
         stack.append((nid, root))
 
     while stack:
         parent, ray = stack.pop()
-        c_here = _ref_speed_at(m, ray.x)
+        c_here = ray.speed
         hits = [(_ref_circle_hit(ray.x, ray.d, r), r) for r in radii]
         hits = [(t, r) for t, r in hits if t is not None]
         t_circle, r_hit = min(hits, default=(math.inf, None))
@@ -585,12 +600,12 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
         w_refl = ray.weight * (1.0 - frac_t)
         nid = graph.add(parent, "reflect", pos, t_arrive, w_refl, depth,
                         angle=alpha, direction=d_refl)
-        extend(nid, Ray(pos.copy(), d_refl, t_arrive, w_refl, depth))
+        extend(nid, Ray(pos.copy(), d_refl, c_in, t_arrive, w_refl, depth))
         if transmitted is not None:
             w_tr = ray.weight * frac_t
             nid = graph.add(parent, "transmit", pos, t_arrive, w_tr, depth,
                             angle=alpha, direction=transmitted)
-            extend(nid, Ray(pos.copy(), transmitted, t_arrive, w_tr, depth))
+            extend(nid, Ray(pos.copy(), transmitted, c_out, t_arrive, w_tr, depth))
 
     return graph
 
@@ -600,16 +615,22 @@ def _node_bits(n):
             None if n.direction is None else n.direction.tobytes())
 
 
+@functools.cache
+def _example(name):
+    """(medium, omega, T) of a committed example config."""
+    cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / f"{name}.cfg")
+    g = cfg.build_grid()
+    return cfg.build_medium(g), cfg.build_omega(g), cfg.values["time.T"]
+
+
 def _geometries():
     """(medium, omega, kset, T) for the example1 disk, the example2 skull and the
     slow disk of acceptance criterion 5."""
     _, m1, omega1, kset1 = example1_setup()
-    cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / "example2_skull.cfg")
-    g2 = cfg.build_grid()
+    m2, omega2, T2 = _example("example2_skull")
     _, m5, omega5, kset5 = example1_setup(N=512, L=4.1, kr=0.483)
     return {"example1": (m1, omega1, kset1, 4.0),
-            "skull": (cfg.build_medium(g2), cfg.build_omega(g2), Region.disk(g2, (0.0, 0.0), 0.4),
-                      cfg.values["time.T"]),
+            "skull": (m2, omega2, Region.disk(omega2.grid, (0.0, 0.0), 0.4), T2),
             "slow_disk": (m5, omega5, kset5, 1.0)}
 
 
@@ -713,3 +734,50 @@ class TestReferenceTracer:
         assert {n.kind for n in graph.leaves()} == {"tangent_undetermined"}
         assert check_visibility(kset, m, omega, 4.0, {"n_pos": 1, "n_dir": 1}) == (
             False, [(tuple(x), tuple(d))])
+
+
+class TestLayerSpeed:
+    """A branch moves at the speed of the layer it is in, also after it leaves an
+    interface, whose hit points lie on the circle only to rounding."""
+
+    def test_radial_reflections_in_the_skull(self):
+        m, omega, T = _example("example2_skull")
+        # launch 0 runs along -x from the origin: brain (c = 1) to r = 0.5,
+        # shell (c = 2) to r = 0.8
+        graph = trace_branches((0.0, 0.0), (-1.0, 0.0), m, omega, T)
+
+        def branch(parent, kind):
+            (node,) = [n for n in graph.children(parent.node_id) if n.kind == kind]
+            return node
+
+        def after(node, x, t):
+            children = graph.children(node.node_id)
+            assert children
+            for n in children:
+                assert n.x == pytest.approx(x, abs=1e-12) and n.t == pytest.approx(t, abs=1e-12)
+
+        launch = graph.nodes[0]
+        brain = branch(launch, "reflect")
+        assert brain.x == pytest.approx((-0.5, 0.0), abs=1e-12) and brain.t == pytest.approx(0.5)
+        after(brain, (0.5, 0.0), 1.5)           # back across the brain at c = 1
+        shell = branch(branch(launch, "transmit"), "reflect")
+        assert shell.x == pytest.approx((-0.8, 0.0), abs=1e-12) and shell.t == pytest.approx(0.65)
+        after(shell, (-0.5, 0.0), 0.8)          # back across the shell at c = 2
+
+    @pytest.mark.parametrize("name", ["example1", "example2_skull"])
+    @given(x=st.floats(-0.95, 0.95), y=st.floats(-0.95, 0.95),
+           phi=st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_segments_move_at_the_layer_speed(self, name, x, y, phi):
+        m, omega, T = _example(name)
+        assume(all(abs(math.hypot(x, y) - i.radius) > 1e-6 for i in m.interfaces))
+        graph = trace_branches((x, y), (math.cos(phi), math.sin(phi)), m, omega, T)
+        for n in graph.nodes:
+            if n.parent is None:
+                continue
+            p = graph.nodes[n.parent]
+            mid = tuple(((n.x + p.x) / 2).tolist())
+            if any(abs(math.hypot(*mid) - i.radius) < 1e-12 for i in m.interfaces):
+                continue    # grazes a circle: to rounding, its midpoint names no layer
+            dist = float(np.hypot(*(n.x - p.x)))
+            assert dist / (n.t - p.t) == pytest.approx(speed_at(m, mid), abs=1e-9)
