@@ -173,6 +173,9 @@ class Region:
         if ((self.interior_mask | self.boundary_mask) & ring).any():
             raise ConfigurationError("region touches the outermost grid ring")
         self.mask = self.interior_mask | self.boundary_mask
+        ii, jj = np.nonzero(self.mask)
+        # the closure's bounding box, which holds every node and edge of the region
+        self._window = (slice(ii.min(), ii.max() + 1), slice(jj.min(), jj.max() + 1))
         self._harmonic_system = None  # block-row LU, factored lazily, cached per region
 
     # -- constructors ------------------------------------------------------
@@ -274,8 +277,7 @@ class Region:
         """
         if self._harmonic_system is not None:
             return self._harmonic_system
-        ii, jj = np.nonzero(self.mask)
-        win = (slice(ii.min() - 1, ii.max() + 2), slice(jj.min() - 1, jj.max() + 2))
+        win = tuple(slice(w.start - 1, w.stop + 1) for w in self._window)
         inner, closed = self.interior_mask[win], self.mask[win]
         covered = closed[:-2, 1:-1] & closed[2:, 1:-1] & closed[1:-1, :-2] & closed[1:-1, 2:]
         if (inner[1:-1, 1:-1] & ~covered).any():
@@ -310,11 +312,11 @@ def dirichlet_energy(s: ScalarField, r: Region) -> float:
 
     An edge contributes when both endpoints lie in the region closure; with
     the unit 2-D volume element the contribution is just the difference
-    squared ((d/h)^2 * h^2).
+    squared ((d/h)^2 * h^2).  Computed on r's bounding box, which takes the
+    same differences in the same order as the whole grid would.
     """
     r._check_grid(s)
-    m = r.mask
-    d = s.data
+    m, d = r.mask[r._window], s.data[r._window]
     ex = m[:-1, :] & m[1:, :]
     ey = m[:, :-1] & m[:, 1:]
     dx = (d[1:, :] - d[:-1, :])[ex]

@@ -277,8 +277,9 @@ class _Events(NamedTuple):
 
     ``ray`` indexes the generation's rays; ``angle`` and the rows of
     ``direction`` are NaN where the event has none; ``speed`` is the layer
-    speed a branch leaves the event with; ``live`` marks the reflect and
-    transmit events whose branch continues as a ray.
+    speed a branch leaves the event with and ``skip`` the interface it leaves
+    on the outer side (-1 for none); ``live`` marks the reflect and transmit
+    events whose branch continues as a ray.
     """
 
     ray: np.ndarray
@@ -288,6 +289,7 @@ class _Events(NamedTuple):
     weight: np.ndarray
     depth: np.ndarray
     speed: np.ndarray
+    skip: np.ndarray
     angle: np.ndarray
     direction: np.ndarray
     live: np.ndarray
@@ -342,15 +344,19 @@ def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(x0, len(d), axis=0), np.tile(d, (len(x0), 1))
 
 
-def _advance(s: _Scene, x, d, c, t, w, depth) -> _Events:
+def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
     """Every ray's events where it next meets an interface, the rectangle or time T.
 
     Rays are rows: (n, 2) positions and unit directions, (n,) layer speeds,
-    times, weights and depths.  A ray ends in one leaf (expiry, exit, or
+    times, weights, depths and the interface each ray left on its outer side
+    (-1 for none).  A ray ends in one leaf (expiry, exit, or
     tangent-undetermined at grazing or critical incidence) or splits into a
     reflect and, below the critical angle, a transmit event; the reflected
     branch keeps c_in and the transmitted one takes c_out.  A branch below
-    ``min_weight`` or at ``max_depth`` is a truncation leaf.
+    ``min_weight`` or at ``max_depth`` is a truncation leaf.  A ray leaving a
+    circle outward cannot meet it again, so that circle is not searched: a
+    grazing hit point that rounds to just inside it would otherwise give a
+    spurious second root about 1e-8 further on.
     """
     b, xx = np.vecdot(x, d), np.vecdot(x, x)
     t_circle, hit = np.full(len(t), np.inf), np.zeros(len(t), dtype=int)
@@ -359,7 +365,7 @@ def _advance(s: _Scene, x, d, c, t, w, depth) -> _Events:
         sq = np.sqrt(_positive(disc))
         near, far, eps = -b - sq, -b + sq, _POSITION_EPS * max(1.0, r)
         t_k = np.where(near > eps, near, np.where(far > eps, far, np.inf))
-        t_k[~(disc > 0)] = np.inf
+        t_k[~(disc > 0) | (skip == k)] = np.inf
         closer = t_k < t_circle
         t_circle[closer], hit[closer] = t_k[closer], k
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -414,11 +420,14 @@ def _advance(s: _Scene, x, d, c, t, w, depth) -> _Events:
     weight = np.concatenate((w[il], w[ic] * (1.0 - frac), w[it] * frac[through]))[order]
     depth = np.concatenate((depth[il], depth[ic] + 1, depth[it] + 1))[order]
     speed = np.concatenate((c[il], c_in[split], c_out[split][through]))[order]
+    # a reflection from outside and a transmission outward leave on the outer side
+    outer = np.where(inward[split] == 1, k[split], -1), np.where(inward[split] == 0, k[split], -1)
+    skip = np.concatenate((np.full(len(il), -1), outer[0], outer[1][through]))[order]
     direction = np.concatenate((direction[il], d_r, d_t[through]))[order]
     live = kind >= _REFLECT
     kind[live & ((weight < s.min_weight) | (depth >= s.max_depth))] = _TRUNCATION
-    return _Events(ray, kind, pos[ray], t_ev[ray], weight, depth, speed, angle[ray], direction,
-                   live & (kind != _TRUNCATION))
+    return _Events(ray, kind, pos[ray], t_ev[ray], weight, depth, speed, skip, angle[ray],
+                   direction, live & (kind != _TRUNCATION))
 
 
 def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray, done: np.ndarray):
@@ -430,13 +439,14 @@ def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray, done: np.n
     """
     n = len(x)
     c, t, w, depth = speeds_at(s.medium, x), np.zeros(n), np.ones(n), np.zeros(n, dtype=int)
+    skip = np.full(n, -1)
     while len(t):
-        ev = _advance(s, x, d, c, t, w, depth)
+        ev = _advance(s, x, d, c, t, w, depth, skip)
         owner = owner[ev.ray]
         yield ev, owner
         keep = ev.live & ~done[owner]
         x, c, t, w = ev.x[keep], ev.speed[keep], ev.t[keep], ev.weight[keep]
-        depth, owner = ev.depth[keep], owner[keep]
+        depth, skip, owner = ev.depth[keep], ev.skip[keep], owner[keep]
         d = ev.direction[keep] / np.hypot(ev.direction[keep, 0], ev.direction[keep, 1])[:, None]
         del ev      # the caller drops its reference too, for a lower peak memory
 

@@ -13,9 +13,16 @@ levels in ``_seed``, which pins level 0 and builds level 1 by the Taylor step
 (with -u_t for the backward solve), and steps the rest in the one time loop
 ``_march``, where three preallocated levels rotate and the kernel ``_leap``
 writes each new level in place with one scratch array and weights
-(dt/h)^2 c^2 computed once per array, so a step allocates nothing.  Its
+(dt/h)^2 c^2 computed once per array, so a step allocates nothing.  The
+kernel's flat views of the three levels are built once per run, and its
 operation order is the textbook one, bit for bit; each solve adds only its
-geometry, the nodes it pins and what it records.
+geometry, the nodes it pins and what it records (pins and records index
+the flat levels).  A run, one ``_march`` call, checks finiteness once, on
+its last level: a non-finite value never leaves an unpinned node.  A failed
+run is replayed from its two first levels, saved at its start, with a
+check per step, so ``InstabilityError`` names the first non-finite step; the
+hooks (``forward``'s ``on_step``, ``evolve``'s ``on_sample``) may have seen
+the failed run's levels before it is raised.
 
 The padded box is mostly empty, so ``forward`` steps light cones in both axes
 (``_phases``, ``_march_boxes``): steps 2..n fall into 16 runs, and each run
@@ -44,6 +51,7 @@ and the reconstruction identities built on these solves hold discretely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -177,46 +185,75 @@ def _lap_sum(u):
 
 
 def _leap(out, prev, curr, w, scratch):
-    """Allocation-free leapfrog kernel: out = 2 curr - prev + w _lap_sum(curr).
+    """Allocation-free leapfrog kernel: out = 2 c - prev + w (N + S + E + W - 4 c).
 
-    Steps the interior rows of C-ordered grids as one flat range from node
-    (1, 1) to (nx-2, ny-2), the range of ``w`` and ``scratch``.  Its side ring
-    nodes get 2 curr - prev (w is zero there), so a zero ring stays zero.  The
-    textbook operation order is kept, so results are bit-identical to it.
+    ``curr`` holds flat views of the current level: its node range from node
+    (1, 1) to (nx-2, ny-2) of a C-ordered grid, and that range shifted to the
+    neighbours at i+1, i-1, j+1 and j-1.  ``out`` and ``prev`` are the range
+    in the other two levels, the range of ``w`` and ``scratch``.  It spans the
+    interior rows, so its side ring nodes get 2 c - prev (w is zero there)
+    and a zero ring stays zero.  The textbook operation order is kept, so
+    results are bit-identical to it.  The ufuncs take their output
+    positionally, which skips keyword parsing in each of the nine calls.
     """
-    ny = curr.shape[1]
-    a, b = ny + 1, curr.size - ny - 1
-    o, c = out.reshape(-1)[a:b], curr.reshape(-1)
-    np.add(c[a + ny:b + ny], c[a - ny:b - ny], out=o)
-    o += c[a + 1:b + 1]
-    o += c[a - 1:b - 1]
-    o -= np.multiply(c[a:b], 4.0, out=scratch)
-    o *= w
-    np.multiply(c[a:b], 2.0, out=scratch)
-    scratch -= prev.reshape(-1)[a:b]
-    np.add(scratch, o, out=o)
+    c, n, s, e, west = curr
+    add, mul, sub = np.add, np.multiply, np.subtract
+    add(n, s, out)
+    add(out, e, out)
+    add(out, west, out)
+    sub(out, mul(c, 4.0, scratch), out)
+    mul(out, w, out)
+    mul(c, 2.0, scratch)
+    sub(scratch, prev, scratch)
+    add(scratch, out, out)
+
+
+def _run(levels, w, scratch, steps, pin, record, where=None):
+    """Step the three rotating buffers ``levels`` = (prev, curr, nxt), one level
+    per index in ``steps``, with ``_leap`` on views built once; with ``where``,
+    check each new level and raise at the first non-finite one.  Returns the
+    last two levels."""
+    ny = levels[0].shape[1]
+    a, b = ny + 1, levels[0].size - ny - 1
+    views = [(f[a:b], f[a + ny:b + ny], f[a - ny:b - ny], f[a + 1:b + 1], f[a - 1:b - 1])
+             for f in (x.reshape(-1) for x in levels)]
+    rotation = itertools.cycle([(levels[(i + 2) % 3], views[(i + 2) % 3][0], views[i][0],
+                                 views[(i + 1) % 3]) for i in range(3)])
+    prev, curr = levels[:2]
+    for k, (nxt, out, p, c) in zip(steps, rotation):
+        _leap(out, p, c, w, scratch)
+        if pin is not None:
+            pin(k, nxt)
+        if where is not None and not np.isfinite(nxt[1:-1]).all():
+            raise InstabilityError(f"non-finite values appeared at {where} {k}")
+        prev, curr = curr, nxt
+        if record is not None:
+            record(k, curr, prev)
+    return prev, curr
 
 
 def _march(prev, curr, w, steps, where, pin=None, record=None, work=None):
-    """The one leapfrog time loop: from C-ordered levels (prev, curr), one level
-    per index in ``steps`` in three rotating buffers, without allocating per step.
-    ``pin(k, nxt)`` edits each new level in place before its finiteness
-    check; ``record(k, curr, prev)`` sees each accepted level.  ``work`` =
-    (nxt, scratch, finite) lends the third level (shaped like curr, zero outer
-    ring) and the kernel's scratch and check buffers, else they are allocated.
-    Returns the last two levels.
+    """The one leapfrog time loop: from C-ordered levels (prev, curr) on a zero
+    outer ring, one level per index in ``steps`` in three rotating buffers,
+    without allocating per step.  ``pin(k, nxt)`` edits each new level in
+    place; ``record(k, curr, prev)`` sees each new level.  ``work`` = (nxt,
+    scratch, first) lends the third level (shaped like curr, zero outer ring),
+    the kernel's scratch and a (2, *curr.shape) copy of the first two levels,
+    else they are allocated.  Returns the last two levels.
+
+    The run is checked once, on its last level: a non-finite value stays
+    non-finite at every node the kernel writes and no pin holds, since x + y
+    is non-finite whenever x is.  A failed run is replayed from its first
+    two levels with a check per step, which raises ``InstabilityError``
+    naming the first non-finite step; the hooks may already have seen the
+    failed run's levels.
     """
-    nxt, scratch, finite = work or (
-        np.zeros(curr.shape), np.empty_like(w), np.empty(curr.shape, dtype=bool))
-    for k in steps:
-        _leap(nxt, prev, curr, w, scratch)
-        if pin is not None:
-            pin(k, nxt)
-        if not np.isfinite(nxt[1:-1], out=finite[1:-1]).all():
-            raise InstabilityError(f"non-finite values appeared at {where} {k}")
-        prev, curr, nxt = curr, nxt, prev
-        if record is not None:
-            record(k, curr, prev)
+    nxt, scratch, first = work or (
+        np.zeros(curr.shape), np.empty_like(w), np.empty((2,) + curr.shape))
+    first[0], first[1] = prev, curr
+    prev, curr = _run((prev, curr, nxt), w, scratch, steps, pin, record)
+    if steps and not np.isfinite(curr[1:-1]).all():
+        _run((first[0], first[1], nxt), w, scratch, steps, pin, None, where)
     return prev, curr
 
 
@@ -299,12 +336,13 @@ def _march_boxes(levels, c_sq, h, dt, schedule, record_at):
     """``_march`` over each (steps, box) of ``schedule`` on contiguous copies of
     the levels cut to the box (r0, r1, c0, c1) of their arrays, ring included:
     nodes new to a box start at zero and its ring stays zero.  The buffers are
-    sized once, to the largest box; ``record_at(r0, c0)`` gives each run's
-    ``record``.  Returns the last two levels and their arrays' origin (r0, c0).
+    sized once, to the largest box; ``record_at(r0, c0, ny)`` gives the
+    ``record`` of each run, whose arrays start at node (r0, c0) and have ny
+    columns.  Returns the last two levels and their arrays' origin (r0, c0).
     """
     boxes = [(r1 - r0 + 1, c1 - c0 + 1) for _, (r0, r1, c0, c1) in schedule]
-    flat = np.empty((5, max((a * b for a, b in boxes), default=0)))   # 3 levels, w, scratch
-    finite = np.empty(flat.shape[1], dtype=bool)
+    # 3 levels, w, scratch and the run's first two levels
+    flat = np.empty((7, max((a * b for a, b in boxes), default=0)))
     (prev, curr), at, slots = levels, (0, 0), (0, 1, 2)     # buffers of prev, curr, spare
     for (steps, (r0, r1, c0, c1)), shape in zip(schedule, boxes):
         size = shape[0] * shape[1]
@@ -315,8 +353,9 @@ def _march_boxes(levels, c_sq, h, dt, schedule, record_at):
         _paste(p, (r0, c0), prev, at)
         nxt.fill(0.0)
         w = _weights(c_sq[r0:r1 + 1, c0:c1 + 1], h, dt, flat[3, :size].reshape(shape))
-        work = (nxt, flat[4, :w.size], finite[:size].reshape(shape))
-        prev, curr = _march(p, c, w, steps, "step", record=record_at(r0, c0), work=work)
+        work = (nxt, flat[4, :w.size], flat[5:, :size].reshape((2,) + shape))
+        prev, curr = _march(p, c, w, steps, "step", record=record_at(r0, c0, shape[1]),
+                            work=work)
         m, at = len(steps) % 3, (r0, c0)
         slots = slots[m:] + slots[:m]           # _march rotates its levels once a step
     return (prev, curr), at
@@ -367,7 +406,8 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
     ``pin_zero`` holds a region's boundary nodes at zero every level, turning
     that region into a closed Dirichlet box.  ``on_sample(k, state)`` is
     called every ``sample_every`` steps with the state at step k (velocity by
-    the consistent two-level formula).  Returns the state at t = T.
+    the consistent two-level formula), also for the steps of a run that ends
+    in ``InstabilityError``.  Returns the state at t = T.
     """
     if f.grid != m.grid:
         raise ConfigurationError("state and medium live on different grids")
@@ -399,7 +439,8 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
 
     Returns the boundary trace; with ``return_final`` also the state at t = T
     (velocity via the consistent two-level formula).  ``on_step(k, n_steps)``
-    is called after each step when given.
+    is called after each step when given, also for the steps of a run that
+    ends in ``InstabilityError``.
 
     The box must pad the rectangle by c_out*T/2 + 16h (see the module notes):
     the trace and the final state on the closed rectangle then equal the
@@ -424,11 +465,11 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     values = np.empty((n + 1, bi.size))
     values[0] = f.u.data[bi, bj]
 
-    def record_at(a, b):        # the hook for levels whose arrays start at node (a, b)
-        at = (bi - a, bj - b)
+    def record_at(a, b, ny):    # the hook for levels whose arrays start at node (a, b)
+        at = (bi - a) * ny + bj - b
 
         def record(k, curr, _prev):
-            values[k] = curr[at]
+            curr.take(at, out=values[k])
             if on_step is not None:
                 on_step(k, n)
         return record
@@ -439,11 +480,12 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
         cones = (_CONE_SLACK, m.c_max * dt / h, c_out * dt / h)
     a, b = max(i0 - r, 0), max(j0 - r, 0)
     win = np.s_[a:i1 + r + 1, b:j1 + r + 1]
-    levels = _seed(f.u.data[win], f.ut.data[win], m.c_sq[win], h, dt, range(2),
-                   record=record_at(a, b))
+    c_sq = m.c_sq[win]
+    levels = _seed(f.u.data[win], f.ut.data[win], c_sq, h, dt, range(2),
+                   record=record_at(a, b, c_sq.shape[1]))
     schedule = _phases(levels, (i0 - a, i1 - a, j0 - b, j1 - b), n, *cones)
-    (prev, curr), at = _march_boxes(levels, m.c_sq[win], h, dt, schedule,
-                                    lambda r0, c0: record_at(a + r0, b + c0))
+    (prev, curr), at = _march_boxes(levels, c_sq, h, dt, schedule,
+                                    lambda r0, c0, ny: record_at(a + r0, b + c0, ny))
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)
     if not return_final:
@@ -480,10 +522,11 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
 
     # step window-sized arrays, whose outer ring is the pinned rectangle boundary
     win = (slice(i0, i1 + 1), slice(j0, j1 + 1))
-    c_sq, wi, wj = m.c_sq[win], bi - i0, bj - j0
+    c_sq = m.c_sq[win]
+    at = (bi - i0) * c_sq.shape[1] + bj - j0       # flat indices in the window
 
     def pin(k, arr):
-        arr[wi, wj] = boundary.values[k]
+        arr.put(at, boundary.values[k])
 
     # levels n down to 0; a Taylor step with -u_t seeds level n - 1
     v1, v0 = _solve(cauchy_at_T.u.data[win], -cauchy_at_T.ut.data[win], c_sq, g.h, dt,

@@ -113,6 +113,19 @@ class TestEnergies:
         e2 = dirichlet_energy(3.0 * s, small_rect)
         assert e2 == pytest.approx(9.0 * e1, rel=1e-13)
 
+    def test_bounding_box_sum_is_the_whole_grid_sum(self, small_rect, small_disk):
+        # the whole-grid edge sum dirichlet_energy used to compute, bit for bit
+        def whole_grid(s, r):
+            m, d = r.mask, s.data
+            dx = (d[1:, :] - d[:-1, :])[m[:-1, :] & m[1:, :]]
+            dy = (d[:, 1:] - d[:, :-1])[m[:, :-1] & m[:, 1:]]
+            return float(np.dot(dx, dx) + np.dot(dy, dy))
+
+        for name, r in [*_example_regions(), ("small_rect", small_rect),
+                        ("small_disk", small_disk)]:
+            s = random_field(r.grid, 7)
+            assert dirichlet_energy(s, r) == whole_grid(s, r), name
+
     def test_velocity_part_with_speed_two(self, small_grid, small_rect):
         m2 = uniform_medium(small_grid, 2.0)
         gdata = random_field(small_grid, 4).data

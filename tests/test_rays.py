@@ -496,6 +496,7 @@ class Ray:
     t: float = 0.0
     weight: float = 1.0
     depth: int = 0
+    skip: float | None = None      # the radius of a circle left on its outer side
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -543,7 +544,7 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
     while stack:
         parent, ray = stack.pop()
         c_here = ray.speed
-        hits = [(_ref_circle_hit(ray.x, ray.d, r), r) for r in radii]
+        hits = [(_ref_circle_hit(ray.x, ray.d, r), r) for r in radii if r != ray.skip]
         hits = [(t, r) for t, r in hits if t is not None]
         t_circle, r_hit = min(hits, default=(math.inf, None))
         t_rect = _ref_rect_exit(ray.x, ray.d, rect)
@@ -600,12 +601,14 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
         w_refl = ray.weight * (1.0 - frac_t)
         nid = graph.add(parent, "reflect", pos, t_arrive, w_refl, depth,
                         angle=alpha, direction=d_refl)
-        extend(nid, Ray(pos.copy(), d_refl, c_in, t_arrive, w_refl, depth))
+        extend(nid, Ray(pos.copy(), d_refl, c_in, t_arrive, w_refl, depth,
+                        None if going_out else r_hit))
         if transmitted is not None:
             w_tr = ray.weight * frac_t
             nid = graph.add(parent, "transmit", pos, t_arrive, w_tr, depth,
                             angle=alpha, direction=transmitted)
-            extend(nid, Ray(pos.copy(), transmitted, c_out, t_arrive, w_tr, depth))
+            extend(nid, Ray(pos.copy(), transmitted, c_out, t_arrive, w_tr, depth,
+                            r_hit if going_out else None))
 
     return graph
 
@@ -763,6 +766,26 @@ class TestLayerSpeed:
         shell = branch(branch(launch, "transmit"), "reflect")
         assert shell.x == pytest.approx((-0.8, 0.0), abs=1e-12) and shell.t == pytest.approx(0.65)
         after(shell, (-0.5, 0.0), 0.8)          # back across the shell at c = 2
+
+    def test_grazing_reflection_does_not_creep_along_the_circle(self):
+        # this ray grazes the brain circle (r = 0.5) from outside near t = 2.248;
+        # its hit point rounds to just inside the circle, where a second root
+        # lies about 1e-8 on and the branch used to creep on in micro-chords
+        m, omega, T = _example("example2_skull")
+        graph = trace_branches((0.5, 0.5), (1.0, 0.0), m, omega, T)
+        radii = [i.radius for i in m.interfaces]
+        grazes = [n for n in graph.nodes if n.kind == "reflect"
+                  and abs(n.t - 2.248) < 1e-3 and abs(math.hypot(*n.x) - 0.5) < 1e-9]
+        assert grazes
+        for n in graph.nodes:
+            if n.parent is None:
+                continue
+            p = graph.nodes[n.parent]
+            on_one_circle = any(abs(math.hypot(*n.x) - r) < 1e-6
+                                and abs(math.hypot(*p.x) - r) < 1e-6 for r in radii)
+            assert not (on_one_circle and np.hypot(*(n.x - p.x)) < 1e-6), (p, n)
+        ref = _ref_trace_branches((0.5, 0.5), (1.0, 0.0), m, omega, T)
+        assert [_node_bits(n) for n in graph.nodes] == [_node_bits(n) for n in ref.nodes]
 
     @pytest.mark.parametrize("name", ["example1", "example2_skull"])
     @given(x=st.floats(-0.95, 0.95), y=st.floats(-0.95, 0.95),

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermotomo import wave_solver
 from thermotomo.config import RunConfig
@@ -825,7 +827,8 @@ class TestLightCone:
         nodes, leap = [], wave_solver._leap
 
         def counting(out, prev, curr, w, scratch):
-            nodes.append((curr.shape[0] - 2) * curr.shape[1])
+            # out runs from node (1, 1) to (rows-2, ny-2): (rows - 2) * ny - 2 nodes
+            nodes.append(out.size + 2)
             leap(out, prev, curr, w, scratch)
 
         monkeypatch.setattr(wave_solver, "_leap", counting)
@@ -837,3 +840,112 @@ class TestLightCone:
         forward(f, m, omega, 4.0, cfg, return_final=True)
         assert len(nodes) == cfg.n_steps - 1
         assert sum(nodes) <= 0.81 * full          # the discrete cone: the final state is exact
+
+
+def _ref_first_failure(prev, curr, c_sq, h, dt, steps, where):
+    """The per-step check of the reference loop: its InstabilityError text, or None."""
+    prev, curr, nxt = prev.copy(), curr.copy(), np.zeros_like(prev)
+    for k in steps:
+        _ref_leap_into(nxt, prev, curr, c_sq, h, dt)
+        if not np.all(np.isfinite(nxt)):
+            return f"non-finite values appeared at {where} {k}"
+        prev, curr, nxt = curr, nxt, prev
+    return None
+
+
+class TestReplay:
+    """A run is checked once, on its last level; a failed run is replayed to name
+    the step at which the reference loop, checking every step, stops."""
+
+    @staticmethod
+    def _unstable(n=21, ratio=1.5):
+        # dt at 1.5 times the stability bound: the checkerboard mode grows ~7x a step
+        g = Grid(n, n, 0.05, origin=(-0.5, -0.5))
+        m = build_medium([(0.3, 0.7)], g)
+        dt = ratio * g.h / (m.c_max * math.sqrt(2.0))
+        prev, curr = random_field(g, 4).data, random_field(g, 5).data
+        prev[[0, -1], :] = prev[:, [0, -1]] = curr[[0, -1], :] = curr[:, [0, -1]] = 0.0
+        return g, m, dt, prev, curr
+
+    def test_march_names_the_failing_step(self):
+        g, m, dt, prev, curr = self._unstable()
+        steps = range(2, 600)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _ref_first_failure(prev, curr, m.c_sq, g.h, dt, steps, "step")
+            assert want is not None and not want.endswith(" 599")
+            w = wave_solver._weights(m.c_sq, g.h, dt)
+            with pytest.raises(InstabilityError) as err:
+                wave_solver._march(prev.copy(), curr.copy(), w, steps, "step")
+        assert str(err.value) == want
+
+    def test_pinned_backward_solve_names_the_failing_step(self):
+        # a trace at the float64 limit at one mid-run step: the pinned ring is
+        # finite, and the step after it overflows next to the ring's corners,
+        # so the replay must pin the trace as the first pass did
+        g, m, omega, kset = example1_setup(N=121, L=4.6)
+        n = SolverConfig.for_time(m, 1.2).n_steps
+        values = np.zeros((n + 1, omega.boundary_nodes[0].size))
+        values[n // 2] = 1.7e308
+        tr = BoundaryTrace(omega.boundary_coords, SolverConfig.for_time(m, 1.2).dt, values)
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for solve in (solve_backward, _ref_solve_backward):
+                with pytest.raises(InstabilityError) as err:
+                    solve(tr, WaveState.zeros(g), m, omega)
+                errors.append(str(err.value))
+        assert errors == [f"non-finite values appeared at backward step {n // 2 - 1}"] * 2
+
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_march_boxes_names_the_failing_step_of_a_middle_run(self, place):
+        g, m, dt, prev, curr = self._unstable()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _ref_first_failure(prev, curr, m.c_sq, g.h, dt, range(2, 600), "step")
+            k = int(want.split()[-1])
+            # the failing step opens, sits inside or closes the middle of three runs
+            lo, hi = {"first": (k, k + 9), "middle": (k - 5, k + 5), "last": (k - 9, k + 1)}[place]
+            box = (0, g.nx - 1, 0, g.ny - 1)
+            schedule = [(range(2, lo), box), (range(lo, hi), box), (range(hi, hi + 30), box)]
+            seen = []
+
+            def record_at(r0, c0, ny):
+                return lambda step, curr, prev: seen.append(step)
+
+            with pytest.raises(InstabilityError) as err:
+                wave_solver._march_boxes((prev.copy(), curr.copy()), m.c_sq, g.h, dt,
+                                         schedule, record_at)
+        assert str(err.value) == want
+        # both runs were recorded whole before the check of the second; the
+        # replay records nothing and the third run never starts
+        assert seen == list(range(2, hi))
+
+
+class TestSolverIdentities:
+    """Random small rectangles, one layer and T: the backward solve inverts the
+    forward one, and the light-cone trace is the whole box's."""
+
+    @given(size=st.tuples(st.integers(8, 20), st.integers(8, 20)),
+           at=st.tuples(st.floats(0.25, 0.75), st.floats(0.25, 0.75)),
+           layer=st.tuples(st.floats(0.1, 0.6), st.floats(0.5, 0.9) | st.floats(1.1, 2.0)),
+           T=st.floats(0.1, 0.8))
+    @settings(max_examples=20, deadline=None)
+    def test_backward_inverts_forward_and_cones_match_the_box(self, size, at, layer, T):
+        h, (lx, ly) = 0.05, size
+        # the margin rule at the faster of the two speeds, which bounds c_out
+        pad = math.ceil(max(1.0, layer[1]) * T / (2 * h)) + 17
+        # Omega is [pad, pad + lx] x [pad, pad + ly]; the layer's centre, the
+        # origin, sits at the fraction ``at`` of it
+        ox, oy = (-(pad + f * n) * h for f, n in zip(at, size))
+        g = Grid(lx + 1 + 2 * pad, ly + 1 + 2 * pad, h, origin=(ox, oy))
+        m = build_medium([layer], g)
+        omega = Region.rectangle(g, pad, pad + lx, pad, pad + ly)
+        centre = g.node_position(pad + lx // 2, pad + ly // 2)
+        kset = Region.disk(g, centre, 0.35 * h * min(lx, ly))
+        f = WaveState(centered_bump(g, kset, sigma=0.08 * h * min(lx, ly), center=centre),
+                      0.5 * centered_bump(g, kset, sigma=0.06 * h * min(lx, ly), center=centre))
+        cfg = SolverConfig.for_time(m, T)
+        tr, fin = forward(f, m, omega, T, cfg, return_final=True)
+        assert _peak_gap(forward(f, m, omega, T, cfg).values, tr.values) <= 1e-13
+        back = solve_backward(tr, fin, m, omega)
+        inside, scale = omega.mask, np.max(np.abs(f.u.data))
+        assert np.max(np.abs(back.u.data - f.u.data)[inside]) <= 1e-10 * scale
+        assert np.max(np.abs(back.ut.data - f.ut.data)[omega.interior_mask]) <= 1e-10 * scale
