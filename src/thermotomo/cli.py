@@ -142,7 +142,7 @@ def cmd_raytrace(args) -> int:
                     for d, c in zip(d_text, flags))
     n_graphs = min(4, len(positions))
     for k in range(n_graphs):
-        g = trace_branches(positions[k], directions[0], medium, omega, T, cfg.ray_caps())
+        g = trace_branches(positions[k], directions[0], medium, omega, T, sampling["caps"])
         with open(os.path.join(out, f"branches_{k}.txt"), "w") as fh:
             fh.write(g.to_text())
     total = len(positions) * len(directions)
@@ -154,8 +154,8 @@ def cmd_raytrace(args) -> int:
 def cmd_knorm(args) -> int:
     cfg, grid, medium, omega, kset, out = _load(args)
     rcfg = cfg.recon_config(omega, kset)
-    mu = estimate_contraction(medium, rcfg, n_power_iters=args.power_iters,
-                              seed=cfg.get("seed", 0))
+    seed = {"seed": cfg.values["seed"]} if "seed" in cfg.values else {}
+    mu = estimate_contraction(medium, rcfg, n_power_iters=args.power_iters, **seed)
     with open(os.path.join(out, "knorm.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n_power_iters", "mu_hat"])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigurationError
 from .grid_field import Grid, Region, ScalarField, make_phantom
 from .medium import Medium, build_medium
+from .rays import CAPS_DEFAULTS, SAMPLING_DEFAULTS
 from .recon import ReconConfig
 from .wave_solver import SolverConfig
 
@@ -28,6 +29,9 @@ _SCALAR_KEYS = {
     "seed": int,
     "output.dir": str,
 }
+
+# the keys each kset.kind reads
+_KSET_KEYS = {"disk": ("cx", "cy", "radius"), "rectangle": ("xmin", "xmax", "ymin", "ymax")}
 
 _NUMBERED_KEYS = {
     re.compile(r"^layer\.(\d+)\.radius$"): float,
@@ -122,6 +126,11 @@ class RunConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
+    def _section(self, prefix: str) -> dict:
+        """The ``prefix.*`` keys the file sets, without the prefix."""
+        return {key[len(prefix) + 1:]: v for key, v in self.values.items()
+                if key.startswith(prefix + ".")}
+
     # -- builders -----------------------------------------------------------
 
     def build_grid(self) -> Grid:
@@ -139,51 +148,39 @@ class RunConfig:
 
     def build_kset(self, grid: Grid) -> Region:
         kind = self.get("kset.kind", "disk")
+        if kind not in _KSET_KEYS:
+            raise ConfigurationError(f"unknown kset.kind {kind!r}")
+        given = {k: v for k, v in self._section("kset").items() if k != "kind"}
+        if unread := sorted(set(given) - set(_KSET_KEYS[kind])):
+            raise ConfigurationError(f"kset.{unread[0]} is not read by a {kind} kset")
+        if missing := [k for k in _KSET_KEYS[kind] if k not in given]:
+            raise ConfigurationError(f"missing kset.{missing[0]} for a {kind} kset")
+        v = [given[k] for k in _KSET_KEYS[kind]]
         if kind == "disk":
-            for key in ("kset.cx", "kset.cy", "kset.radius"):
-                if key not in self.values:
-                    raise ConfigurationError(f"missing {key} for a disk kset")
-            return Region.disk(grid, (self.values["kset.cx"], self.values["kset.cy"]),
-                               self.values["kset.radius"])
-        if kind == "rectangle":
-            for key in ("kset.xmin", "kset.xmax", "kset.ymin", "kset.ymax"):
-                if key not in self.values:
-                    raise ConfigurationError(f"missing {key} for a rectangle kset")
-            return Region.rectangle_from_physical(
-                grid, self.values["kset.xmin"], self.values["kset.xmax"],
-                self.values["kset.ymin"], self.values["kset.ymax"])
-        raise ConfigurationError(f"unknown kset.kind {kind!r}")
+            return Region.disk(grid, (v[0], v[1]), v[2])
+        return Region.rectangle_from_physical(grid, *v)
 
     def build_phantom(self, grid: Grid, kset: Region) -> ScalarField:
-        kind = self.get("phantom.kind", "sum_of_bumps" if len(self.bumps) != 1 else "gaussian_bump")
+        kind = self.get("phantom.kind", "sum_of_bumps")
+        if kind not in ("gaussian_bump", "sum_of_bumps"):
+            raise ConfigurationError(f"unknown phantom.kind {kind!r}")
         if not self.bumps:
             raise ConfigurationError("config defines no phantom bumps")
-        if kind == "gaussian_bump":
-            if len(self.bumps) != 1:
-                raise ConfigurationError("gaussian_bump phantom needs exactly one bump")
-            b = self.bumps[0]
-            params = {"center": (b["cx"], b["cy"]), "sigma": b["sigma"]}
-        elif kind == "sum_of_bumps":
-            params = {"bumps": [((b["cx"], b["cy"]), b["sigma"]) for b in self.bumps]}
-        else:
-            raise ConfigurationError(f"unknown phantom.kind {kind!r}")
-        return make_phantom(kind, params, grid, kset)
+        if kind == "gaussian_bump" and len(self.bumps) != 1:
+            raise ConfigurationError("gaussian_bump phantom needs exactly one bump")
+        # a gaussian_bump is a one-bump sum_of_bumps, bit for bit
+        bumps = [((b["cx"], b["cy"]), b["sigma"]) for b in self.bumps]
+        return make_phantom("sum_of_bumps", {"bumps": bumps}, grid, kset)
 
     def recon_config(self, omega: Region, kset: Region) -> ReconConfig:
-        return ReconConfig(
-            omega=omega, kset=kset, T=self.values["time.T"],
-            m_max=self.get("recon.m_max", 8),
-            tol_rel=self.get("recon.tol_rel", 1e-4),
-            harmonic_tol=self.get("recon.harmonic_tol", 1e-10))
+        return ReconConfig(omega=omega, kset=kset, T=self.values["time.T"],
+                           **self._section("recon"))
 
     def solver_config(self, m: Medium) -> SolverConfig:
         return SolverConfig.for_time(m, self.values["time.T"])
 
-    def ray_caps(self) -> dict:
-        return {"max_depth": self.get("rays.max_depth", 12),
-                "min_weight": self.get("rays.min_weight", 1e-4)}
-
     def ray_sampling(self) -> dict:
-        return {"n_pos": self.get("rays.n_pos", 64),
-                "n_dir": self.get("rays.n_dir", 128),
-                "caps": self.ray_caps()}
+        """``check_visibility``'s sampling; a key the file omits takes its rays default."""
+        rays = self._section("rays")
+        return {**{k: rays.get(k, v) for k, v in SAMPLING_DEFAULTS.items()},
+                "caps": {k: rays.get(k, v) for k, v in CAPS_DEFAULTS.items()}}

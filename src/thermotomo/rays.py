@@ -38,7 +38,7 @@ from .errors import (
     TangencyError,
 )
 from .grid_field import Region
-from .medium import Medium, speeds_at
+from .medium import InterfaceDescriptor, Medium, critical_angle, speeds_at
 
 
 def __getattr__(name):
@@ -56,6 +56,10 @@ CRITICAL_TOL = 1e-12      # radians from the critical angle
 _POSITION_EPS = 1e-12
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+# the caps of one trace and the sampling of a visibility check, with their defaults
+CAPS_DEFAULTS = {"max_depth": 12, "min_weight": 1e-4}
+SAMPLING_DEFAULTS = {"n_pos": 64, "n_dir": 128}
 
 
 @dataclass
@@ -136,8 +140,8 @@ def _math(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _critical(c_in: float, c_out: float) -> float:
-    """Critical incidence angle from the c_in side, inf when there is none."""
-    return math.asin(c_in / c_out) if c_in < c_out else math.inf
+    """``critical_angle`` of a crossing from the c_in side, inf when there is none."""
+    return critical_angle(InterfaceDescriptor(math.nan, c_in, c_out)) if c_in < c_out else math.inf
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -307,15 +311,20 @@ def _omega_rect(omega: Region) -> tuple[float, float, float, float]:
     return (g.xs[i0], g.xs[i1], g.ys[j0], g.ys[j1])
 
 
+def _filled(given: dict | None, defaults: dict, what: str) -> dict:
+    """``given`` over ``defaults``; a key with no default is rejected."""
+    if unknown := sorted(set(given or {}) - set(defaults)):
+        raise ConfigurationError(f"unknown {what}: {unknown}")
+    return {**defaults, **(given or {})}
+
+
 def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     """Check the inputs every sample shares and gather them."""
-    caps = dict(caps or {})
-    max_depth = int(caps.pop("max_depth", 12))
-    min_weight = float(caps.pop("min_weight", 1e-4))
-    if caps:
-        raise ConfigurationError(f"unknown caps: {sorted(caps)}")
-    if max_depth < 1 or not 0 < min_weight < math.inf:
-        raise ConfigurationError("caps must be positive and finite")
+    caps = _filled(caps, CAPS_DEFAULTS, "caps")
+    max_depth, min_weight = int(caps["max_depth"]), float(caps["min_weight"])
+    # a weight is at most 1, so min_weight >= 1 would truncate every branch
+    if max_depth < 1 or not 0 < min_weight < 1:
+        raise ConfigurationError(f"caps must be positive and finite, min_weight below 1: {caps}")
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]
@@ -455,8 +464,8 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
                    caps: dict | None = None) -> RayBranchGraph:
     """Grow the branch forest from (x0, +d0) and (x0, -d0) until time T >= 0.
 
-    caps: ``max_depth`` (interface events per path, default 12) and
-    ``min_weight`` (branches below it become truncation leaves, default 1e-4).
+    caps: ``max_depth`` (interface events per path) and ``min_weight`` (branches
+    below it become truncation leaves), each defaulting to ``CAPS_DEFAULTS``.
     The forest grows one generation at a time; its events are then numbered
     depth first: the launches are 0 and 1, rays are taken last in, first out,
     and one ray's events are numbered consecutively.
@@ -530,13 +539,9 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     the generation in which one of them exits.  Returns (all_covered,
     uncovered_samples); tangent-undetermined samples count as uncovered.
     """
-    sampling = dict(sampling or {})
-    n_pos = int(sampling.pop("n_pos", 64))
-    n_dir = int(sampling.pop("n_dir", 128))
-    caps = sampling.pop("caps", None)
-    if sampling:
-        raise ConfigurationError(f"unknown sampling keys: {sorted(sampling)}")
-    s = _scene(m, omega, T, caps)
+    sampling = _filled(sampling, {**SAMPLING_DEFAULTS, "caps": None}, "sampling keys")
+    n_pos, n_dir = int(sampling["n_pos"]), int(sampling["n_dir"])
+    s = _scene(m, omega, T, sampling["caps"])
     positions = sample_positions(kset, n_pos)
     directions = sample_directions(n_dir)
     x, d = _launch(s, positions, directions)

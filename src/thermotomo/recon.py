@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 from .grid_field import (
+    DEFAULT_HARMONIC_TOL,
     Region,
     ScalarField,
     WaveState,
@@ -41,7 +42,7 @@ class ReconConfig:
     T: float
     m_max: int = 8
     tol_rel: float = 1e-4
-    harmonic_tol: float = 1e-10
+    harmonic_tol: float = DEFAULT_HARMONIC_TOL
 
     def __post_init__(self):
         self.omega.box  # raises unless omega is a rectangle
@@ -219,7 +220,7 @@ def _random_zero_trace_field(cfg: ReconConfig, seed: int) -> ScalarField:
     return project_HD(ScalarField(g, data), cfg.kset, cfg.harmonic_tol)
 
 
-def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int = 10,
+def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
                          seed: int = 0, *, return_field: bool = False):
     """Power-iteration estimate of the error-operator norm in the Dirichlet norm.
 
@@ -235,18 +236,12 @@ def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int = 10,
     norm = hd_norm(f, cfg.kset)
     if norm == 0.0:
         raise DegenerateInputError("random seed produced a zero-norm field")
-    ratio = math.inf
     for _ in range(n_power_iters):
         f = apply_error_operator(f * (1.0 / norm), m, cfg)
-        new_norm = hd_norm(f, cfg.kset)
-        if new_norm == 0.0:
+        norm = hd_norm(f, cfg.kset)
+        if norm == 0.0:
             return (0.0, f) if return_field else 0.0
-        ratio = new_norm
-        norm = new_norm
-    mu = float(ratio)
-    if return_field:
-        return mu, f * (1.0 / norm)
-    return mu
+    return (float(norm), f * (1.0 / norm)) if return_field else float(norm)
 
 
 def energy_decay_ratio(f1: ScalarField, m: Medium, cfg: ReconConfig) -> float:

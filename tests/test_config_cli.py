@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import traceback
 from pathlib import Path
 
 import pytest
 
 from thermotomo import cli
 from thermotomo.cli import main
-from thermotomo.config import RunConfig, parse_config_text
+from thermotomo.config import _NUMBERED_KEYS, _SCALAR_KEYS, RunConfig, parse_config_text
 from thermotomo.errors import ConfigurationError
 from thermotomo.formats import read_grid, read_trace
 
@@ -116,8 +117,10 @@ class TestConfigParsing:
 
     def test_rectangle_kset_missing_bounds_rejected(self):
         text = TINY.replace("kset.kind = disk", "kset.kind = rectangle")
-        cfg = RunConfig.from_text(text)
-        with pytest.raises(ConfigurationError, match="kset"):
+        for line in ("kset.cx = 0.0", "kset.cy = 0.0", "kset.radius = 0.2"):
+            text = text.replace(line, "")
+        cfg = RunConfig.from_text(text + "kset.xmin = -0.15\n")
+        with pytest.raises(ConfigurationError, match="missing kset.xmax for a rectangle kset"):
             cfg.build_kset(cfg.build_grid())
 
 
@@ -170,6 +173,21 @@ class TestCli:
         assert main(["energy", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "duplicate" not in err
+
+    @pytest.mark.parametrize("cmd, text, err", [
+        ("raytrace", TINY + "rays.min_weight = 1\n", "min_weight below 1"),
+        ("raytrace", TINY + "rays.min_weight = 2.5\n", "min_weight below 1"),
+        ("energy", TINY + "kset.xmin = -0.1\n", "kset.xmin is not read by a disk kset"),
+        ("energy", TINY.replace("kset.kind = disk", "kset.kind = rectangle"),
+         "kset.cx is not read by a rectangle kset")],
+        ids=["min_weight-1", "min_weight-2.5", "disk-xmin", "rectangle-cx"])
+    def test_key_that_would_mean_nothing_exits_2(self, tmp_path, capsys, cmd, text, err):
+        # min_weight >= 1 would truncate every branch, and a kset key that the
+        # kind does not read would be ignored
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main([cmd, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert err in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "-1e-10", "0", "nan", "1e-300"])
     def test_harmonic_tol_must_be_positive_and_finite(self, tmp_path, capsys, value):
@@ -317,3 +335,56 @@ class TestCli:
         assert main(["roundtrip", "--config", cfg, "--output-dir", str(out2)]) == 0
         for name in ("report.csv", "recon.tawg", "trace.taws", "recon.pgm"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# -- input sweep: every int and float key at edge values exits 0 or 2 --------------
+
+SWEEP_VALUES = {float: ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
+                int: ("0", "-1", "-5", "2")}
+SWEEP_KEYS = {**_SCALAR_KEYS, **{pattern.pattern.strip("^$").replace(r"(\d+)", "1")
+                                 .replace("\\.", "."): caster
+                                 for pattern, caster in _NUMBERED_KEYS.items()}}
+SWEEP = [(key, value) for key, caster in SWEEP_KEYS.items()
+         for value in SWEEP_VALUES.get(caster, ())]
+
+
+def _forked_main(argv, log_path):
+    """``main(argv)`` in a forked child: its exit code and what it printed."""
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            with open(log_path, "w") as log:
+                os.dup2(log.fileno(), 1)
+                os.dup2(log.fileno(), 2)
+                sys.stdout = sys.stderr = log
+                try:
+                    code = main(argv)
+                except BaseException:
+                    traceback.print_exc()
+                log.flush()
+        finally:
+            os._exit(code if isinstance(code, int) else 70)    # never back into pytest
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), Path(log_path).read_text()
+
+
+def test_sweep_keys_are_config_keys():
+    # a mangled numbered key would exit 2 as unknown and sweep nothing
+    for key in SWEEP_KEYS:
+        parse_config_text(f"{key} = 1\n")
+    assert {"layer.1.speed", "phantom.1.sigma"} <= {key for key, _ in SWEEP}
+
+
+@pytest.mark.parametrize("cmd", ["forward", "raytrace", "energy", "roundtrip"])
+def test_input_sweep_exits_0_or_2(tmp_path, cmd):
+    # the value replaces its key's line in TINY, or is added
+    path, out, log = tmp_path / "sweep.cfg", tmp_path / "out", tmp_path / "log.txt"
+    failures = []
+    for key, value in SWEEP:
+        path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
+                                if not kept.startswith(key + " ")) + f"{key} = {value}\n")
+        code, printed = _forked_main([cmd, "--config", str(path), "--output-dir", str(out)], log)
+        if code not in (0, 2) or "Traceback" in printed:
+            failures.append(f"{key} = {value}: exit {code}\n{printed}")
+    assert not failures, "\n".join(failures)

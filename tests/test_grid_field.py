@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
 from thermotomo.config import RunConfig
@@ -345,6 +347,39 @@ class TestProjection:
         p1 = project_HD(s, small_disk, 1e-12)
         p2 = project_HD(p1, small_disk, 1e-12)
         assert np.allclose(p2.data, p1.data, atol=1e-10)
+
+
+PROPERTY_GRID = Grid(41, 41, 2.0 / 40, origin=(-1.0, -1.0))
+
+
+@st.composite
+def regions(draw):
+    """A random rectangle or disk of PROPERTY_GRID, clear of its outer ring."""
+    g = PROPERTY_GRID
+    if draw(st.booleans()):
+        i0, j0 = draw(st.integers(1, g.nx - 4)), draw(st.integers(1, g.ny - 4))
+        return Region.rectangle(g, i0, draw(st.integers(i0 + 2, g.nx - 2)),
+                                j0, draw(st.integers(j0 + 2, g.ny - 2)))
+    radius = draw(st.floats(3 * g.h, 0.8))
+    room = 0.9 - radius
+    return Region.disk(g, (draw(st.floats(-room, room)), draw(st.floats(-room, room))), radius)
+
+
+class TestProjectionProperties:
+    """The projection identities at round-off on random regions and fields."""
+
+    @given(regions(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_identities(self, r, seed):
+        s = random_field(PROPERTY_GRID, seed)
+        p = project_HD(s, r, 1e-10)
+        phi = harmonic_extension(r.boundary_values(s), r, 1e-10)
+        e_s, e_p = dirichlet_energy(s, r), dirichlet_energy(p, r)
+        # Pythagoras: the zero-trace part is Dirichlet-orthogonal to the harmonic part
+        assert abs(e_s - e_p - dirichlet_energy(phi, r)) <= 1e-13 * e_s
+        assert hd_norm(p, r) <= hd_norm(s, r) * (1 + 1e-15)
+        again = project_HD(p, r, 1e-10)
+        assert np.max(np.abs(again.data - p.data)) <= 1e-14 * np.max(np.abs(p.data))
 
 
 class TestPhantom:

@@ -370,7 +370,7 @@ class TestVisibility:
         g, m, omega, kset = setup
         with pytest.raises(ConfigurationError):
             check_visibility(kset, m, omega, 1.0, {"n_positions": 4})
-        for w in (math.nan, math.inf, 0.0):
+        for w in (math.nan, math.inf, 0.0, 1.0, 2.5):
             with pytest.raises(ConfigurationError, match="caps must be positive and finite"):
                 check_visibility(kset, m, omega, 1.0,
                                  {"n_pos": 2, "n_dir": 2, "caps": {"min_weight": w}})

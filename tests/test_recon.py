@@ -65,6 +65,21 @@ class TestReconConfig:
         with pytest.raises(ConfigurationError):
             cfg.validate_against(m)
 
+    @pytest.mark.parametrize("radius_gap, band", [(2.1, (1.5, 2.0)), (2.9, (2.0, 3.0))])
+    def test_interface_clearance_is_exactly_2h(self, radius_gap, band):
+        # a kset node 1.5h-2h from the interface is rejected, one 2h-3h away accepted
+        g, m, omega, _ = example1_setup()
+        kset = Region.disk(g, (0.0, 0.0), 0.5 - radius_gap * g.h)
+        ii, jj = np.nonzero(kset.mask)
+        clearance = np.min(np.abs(np.hypot(g.xs[ii], g.ys[jj]) - 0.5)) / g.h
+        assert band[0] <= clearance < band[1]
+        cfg = ReconConfig(omega=omega, kset=kset, T=1.0)
+        if clearance < 2.0:
+            with pytest.raises(ConfigurationError, match="within 2h"):
+                cfg.validate_against(m)
+        else:
+            cfg.validate_against(m)
+
 
 class TestTimeReverse:
     def test_zero_trace_gives_zero(self):
@@ -189,6 +204,7 @@ class TestNeumannSeries:
         rec, rep = neumann_series(tr, m, cfg)
         assert np.all(rec.data == 0.0)
         assert rep.converged and len(rep.iterates) == 1
+        assert rep.mu_hat == 0.0
 
     def test_error_decreases_monotonically(self):
         g, m, cfg = visible_case()
