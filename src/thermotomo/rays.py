@@ -9,18 +9,23 @@ lookup there can tell the sides apart).  Branch energy weights follow the
 high-frequency split 4ab/(a+b)^2 with a, b the normal phase derivatives of
 the incident and transmitted phases (tau = 1 normalization; the split is
 homogeneous of degree zero, so the normalization drops out).  Hits within
-tolerance of tangency or of the critical angle are recorded as
-"tangent-undetermined" leaves rather than silently dropped.
+tolerance of tangency or of the critical angle, or whose incident normal
+derivative rounds to 0, are recorded as "tangent-undetermined" leaves rather
+than silently dropped.
 
 A point carries a visible singularity when one of the branch trees grown
 from (x, d) and (x, -d) has a transversal exit through the measurement
-rectangle before time T.  One array kernel, ``_advance``, moves a whole
-generation of rays (struct-of-arrays rows) to their next events.
+rectangle before time T.  One array kernel, ``_advance``, moves rays
+(struct-of-arrays rows) to their next events, and makes the float calls of
+tracing each ray alone, so a ray gets the same events in any batch.
+``trace_branches`` grows one sample's full forest a generation at a time and
+numbers its events depth first, bit for bit as a per-ray trace does.
 ``check_visibility`` launches every sample's two rays at once and advances
-them generation by generation, dropping a sample once it has an exit;
-``trace_branches`` grows one sample's full forest the same way and numbers
-its events depth first.  The kernel makes the float calls of tracing each
-ray alone, so both give bit for bit what a per-ray trace gives.
+first the rays closest to an exit, those that last left the farthest-out
+interface on its outer side, dropping a sample's rays, waiting ones
+included, once it has an exit.  A sample is covered when its tree holds an
+exit, and an uncovered sample's whole tree is traced, so the flags do not
+depend on that order; it only decides how much work is skipped.
 """
 
 from __future__ import annotations
@@ -409,10 +414,12 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
     normal = np.where(inward[:, None], -r_unit, r_unit)
     alpha = _math(math.acos, np.minimum(np.abs(dr), 1.0))
     angle[ic] = alpha
-    blocked = ((math.pi / 2 - alpha) < TANGENCY_TOL) | (np.abs(alpha - alpha0) < CRITICAL_TOL)
+    a, b = _phase_derivatives(alpha, c_in, inv_sq_in, inv_sq_out)
+    blocked = (((math.pi / 2 - alpha) < TANGENCY_TOL) | (np.abs(alpha - alpha0) < CRITICAL_TOL)
+               | ~(a > 0))
     kind[ic[blocked]] = _UNDETERMINED
     split, ic = ~blocked, ic[~blocked]
-    a, b = _phase_derivatives(alpha[split], c_in[split], inv_sq_in[split], inv_sq_out[split])
+    a, b = a[split], b[split]
     d_t, through = _snell(dc[split], normal[split], c_in[split], c_out[split], alpha0[split])
     frac = np.zeros(len(ic))
     frac[through] = _energy_split(a[through], b[through])
@@ -439,24 +446,35 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
                    direction, live & (kind != _TRUNCATION))
 
 
-def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray, done: np.ndarray):
-    """Advance the rays launched at (x, d) generation by generation.
+def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray,
+          done: np.ndarray | None = None):
+    """Advance the rays launched at (x, d) round by round until none is left.
 
-    Yields each generation's events with the ``owner`` of each event's ray
-    (launch i belongs to ``owner[i]``).  A caller that sets ``done[o]``
-    between generations drops owner o's remaining rays.
+    Yields each round's events with the ``owner`` of each event's ray (launch
+    i belongs to ``owner[i]``).  Without ``done`` a round is a whole
+    generation.  With it, a round advances only the rays with the largest
+    ``skip``, which last left the farthest-out interface on its outer side
+    (every ray, when none has), and a caller that sets ``done[o]`` between
+    rounds drops owner o's rays, waiting ones included.  A ray gets the same
+    events in any round, so the order only decides how many rays a drop
+    spares; a law error is raised only from a ray that is advanced, and no
+    ray of a done owner is.
     """
     n = len(x)
-    c, t, w, depth = speeds_at(s.medium, x), np.zeros(n), np.ones(n), np.zeros(n, dtype=int)
-    skip = np.full(n, -1)
-    while len(t):
+    rays = [x, d, speeds_at(s.medium, x), np.zeros(n), np.ones(n), np.zeros(n, dtype=int),
+            np.full(n, -1), owner]      # x, d, c, t, w, depth, skip, owner
+    while len(rays[0]):
+        now = slice(None) if done is None else rays[6] == rays[6].max()
+        x, d, c, t, w, depth, skip, owner = (a[now] for a in rays)
         ev = _advance(s, x, d, c, t, w, depth, skip)
         owner = owner[ev.ray]
         yield ev, owner
-        keep = ev.live & ~done[owner]
-        x, c, t, w = ev.x[keep], ev.speed[keep], ev.t[keep], ev.weight[keep]
-        depth, skip, owner = ev.depth[keep], ev.skip[keep], owner[keep]
+        keep = ev.live if done is None else ev.live & ~done[owner]
         d = ev.direction[keep] / np.hypot(ev.direction[keep, 0], ev.direction[keep, 1])[:, None]
+        born = (ev.x[keep], d, ev.speed[keep], ev.t[keep], ev.weight[keep], ev.depth[keep],
+                ev.skip[keep], owner[keep])
+        rest = slice(0) if done is None else ~now & ~done[rays[7]]
+        rays = [np.concatenate((a[rest], b)) for a, b in zip(rays, born)]
         del ev      # the caller drops its reference too, for a lower peak memory
 
 
@@ -481,7 +499,7 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
         return graph
     events: list[list] = [[], []]   # per ray: (node arguments, child ray or None)
     first = 0                       # the current generation's first ray
-    for ev, _ in _grow(s, x, d, np.zeros(2, dtype=int), np.zeros(1, dtype=bool)):
+    for ev, _ in _grow(s, x, d, np.zeros(2, dtype=int)):
         nxt = len(events)
         for ray, node, live in zip(ev.ray.tolist(), ev.nodes(), ev.live.tolist()):
             events[first + ray].append((node, len(events) if live else None))
@@ -534,10 +552,16 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     """Sample kset positions and directions; each sample must have a branch
     exiting the rectangle transversally before T.
 
-    All samples' rays advance together, one generation per call of the
-    kernel that ``trace_branches`` uses, and a sample's rays are dropped after
-    the generation in which one of them exits.  Returns (all_covered,
-    uncovered_samples); tangent-undetermined samples count as uncovered.
+    All samples' rays go through the kernel that ``trace_branches`` uses.
+    Each round advances the live rays that last left the farthest-out
+    interface on its outer side (all rays, when none has), and a sample's
+    rays, waiting ones included, are dropped in the round in which one of
+    them exits.  The order cannot change the result: a ray's events do not
+    depend on its round, a covered sample stays covered, and no ray of an
+    uncovered sample is dropped.  A law error is raised only from a ray the
+    sweep advances, and no ray of a covered sample is advanced.  Returns
+    (all_covered, uncovered_samples); tangent-undetermined samples count as
+    uncovered.
     """
     sampling = _filled(sampling, {**SAMPLING_DEFAULTS, "caps": None}, "sampling keys")
     n_pos, n_dir = int(sampling["n_pos"]), int(sampling["n_dir"])
@@ -548,7 +572,7 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     covered = np.zeros(len(positions) * len(directions), dtype=bool)
     for ev, sample in _grow(s, x, d, np.arange(len(x)) // 2, covered):
         covered[sample[ev.kind == _EXIT]] = True
-        del ev, sample      # freed before the next generation is advanced
+        del ev, sample      # freed before the next round is advanced
     xs, ds = positions.tolist(), directions.tolist()
     uncovered = [(tuple(xs[k // n_dir]), tuple(ds[k % n_dir]))
                  for k in np.flatnonzero(~covered).tolist()]

@@ -14,7 +14,9 @@ from thermotomo.errors import ConfigurationError
 from thermotomo.formats import read_grid, read_trace
 
 TINY = """
-# small visible configuration
+# small configuration for the shapes of files, exit codes and messages; at
+# T = 1.2 it is not visible (raytrace covers 44 of 48 samples) and roundtrip
+# ends at a relative L2 error near 0.98
 grid.nx = 161
 grid.ny = 161
 grid.h = 0.0275

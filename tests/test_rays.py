@@ -283,6 +283,18 @@ class TestTraceBranches:
             graph = trace_branches((0.1, 0.2), (1.0, 5e-324), m, omega, 4.0)
         assert graph.exits()
 
+    def test_incidence_grazing_to_working_precision(self):
+        # the line y = 0.5 touches the slow disk (r = 0.5) at (0, 0.5); the
+        # -x launch hits it 7.5e-9 rad from grazing: outside TANGENCY_TOL, yet
+        # sin(alpha) rounds to 1, so the incident normal derivative is 0
+        m, omega, T = _example("example1")
+        graph = trace_branches((0.27513471138669365, 0.5), (1.0, 0.0), m, omega, T)
+        (hit,) = [n for n in graph.nodes if n.angle is not None]
+        assert hit.kind == "tangent_undetermined"
+        assert rays.TANGENCY_TOL < math.pi / 2 - hit.angle < 2.0 ** -26
+        ref = _ref_trace_branches((0.27513471138669365, 0.5), (1.0, 0.0), m, omega, T)
+        assert [_node_bits(n) for n in graph.nodes] == [_node_bits(n) for n in ref.nodes]
+
     def test_zero_time_expires(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 0.0)
@@ -380,11 +392,12 @@ class TestVisibility:
 #
 # The scalar interface laws, geometry helpers and speed lookup below are the
 # per-ray code the generation-batched kernel replaced, copied unchanged, so
-# the oracle shares no float arithmetic with the code under test.  One change:
+# the oracle shares no float arithmetic with the code under test.  Changes:
 # a ray carries its layer speed, looked up at the launch point and then c_in
 # for a reflected branch and c_out for a transmitted one, because a hit point
 # lies on its circle only to rounding, so looking the speed up there gives
-# either side's.
+# either side's; a ray does not search the circle it left on its outer side;
+# and a hit whose incident normal derivative rounds to 0 is undetermined.
 
 
 def _ref_speed_at(m, x):
@@ -509,7 +522,9 @@ class Ray:
             raise ConfigurationError("ray weight must lie in [0,1] and time be nonnegative")
 
 
-def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
+def _ref_trace_branches(x0, d0, m, omega, T, caps=None, first_exit=False):
+    """The full branch forest, or with ``first_exit`` the forest up to its first
+    exit leaf in depth-first order, which decides ``has_clean_exit``."""
     RayBranchGraph = rays.RayBranchGraph
     caps = dict(caps or {})
     max_depth = int(caps.pop("max_depth", 12))
@@ -564,6 +579,8 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
             else:
                 graph.add(parent, "exit", pos, t_arrive, ray.weight, ray.depth,
                           direction=ray.d)
+                if first_exit:
+                    return graph
             continue
 
         # transversal circle hit
@@ -585,6 +602,10 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None):
                           ray.depth, angle=alpha)
                 continue
         a, b = _ref_normal_phase_derivatives(alpha, c_in, c_out)
+        if a <= 0:      # grazing to working precision
+            graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
+                      ray.depth, angle=alpha)
+            continue
         transmitted = _ref_snell_transmit(ray.d, surface_n, c_in, c_out)
         frac_t = _ref_energy_split(a, b) if transmitted is not None else 0.0
         depth = ray.depth + 1
@@ -695,7 +716,7 @@ class TestReferenceTracer:
         samples = [(tuple(x), tuple(d)) for x in sample_positions(kset, 24)
                    for d in sample_directions(n_dir)]
         expected = [s for s in samples
-                    if not _ref_trace_branches(*s, m, omega, T).has_clean_exit()]
+                    if not _ref_trace_branches(*s, m, omega, T, first_exit=True).has_clean_exit()]
         assert 0 < len(expected) < len(samples)
         assert check_visibility(kset, m, omega, T, {"n_pos": 24, "n_dir": n_dir}) == (
             False, expected)
@@ -719,12 +740,33 @@ class TestReferenceTracer:
             else:
                 assert trace_branches((x0, 0.0), (0.0, 1.0), m, omega, 4.0).to_text() == want
         assert raising
-        # batched with a sample whose rays exit, the raising rays are not dropped
+        # Batched with a sample covered by a ray advanced ahead of the others,
+        # a raising ray of an uncovered sample still raises: only a covered
+        # sample's rays are dropped.  In a slow shell (c = 0.5 to r = 0.8)
+        # around a disk of c = 0.6, a chord at distance p = 0.25 / 0.6 is held
+        # in the shell by total reflection at r = 0.8 and meets r = 0.5 at the
+        # critical angle; sample 1 launches on it outward, so its raising hit
+        # comes after that reflection.  Sample 0 leaves the shell along +x, and
+        # its transmitted ray, the one ray that left the outermost circle on its
+        # outer side, is advanced alone in round 2 and exits.
+        m = build_medium([(0.8, 0.5), (0.5, 0.6)], omega.grid)
         s = rays._scene(m, omega, 4.0, None)
-        x = np.array([(0.6, 0.0), (0.6, 0.0), (raising[0], 0.0), (raising[0], 0.0)])
-        d = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-        with pytest.raises(CriticalAngleError):
-            list(rays._grow(s, x, d, np.array([0, 0, 1, 1]), np.zeros(2, dtype=bool)))
+        edge = 1e-12 * 0.5 * math.cos(math.asin(0.5 / 0.6))   # p offset worth CRITICAL_TOL
+        raising = []
+        for p in (0.25 / 0.6 + sgn * edge + j * 2.0 ** -54 for sgn in (1, -1) for j in range(-24, 24)):
+            covered, rounds = np.zeros(2, dtype=bool), []
+            x, d = np.array([(0.65, 0.0), (p, 0.5)]), np.array([(1.0, 0.0), (0.0, 1.0)])
+            try:
+                for ev, owner in rays._grow(s, x, d, np.array([0, 1]), covered):
+                    covered[owner[ev.kind == rays._EXIT]] = True
+                    rounds.append((len(ev.ray), covered.tolist()))
+            except CriticalAngleError:
+                raising.append(p)
+                assert rounds[:2] == [(3, [False, False]), (1, [True, False])]
+                assert covered.tolist() == [True, False]
+                with pytest.raises(CriticalAngleError):
+                    _ref_trace_branches((p, 0.5), (0.0, 1.0), m, omega, 4.0)
+        assert raising
 
     def test_undetermined_sample_uncovered(self, geometries):
         m, omega, _, _ = geometries["example1"]
@@ -737,6 +779,58 @@ class TestReferenceTracer:
         assert {n.kind for n in graph.leaves()} == {"tangent_undetermined"}
         assert check_visibility(kset, m, omega, 4.0, {"n_pos": 1, "n_dir": 1}) == (
             False, [(tuple(x), tuple(d))])
+
+
+class TestSweepOrder:
+    """check_visibility advances the rays closest to an exit first; which
+    samples it finds covered does not depend on that order."""
+
+    # rows the bench-size skull sweep gives ``_advance``; whole generations,
+    # with covered samples dropped only between them, give 29,154
+    SKULL_ROWS = 17_554
+
+    def test_rows_advanced_at_bench_size(self, monkeypatch):
+        m, omega, T = _example("example2_skull")
+        kset = Region.disk(omega.grid, (0.0, 0.0), 0.4)
+        rows, advance = [], rays._advance
+
+        def counting(s, x, *rest):
+            rows.append(len(x))
+            return advance(s, x, *rest)
+
+        monkeypatch.setattr(rays, "_advance", counting)
+        visible, uncovered = check_visibility(kset, m, omega, T, {"n_pos": 24, "n_dir": 96})
+        assert not visible and len(uncovered) == 854
+        assert sum(rows) <= self.SKULL_ROWS
+
+    @given(radii=st.lists(st.floats(0.15, 1.2), min_size=1, max_size=3),
+           speeds=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+           centre=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           radius=st.floats(0.1, 0.45), T=st.floats(0.5, 3.0),
+           max_depth=st.integers(2, 12), min_weight=st.floats(1e-4, 0.1),
+           n_pos=st.integers(1, 4), n_dir=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_flags_match_the_reference(self, radii, speeds, centre, radius, T,
+                                       max_depth, min_weight, n_pos, n_dir):
+        # 1-3 concentric interfaces whose speeds step up or down, a kset disk
+        # inside omega, and any T and caps: the flags are the reference's
+        radii = sorted(radii, reverse=True)
+        assume(all(r1 - r2 > 0.02 for r1, r2 in zip(radii, radii[1:])))
+        layers = list(zip(radii, speeds))
+        assume(all(c1 != c2 for c1, c2 in zip([BACKGROUND_SPEED] + speeds, speeds)))
+        g, _, omega, _ = example1_setup()
+        m = build_medium(layers, g)
+        kset = Region.disk(g, centre, radius)
+        caps = {"max_depth": max_depth, "min_weight": min_weight}
+        samples = [(tuple(x), tuple(d)) for x in sample_positions(kset, n_pos)
+                   for d in sample_directions(n_dir)]
+        try:
+            expected = [s for s in samples
+                        if not _ref_trace_branches(*s, m, omega, T, caps).has_clean_exit()]
+        except (TangencyError, CriticalAngleError, DegenerateInputError):
+            assume(False)
+        sampling = {"n_pos": n_pos, "n_dir": n_dir, "caps": caps}
+        assert check_visibility(kset, m, omega, T, sampling) == (not expected, expected)
 
 
 class TestLayerSpeed:
