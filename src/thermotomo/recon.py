@@ -221,13 +221,11 @@ def _random_zero_trace_field(cfg: ReconConfig, seed: int) -> ScalarField:
 
 
 def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
-                         seed: int = 0, *, return_field: bool = False):
+                         seed: int = 0):
     """Power-iteration estimate of the error-operator norm in the Dirichlet norm.
 
     Returns the final ratio ||K f|| / ||f|| after n_power_iters applications
-    starting from a seeded random zero-trace field.  With ``return_field``
-    also returns the final normalized iterate (the least-damped direction,
-    useful as a worst-case source for energy diagnostics).
+    starting from a seeded random zero-trace field.
     """
     if n_power_iters < 5:
         raise ConfigurationError(f"need at least 5 power iterations, got {n_power_iters}")
@@ -240,8 +238,8 @@ def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
         f = apply_error_operator(f * (1.0 / norm), m, cfg)
         norm = hd_norm(f, cfg.kset)
         if norm == 0.0:
-            return (0.0, f) if return_field else 0.0
-    return (float(norm), f * (1.0 / norm)) if return_field else float(norm)
+            return 0.0
+    return float(norm)
 
 
 def energy_decay_ratio(f1: ScalarField, m: Medium, cfg: ReconConfig) -> float:

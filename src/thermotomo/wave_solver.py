@@ -11,22 +11,24 @@ medium's to round-off, so a trace-only ``forward`` steps nothing past the
 rectangle plus ceil(c_out*T/2h) + 16 nodes.  Every solve seeds its first two
 levels in ``_seed``, which pins level 0 and builds level 1 by the Taylor step
 (with -u_t for the backward solve), and steps the rest in the one time loop
-``_march``, where three preallocated levels rotate and the kernel ``_leap``
-writes each new level in place with one scratch array and weights
-(dt/h)^2 c^2 computed once per array, so a step allocates nothing.  The
-kernel's flat views of the three levels are built once per run, and its
-operation order is the textbook one, bit for bit; each solve adds only its
-geometry, the nodes it pins and what it records (pins and records index
-the flat levels).  A run, one ``_march`` call, checks finiteness once, on
-its last level: a non-finite value never leaves an unpinned node.  A failed
-run is replayed from its two first levels, saved at its start, with a
-check per step, so ``InstabilityError`` names the first non-finite step; the
-hooks (``forward``'s ``on_step``, ``evolve``'s ``on_sample``) may have seen
-the failed run's levels before it is raised.
+``_march``, over a schedule of runs (steps, box).  Each run copies its two
+levels into contiguous arrays cut to its box, where three preallocated
+levels rotate and the kernel ``_leap`` writes each new level in place with
+one scratch array and weights (dt/h)^2 c^2 computed once per run, so a step
+allocates nothing.  The kernel's flat views of the three levels are built
+once per run, and its operation order is the textbook one, bit for bit;
+each solve adds only its schedule, the nodes it pins and what it records
+(pins and records index the flat levels).  ``evolve``, ``solve_backward``
+and the exterior solve run once, on a box that is their whole array, ring
+included.  A run checks finiteness once, on its last level: a non-finite
+value never leaves an unpinned node.  A failed solve is replayed from its
+seeded levels, which the loop only reads, with the pins and a check per
+step, so ``InstabilityError`` names the first non-finite step; the hooks
+(``forward``'s ``on_step``, ``evolve``'s ``on_sample``) may have seen the
+failed run's levels before it is raised.
 
 The padded box is mostly empty, so ``forward`` steps light cones in both axes
-(``_phases``, ``_march_boxes``): steps 2..n fall into 16 runs, and each run
-copies its two levels into contiguous arrays cut to one box, holding Ω's box
+(``_phases``): steps 2..n fall into 16 runs, each on one box holding Ω's box
 and the cone of the source's nonzero nodes at the run's last step t, cut,
 for a trace alone, to Ω's backward cone at its first.  A trace-only
 ``forward`` steps the physical cones, within c_max*t + 24h of the source and
@@ -39,7 +41,7 @@ one node per step, the box's ring stays outside it, and the nodes left out
 are exact zeros, so its outputs are the whole box's bit for bit.  The box is
 copied once per run because a 2-D window stepped in place in a larger array
 needs strided views, which numpy steps 3 to 6 times slower per node than one
-contiguous flat range.  ``evolve`` and the exterior solve step the whole box.
+contiguous flat range.
 
 Time-derivative convention: the solver hands back
 ``u_t(T) = (u^N - u^{N-1})/dt + (dt/2) c^2 Lap u^N``,
@@ -171,9 +173,9 @@ def _check_cfl(dt: float, h: float, c_max: float):
             f"dt {dt:.6g} violates the stability bound {limit:.6g} for speed {c_max:.6g}")
 
 
-def _weights(c_sq, h, dt, out=None):
-    """(dt/h)^2 c^2 over ``_leap``'s flat node range, zero on its side ring nodes;
-    written into ``out``, a C-ordered array shaped like c_sq, when given."""
+def _weights(c_sq, h, dt, out):
+    """(dt/h)^2 c^2 over ``_leap``'s flat node range, zero on its side ring nodes,
+    written into ``out``, a C-ordered array shaped like c_sq."""
     w = np.multiply((dt * dt) / (h * h), c_sq, out=out)
     w[:, 0] = w[:, -1] = 0.0
     return w.reshape(-1)[c_sq.shape[1] + 1:-c_sq.shape[1] - 1]
@@ -232,31 +234,6 @@ def _run(levels, w, scratch, steps, pin, record, where=None):
     return prev, curr
 
 
-def _march(prev, curr, w, steps, where, pin=None, record=None, work=None):
-    """The one leapfrog time loop: from C-ordered levels (prev, curr) on a zero
-    outer ring, one level per index in ``steps`` in three rotating buffers,
-    without allocating per step.  ``pin(k, nxt)`` edits each new level in
-    place; ``record(k, curr, prev)`` sees each new level.  ``work`` = (nxt,
-    scratch, first) lends the third level (shaped like curr, zero outer ring),
-    the kernel's scratch and a (2, *curr.shape) copy of the first two levels,
-    else they are allocated.  Returns the last two levels.
-
-    The run is checked once, on its last level: a non-finite value stays
-    non-finite at every node the kernel writes and no pin holds, since x + y
-    is non-finite whenever x is.  A failed run is replayed from its first
-    two levels with a check per step, which raises ``InstabilityError``
-    naming the first non-finite step; the hooks may already have seen the
-    failed run's levels.
-    """
-    nxt, scratch, first = work or (
-        np.zeros(curr.shape), np.empty_like(w), np.empty((2,) + curr.shape))
-    first[0], first[1] = prev, curr
-    prev, curr = _run((prev, curr, nxt), w, scratch, steps, pin, record)
-    if steps and not np.isfinite(curr[1:-1]).all():
-        _run((first[0], first[1], nxt), w, scratch, steps, pin, None, where)
-    return prev, curr
-
-
 def _taylor_second_level(u0, ut0, c_sq, h, dt):
     """u^1 = u^0 + dt u_t^0 + dt^2/2 c^2 Lap u^0, zero ring."""
     u1 = np.zeros_like(u0)
@@ -278,16 +255,6 @@ def _seed(u0, ut0, c_sq, h, dt, levels, pin=None, record=None):
     if record is not None:
         record(levels[1], curr, prev)
     return prev, curr
-
-
-def _solve(u0, ut0, c_sq, h, dt, levels, where, pin=None, record=None):
-    """The one seeded solve on the whole box: time levels ``levels`` (a range)
-    from Cauchy data (u0, ut0).  ``_seed`` gives the first two levels and
-    ``_march`` builds the rest with the same ``pin`` and ``record``.  Returns
-    the last two levels.
-    """
-    prev, curr = _seed(u0, ut0, c_sq, h, dt, levels, pin, record)
-    return _march(prev, curr, _weights(c_sq, h, dt), levels[2:], where, pin, record)
 
 
 def _phases(levels, box, n, slack, src_speed, dst_speed=None):
@@ -322,43 +289,68 @@ def _phases(levels, box, n, slack, src_speed, dst_speed=None):
 
 
 def _paste(dst, dst_at, src, src_at):
-    """Zero ``dst`` and copy ``src`` into its interior where they overlap; ``*_at``
-    are the arrays' origins in one frame."""
+    """Zero ``dst`` and copy ``src`` into it where they overlap, leaving ``dst``'s
+    ring zero except on the sides it shares with ``src``'s ring; ``*_at`` are
+    the arrays' origins in one frame."""
     dst.fill(0.0)
-    lo = [max(d + 1, s) for d, s in zip(dst_at, src_at)]
-    hi = [min(d + m - 1, s + k) for d, m, s, k in zip(dst_at, dst.shape, src_at, src.shape)]
+    lo = [max(d + (d != s), s) for d, s in zip(dst_at, src_at)]
+    hi = [min(d + m - (d + m != s + k), s + k)
+          for d, m, s, k in zip(dst_at, dst.shape, src_at, src.shape)]
     if lo[0] < hi[0] and lo[1] < hi[1]:
         dst[lo[0] - dst_at[0]:hi[0] - dst_at[0], lo[1] - dst_at[1]:hi[1] - dst_at[1]] = \
             src[lo[0] - src_at[0]:hi[0] - src_at[0], lo[1] - src_at[1]:hi[1] - src_at[1]]
 
 
-def _march_boxes(levels, c_sq, h, dt, schedule, record_at):
-    """``_march`` over each (steps, box) of ``schedule`` on contiguous copies of
-    the levels cut to the box (r0, r1, c0, c1) of their arrays, ring included:
-    nodes new to a box start at zero and its ring stays zero.  The buffers are
-    sized once, to the largest box; ``record_at(r0, c0, ny)`` gives the
-    ``record`` of each run, whose arrays start at node (r0, c0) and have ny
-    columns.  Returns the last two levels and their arrays' origin (r0, c0).
+def _whole(a):
+    """The box (r0, r1, c0, c1) of all of array ``a``, ring included."""
+    return 0, a.shape[0] - 1, 0, a.shape[1] - 1
+
+
+def _march(levels, c_sq, h, dt, schedule, where, pin=None, record_at=None):
+    """The one leapfrog time loop: from the seeded levels (prev, curr), C-ordered
+    on ``c_sq``'s nodes, one level per index in each (steps, box) of
+    ``schedule``, on contiguous copies of the levels cut to the box (r0, r1,
+    c0, c1) of their arrays, ring included.  Nodes new to a box start at zero,
+    and its ring stays zero but on the sides it shares with the arrays' ring.
+    The buffers (three levels, ``w``, scratch) are sized once, to the largest
+    box.  ``pin(k, nxt)`` edits each new level in place (a one-box schedule
+    hands it arrays shaped like ``levels``); ``record_at(r0, c0, ny)`` gives the
+    ``record(k, curr, prev)`` that sees each new level of a run whose arrays
+    start at node (r0, c0) and have ny columns.  Returns the last two levels
+    and their arrays' origin (r0, c0).
+
+    A run is checked once, on its last level: a non-finite value stays
+    non-finite at every node the kernel writes and no pin holds, since x + y
+    is non-finite whenever x is.  On a failure the whole schedule is replayed
+    from ``levels``, which the loop only reads, with a check per step, the
+    pins and no record; every earlier run ended finite and its pastes dropped
+    only finite values, so ``InstabilityError`` names the first non-finite
+    step.  The hooks may already have seen the failed run's levels.
     """
     boxes = [(r1 - r0 + 1, c1 - c0 + 1) for _, (r0, r1, c0, c1) in schedule]
-    # 3 levels, w, scratch and the run's first two levels
-    flat = np.empty((7, max((a * b for a, b in boxes), default=0)))
-    (prev, curr), at, slots = levels, (0, 0), (0, 1, 2)     # buffers of prev, curr, spare
-    for (steps, (r0, r1, c0, c1)), shape in zip(schedule, boxes):
-        size = shape[0] * shape[1]
-        # the spare buffer takes curr, then curr's buffer takes prev
-        slots = slots[1:] + slots[:1]
-        p, c, nxt = (flat[i, :size].reshape(shape) for i in slots)
-        _paste(c, (r0, c0), curr, at)
-        _paste(p, (r0, c0), prev, at)
-        nxt.fill(0.0)
-        w = _weights(c_sq[r0:r1 + 1, c0:c1 + 1], h, dt, flat[3, :size].reshape(shape))
-        work = (nxt, flat[4, :w.size], flat[5:, :size].reshape((2,) + shape))
-        prev, curr = _march(p, c, w, steps, "step", record=record_at(r0, c0, shape[1]),
-                            work=work)
-        m, at = len(steps) % 3, (r0, c0)
-        slots = slots[m:] + slots[:m]           # _march rotates its levels once a step
-    return (prev, curr), at
+    flat = np.empty((5, max((a * b for a, b in boxes), default=0)))    # 3 levels, w, scratch
+
+    def sweep(replay):
+        (prev, curr), at, slots = levels, (0, 0), (0, 1, 2)     # buffers of prev, curr, spare
+        for (steps, (r0, r1, c0, c1)), shape in zip(schedule, boxes):
+            size = shape[0] * shape[1]
+            # the spare buffer takes curr, then curr's buffer takes prev
+            slots = slots[1:] + slots[:1]
+            p, c, nxt = (flat[i, :size].reshape(shape) for i in slots)
+            _paste(c, (r0, c0), curr, at)
+            _paste(p, (r0, c0), prev, at)
+            nxt.fill(0.0)
+            w = _weights(c_sq[r0:r1 + 1, c0:c1 + 1], h, dt, flat[3, :size].reshape(shape))
+            record = None if replay or record_at is None else record_at(r0, c0, shape[1])
+            prev, curr = _run((p, c, nxt), w, flat[4, :w.size], steps, pin, record,
+                              where if replay else None)
+            if steps and not replay and not np.isfinite(curr[1:-1]).all():
+                return None
+            m, at = len(steps) % 3, (r0, c0)
+            slots = slots[m:] + slots[:m]           # _run rotates its levels once a step
+        return (prev, curr), at
+
+    return sweep(False) or sweep(True)      # a failed sweep stops; its replay raises
 
 
 def _consistent_ut(u_last, u_prev, c_sq, h, dt):
@@ -426,9 +418,12 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
             ut = _consistent_ut(curr, prev, m.c_sq, g.h, dt)
             on_sample(k, WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut)))
 
-    prev, curr = _solve(f.u.data, f.ut.data, m.c_sq, g.h, dt, range(cfg.n_steps + 1), "step",
-                        None if pin_zero is None else pin,
-                        None if on_sample is None else sample)
+    pin = None if pin_zero is None else pin
+    sample = None if on_sample is None else sample
+    levels = range(cfg.n_steps + 1)
+    seeded = _seed(f.u.data, f.ut.data, m.c_sq, g.h, dt, levels, pin, sample)
+    (prev, curr), _ = _march(seeded, m.c_sq, g.h, dt, [(levels[2:], _whole(m.c_sq))], "step",
+                             pin, lambda *_: sample)
     ut = _consistent_ut(curr, prev, m.c_sq, g.h, dt)
     return WaveState(ScalarField(g, curr.copy()), ScalarField(g, ut))
 
@@ -484,8 +479,8 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     levels = _seed(f.u.data[win], f.ut.data[win], c_sq, h, dt, range(2),
                    record=record_at(a, b, c_sq.shape[1]))
     schedule = _phases(levels, (i0 - a, i1 - a, j0 - b, j1 - b), n, *cones)
-    (prev, curr), at = _march_boxes(levels, c_sq, h, dt, schedule,
-                                    lambda r0, c0, ny: record_at(a + r0, b + c0, ny))
+    (prev, curr), at = _march(levels, c_sq, h, dt, schedule, "step",
+                              record_at=lambda r0, c0, ny: record_at(a + r0, b + c0, ny))
 
     trace = BoundaryTrace(points=omega.boundary_coords, dt=dt, values=values)
     if not return_final:
@@ -529,8 +524,9 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
         arr.put(at, boundary.values[k])
 
     # levels n down to 0; a Taylor step with -u_t seeds level n - 1
-    v1, v0 = _solve(cauchy_at_T.u.data[win], -cauchy_at_T.ut.data[win], c_sq, g.h, dt,
-                    range(n, -1, -1), "backward step", pin)
+    levels = range(n, -1, -1)
+    seeded = _seed(cauchy_at_T.u.data[win], -cauchy_at_T.ut.data[win], c_sq, g.h, dt, levels, pin)
+    (v1, v0), _ = _march(seeded, c_sq, g.h, dt, [(levels[2:], _whole(c_sq))], "backward step", pin)
 
     # invert the forward Taylor seed for v_t(0)
     u, ut = np.zeros(g.shape), np.zeros(g.shape)
@@ -577,9 +573,9 @@ def exterior_neumann(boundary: BoundaryTrace, omega: Region) -> BoundaryTrace:
         q[corner] = 0.5 * (q[corner] + (arr[ci, n2j] - arr[ci, cj]) / g.h)
         normal[k] = q
 
-    u0 = np.zeros(g.shape)
-    pin(0, u0)
-    record(0, u0, None)
-    _solve(u0, np.zeros(g.shape), np.ones(g.shape), g.h, dt, range(boundary.n_steps + 1),
-           "exterior step", pin, record)
+    c_sq, levels = np.ones(g.shape), range(boundary.n_steps + 1)
+    seeded = _seed(np.zeros(g.shape), np.zeros(g.shape), c_sq, g.h, dt, levels, pin, record)
+    record(0, seeded[0], None)
+    _march(seeded, c_sq, g.h, dt, [(levels[2:], _whole(c_sq))], "exterior step", pin,
+           lambda *_: record)
     return BoundaryTrace(points=omega.boundary_coords, dt=dt, values=normal)

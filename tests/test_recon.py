@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermotomo import recon
 from thermotomo.errors import ConfigurationError, DegenerateInputError
 from thermotomo.grid_field import (
     Grid,
@@ -353,12 +354,19 @@ class TestEnergyDecay:
         with pytest.raises(ConfigurationError):
             energy_decay_ratio(f, m, cfg)
 
-    def test_diagnostics_consistency(self):
+    def test_diagnostics_consistency(self, monkeypatch):
         # the contraction estimate obeys mu_hat <= sqrt(max edr) + 0.1 when the
         # power iterate itself is among the tested sources
         g, m, cfg = visible_case()
-        mu, field = estimate_contraction(m, cfg, n_power_iters=8, seed=1,
-                                         return_field=True)
+        iterates = []
+
+        def keep(f, m, cfg):
+            iterates.append(apply_error_operator(f, m, cfg))
+            return iterates[-1]
+
+        monkeypatch.setattr(recon, "apply_error_operator", keep)
+        mu = estimate_contraction(m, cfg, n_power_iters=8, seed=1)
+        field = iterates[-1] * (1.0 / mu)           # the last iterate, normalized
         tested = [centered_bump(g, cfg.kset),
                   centered_bump(g, cfg.kset, sigma=0.04, center=(0.05, -0.05)),
                   field]

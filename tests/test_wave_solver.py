@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -62,8 +63,8 @@ class TestCflDt:
 
 def _leapfrog(prev, curr, m, dt, n):
     """n steps of the solver's time loop from (prev, curr): the last two levels."""
-    w = wave_solver._weights(m.c_sq, m.grid.h, dt)
-    return wave_solver._march(prev.data.copy(), curr.data.copy(), w, range(n), "step")
+    schedule = [(range(n), wave_solver._whole(m.c_sq))]
+    return wave_solver._march((prev.data, curr.data), m.c_sq, m.grid.h, dt, schedule, "step")[0]
 
 
 class TestStep:
@@ -689,6 +690,47 @@ class TestReferenceStepper:
         out = exterior_neumann(tr, omega)
         assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega))
 
+    @staticmethod
+    def _short_trace(g, m, omega, n_steps, seed):
+        # random trace values: every ring node is pinned to a nonzero value
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n_steps + 1, omega.boundary_nodes[0].size))
+        return BoundaryTrace(omega.boundary_coords, cfl_dt(m, 0.4), values)
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_short_solve_backward(self, setup, n_steps):
+        g, m, omega, _ = setup
+        tr = self._short_trace(g, m, omega, n_steps, 6)
+        u, ut = random_field(g, 7), random_field(g, 8)
+        u.data[omega.boundary_nodes] = tr.values[-1]
+        cauchy = WaveState(u, ut)
+        out = solve_backward(tr, cauchy, m, omega)
+        assert _states_equal(out, _ref_solve_backward(tr, cauchy, m, omega))
+        # one step leaves no step to march: the seeded levels, pinned ring included
+        assert np.array_equal(out.u.data[omega.boundary_nodes], tr.values[0])
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_short_evolve_pinned(self, setup, n_steps):
+        g, m, omega, _ = setup
+        cfg = SolverConfig(dt=cfl_dt(m, 0.4), n_steps=n_steps)
+        f = WaveState(random_field(g, 9), random_field(g, 10))
+        f.u.data[[0, -1], :] = f.u.data[:, [0, -1]] = 0.0     # the box's ring is zero
+        got, ref = [], []
+        out = evolve(f, m, cfg.T, cfg, pin_zero=omega,
+                     on_sample=lambda k, st: got.append((k, st)))
+        ref_out = _ref_evolve(f, m, cfg, pin_zero=omega,
+                              on_sample=lambda k, st: ref.append((k, st)))
+        assert _states_equal(out, ref_out)
+        assert [k for k, _ in got] == [k for k, _ in ref] == list(range(1, n_steps + 1))
+        assert all(_states_equal(a, b) for (_, a), (_, b) in zip(got, ref))
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_short_exterior_neumann(self, setup, n_steps):
+        g, m, omega, _ = setup
+        tr = self._short_trace(g, m, omega, n_steps, 11)
+        out = exterior_neumann(tr, omega)
+        assert np.array_equal(out.values, _ref_exterior_neumann(tr, omega))
+
 
 def _config_case(name):
     cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / name)
@@ -815,6 +857,24 @@ class TestAllocation:
         assert cfg.n_steps > 10
         assert seen["growth"] < g.nx * g.ny * 8
 
+    def test_solves_leave_no_reference_cycle(self):
+        # buffers held by a cycle would outlive each solve until the collector
+        # runs, and pile up over a series' solves
+        g, m, omega, kset = example1_setup(N=121, L=4.6)
+        f = WaveState(centered_bump(g, kset), ScalarField.zeros(g))
+        cfg = SolverConfig.for_time(m, 1.2)
+        gc.collect()
+        gc.disable()
+        try:
+            tr, fin = forward(f, m, omega, 1.2, cfg, return_final=True)
+            forward(f, m, omega, 1.2, cfg)
+            evolve(f, m, 1.2, cfg, pin_zero=omega, on_sample=lambda k, st: None)
+            solve_backward(tr, fin, m, omega)
+            exterior_neumann(tr, omega)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestLightCone:
     def test_forward_steps_only_the_light_cone(self, monkeypatch):
@@ -873,9 +933,9 @@ class TestReplay:
         with np.errstate(over="ignore", invalid="ignore"):
             want = _ref_first_failure(prev, curr, m.c_sq, g.h, dt, steps, "step")
             assert want is not None and not want.endswith(" 599")
-            w = wave_solver._weights(m.c_sq, g.h, dt)
+            schedule = [(steps, wave_solver._whole(prev))]
             with pytest.raises(InstabilityError) as err:
-                wave_solver._march(prev.copy(), curr.copy(), w, steps, "step")
+                wave_solver._march((prev, curr), m.c_sq, g.h, dt, schedule, "step")
         assert str(err.value) == want
 
     def test_pinned_backward_solve_names_the_failing_step(self):
@@ -911,12 +971,58 @@ class TestReplay:
                 return lambda step, curr, prev: seen.append(step)
 
             with pytest.raises(InstabilityError) as err:
-                wave_solver._march_boxes((prev.copy(), curr.copy()), m.c_sq, g.h, dt,
-                                         schedule, record_at)
+                wave_solver._march((prev, curr), m.c_sq, g.h, dt, schedule, "step",
+                                   record_at=record_at)
         assert str(err.value) == want
         # both runs were recorded whole before the check of the second; the
         # replay records nothing and the third run never starts
         assert seen == list(range(2, hi))
+
+    def test_replay_starts_from_the_seeded_levels_it_only_read(self):
+        g, m, dt, prev, curr = self._unstable()
+        seeded = prev.copy(), curr.copy()
+        box = wave_solver._whole(prev)
+        schedule = [(range(2, 20), box), (range(20, 600), box)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _ref_first_failure(prev, curr, m.c_sq, g.h, dt, range(2, 600), "step")
+            assert int(want.split()[-1]) >= 20          # the second run fails
+            with pytest.raises(InstabilityError, match=f"^{want}$"):
+                wave_solver._march((prev, curr), m.c_sq, g.h, dt, schedule, "step")
+        assert np.array_equal(prev, seeded[0]) and np.array_equal(curr, seeded[1])
+
+
+class TestPaste:
+    """A box copies its source where they overlap; its ring stays zero but on the
+    sides it shares with the source's ring."""
+
+    @staticmethod
+    def _paste(dst_at, shape, src, src_at=(0, 0)):
+        dst = np.full(shape, 7.0)
+        wave_solver._paste(dst, dst_at, src, src_at)
+        return dst
+
+    def test_a_box_keeps_the_side_it_shares_with_its_source(self):
+        src = np.arange(1.0, 43.0).reshape(6, 7)
+        # rows 0..3 share the source's top ring row; columns 2..5 lie inside it
+        want = np.zeros((4, 4))
+        want[:-1, 1:-1] = src[:3, 3:5]
+        assert np.array_equal(self._paste((0, 2), (4, 4), src), want)
+        # the whole array shares every side: a copy, ring and all
+        assert np.array_equal(self._paste((0, 0), src.shape, src), src)
+
+    def test_a_ring_inside_the_source_is_zero_even_over_nan(self):
+        src = np.full((8, 8), np.nan)
+        src[2:6, 2:6] = 1.0
+        # dst's ring is the source's NaN band at rows and columns 1 and 6
+        dst = self._paste((1, 1), (6, 6), src)
+        want = np.zeros((6, 6))
+        want[1:-1, 1:-1] = 1.0
+        assert np.array_equal(dst, want)
+
+    def test_disjoint_boxes_paste_zeros(self):
+        src = np.ones((5, 5))
+        assert np.array_equal(self._paste((9, 2), (4, 4), src), np.zeros((4, 4)))
+        assert np.array_equal(self._paste((0, 0), (4, 4), src, (3, 5)), np.zeros((4, 4)))
 
 
 class TestSolverIdentities:
