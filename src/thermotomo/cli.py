@@ -128,18 +128,14 @@ def cmd_raytrace(args) -> int:
     positions = sample_positions(kset, sampling["n_pos"])
     directions = sample_directions(sampling["n_dir"])
     xs, ds = positions.tolist(), directions.tolist()
-    row_of = {tuple(x): i for i, x in enumerate(xs)}
-    col_of = {tuple(d): j for j, d in enumerate(ds)}
-    covered = [[1] * len(ds) for _ in xs]
-    for x, d in uncovered:
-        covered[row_of[x]][col_of[d]] = 0
     x_text = [[f"{v:.12g}" for v in x] for x in xs]
     d_text = [[f"{v:.12g}" for v in d] for d in ds]
+    lost = set(uncovered)
     with open(os.path.join(out, "visibility.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "dx", "dy", "covered"])
-        w.writerows([*x, *d, c] for x, flags in zip(x_text, covered)
-                    for d, c in zip(d_text, flags))
+        w.writerows([*xt, *dt, int((tuple(x), tuple(d)) not in lost)]
+                    for x, xt in zip(xs, x_text) for d, dt in zip(ds, d_text))
     n_graphs = min(4, len(positions))
     for k in range(n_graphs):
         g = trace_branches(positions[k], directions[0], medium, omega, T, sampling["caps"])

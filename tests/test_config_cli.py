@@ -12,6 +12,7 @@ from thermotomo.cli import main
 from thermotomo.config import _NUMBERED_KEYS, _SCALAR_KEYS, RunConfig, parse_config_text
 from thermotomo.errors import ConfigurationError
 from thermotomo.formats import read_grid, read_trace
+from thermotomo.rays import check_visibility
 
 TINY = """
 # small configuration for the shapes of files, exit codes and messages; at
@@ -209,13 +210,13 @@ class TestCli:
         assert err.startswith("error: cannot read") and trace in err
 
     def test_solver_commands_load_no_scipy(self, tmp_path):
-        # scipy is loaded only for knorm's Gaussian power-iteration seed
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         script = textwrap.dedent("""
             import sys
             from thermotomo.cli import main
             for cmd in ("forward", "reconstruct", "roundtrip", "raytrace", "energy"):
                 assert main([cmd, "--config", sys.argv[1]]) == 0, cmd
+            assert main(["knorm", "--config", sys.argv[1], "--power-iters", "5"]) == 0
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert not loaded, loaded
         """)
@@ -328,6 +329,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"({n_covered}/48 samples)" in out
         assert (tmp_path / "out" / "branches_0.txt").exists()
+
+    def test_raytrace_flags_are_the_uncovered_samples(self, tmp_path):
+        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+        assert main(["raytrace", "--config", cfg]) == 0
+        rows = (tmp_path / "out" / "visibility.csv").read_text().splitlines()[1:]
+        flagged = {tuple(r.split(",")[:4]) for r in rows if r.endswith(",0")}
+        run = RunConfig.from_file(cfg)
+        g = run.build_grid()
+        _, uncovered = check_visibility(run.build_kset(g), run.build_medium(g),
+                                        run.build_omega(g), run.values["time.T"],
+                                        run.ray_sampling())
+        assert uncovered
+        assert flagged == {tuple(f"{v:.12g}" for v in (*x, *d)) for x, d in uncovered}
 
     def test_deterministic_outputs(self, tmp_path):
         out1 = tmp_path / "o1"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from thermotomo import recon
 from thermotomo.errors import ConfigurationError, DegenerateInputError
@@ -19,7 +20,9 @@ from thermotomo.grid_field import (
 )
 from thermotomo.medium import build_medium, uniform_medium
 from thermotomo.recon import (
+    SEED_SMOOTH_SIGMA,
     ReconConfig,
+    _gaussian,
     _non_contraction,
     apply_error_operator,
     energy_decay_ratio,
@@ -311,6 +314,17 @@ class TestContractionEstimate:
         g, m, cfg = visible_case(N=161, L=4.6, T=1.2)
         with pytest.raises(ConfigurationError):
             estimate_contraction(m, cfg, n_power_iters=4)
+
+    @pytest.mark.parametrize("sigma", [SEED_SMOOTH_SIGMA, 0.7])
+    @pytest.mark.parametrize("shape", [(256, 256), (384, 384), (40, 60), (3, 3)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_seed_gaussian_matches_scipy_bit_for_bit(self, shape, sigma):
+        # half the nodes zeroed, as outside kset; 3x3 is narrower than the
+        # kernel radius (12 at SEED_SMOOTH_SIGMA), so the reflection repeats
+        rng = np.random.default_rng(shape[0] + shape[1])
+        data = rng.standard_normal(shape)
+        data[rng.random(shape) < 0.5] = 0.0
+        assert np.array_equal(_gaussian(data, sigma), gaussian_filter(data, sigma))
 
 
 class TestEnergyDecay:
