@@ -174,40 +174,25 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="time-reversal tomography pipeline")
     p.add_argument("--verbose", action="store_true", help="progress to stderr")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    term_pgms = ("--term-pgms", {"action": argparse.BooleanOptionalAction, "default": True,
+                                 "help": "write one PGM per series term"})
+    for name, fn, text, *flags in (
+            ("forward", cmd_forward, "phantom -> boundary trace + images"),
+            ("reconstruct", cmd_reconstruct, "trace -> series reconstruction",
+             ("--trace", {"default": None, "help": "input trace (default <out>/trace.taws)"}),
+             term_pgms),
+            ("roundtrip", cmd_roundtrip, "forward then reconstruct against the phantom",
+             term_pgms),
+            ("raytrace", cmd_raytrace, "branch graphs + visibility report"),
+            ("knorm", cmd_knorm, "power-iteration contraction estimate",
+             ("--power-iters", {"type": int, "default": 8})),
+            ("energy", cmd_energy, "energy decay ratio of the phantom")):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="run configuration file")
         sp.add_argument("--output-dir", default=None, help="override output.dir")
-
-    sp = sub.add_parser("forward", help="phantom -> boundary trace + images")
-    common(sp)
-    sp.set_defaults(fn=cmd_forward)
-
-    sp = sub.add_parser("reconstruct", help="trace -> series reconstruction")
-    common(sp)
-    sp.add_argument("--trace", default=None, help="input trace (default <out>/trace.taws)")
-    sp.add_argument("--term-pgms", action=argparse.BooleanOptionalAction, default=True,
-                    help="write one PGM per series term")
-    sp.set_defaults(fn=cmd_reconstruct)
-
-    sp = sub.add_parser("roundtrip", help="forward then reconstruct against the phantom")
-    common(sp)
-    sp.add_argument("--term-pgms", action=argparse.BooleanOptionalAction, default=True,
-                    help="write one PGM per series term")
-    sp.set_defaults(fn=cmd_roundtrip)
-
-    sp = sub.add_parser("raytrace", help="branch graphs + visibility report")
-    common(sp)
-    sp.set_defaults(fn=cmd_raytrace)
-
-    sp = sub.add_parser("knorm", help="power-iteration contraction estimate")
-    common(sp)
-    sp.add_argument("--power-iters", type=int, default=8)
-    sp.set_defaults(fn=cmd_knorm)
-
-    sp = sub.add_parser("energy", help="energy decay ratio of the phantom")
-    common(sp)
-    sp.set_defaults(fn=cmd_energy)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(fn=fn)
     return p
 
 

@@ -2,7 +2,8 @@
 
 Blank lines and ``#`` comments are ignored.  Unknown keys are rejected so a
 typo cannot silently fall back to a default.  Numbered groups (``layer.1.*``,
-``phantom.1.*``) must be contiguous starting at 1, outermost disk first.
+``phantom.1.*``) must be contiguous starting at 1, without leading zeros,
+outermost disk first.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ _SCALAR_KEYS = {
 # the keys each kset.kind reads
 _KSET_KEYS = {"disk": ("cx", "cy", "radius"), "rectangle": ("xmin", "xmax", "ymin", "ymax")}
 
-_NUMBERED_KEYS = {
-    re.compile(r"^layer\.(\d+)\.radius$"): float,
-    re.compile(r"^layer\.(\d+)\.speed$"): float,
-    re.compile(r"^phantom\.(\d+)\.cx$"): float,
-    re.compile(r"^phantom\.(\d+)\.cy$"): float,
-    re.compile(r"^phantom\.(\d+)\.sigma$"): float,
-}
+# the fields of each numbered group; every one is a float
+_GROUPS = {"layer": ("radius", "speed"), "phantom": ("cx", "cy", "sigma")}
+_NUMBERED = re.compile(r"(\w+)\.([1-9][0-9]*)\.(\w+)", re.ASCII)
 
 
 def _convert(key: str, caster, text: str):
@@ -60,11 +57,8 @@ def parse_config_text(text: str) -> dict:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         caster = _SCALAR_KEYS.get(key)
-        if caster is None:
-            for pattern, num_caster in _NUMBERED_KEYS.items():
-                if pattern.match(key):
-                    caster = num_caster
-                    break
+        if caster is None and (m := _NUMBERED.fullmatch(key)) and m[3] in _GROUPS.get(m[1], ()):
+            caster = float
         if caster is None:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -73,12 +67,8 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _numbered_group(values: dict, prefix: str, fields: tuple[str, ...]) -> list[dict]:
-    indices = set()
-    for key in values:
-        m = re.match(rf"^{prefix}\.(\d+)\.", key)
-        if m:
-            indices.add(int(m.group(1)))
+def _numbered_group(values: dict, prefix: str) -> list[dict]:
+    indices = {int(m[2]) for m in map(_NUMBERED.fullmatch, values) if m and m[1] == prefix}
     if not indices:
         return []
     if sorted(indices) != list(range(1, len(indices) + 1)):
@@ -86,7 +76,7 @@ def _numbered_group(values: dict, prefix: str, fields: tuple[str, ...]) -> list[
     group = []
     for k in range(1, len(indices) + 1):
         entry = {}
-        for f in fields:
+        for f in _GROUPS[prefix]:
             key = f"{prefix}.{k}.{f}"
             if key not in values:
                 raise ConfigurationError(f"missing {key}")
@@ -106,9 +96,8 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         values = parse_config_text(text)
-        cfg = cls(values=values,
-                  layers=_numbered_group(values, "layer", ("radius", "speed")),
-                  bumps=_numbered_group(values, "phantom", ("cx", "cy", "sigma")))
+        cfg = cls(values=values, layers=_numbered_group(values, "layer"),
+                  bumps=_numbered_group(values, "phantom"))
         for key in ("grid.nx", "grid.ny", "grid.h", "grid.ox", "grid.oy",
                     "omega.xmin", "omega.xmax", "omega.ymin", "omega.ymax", "time.T"):
             if key not in values:

@@ -46,8 +46,9 @@ def write_grid(path, field: ScalarField):
     _atomic_write(path, header + field.data.astype("<f8").tobytes(order="C"))
 
 
-def _read(path, header: struct.Struct, magic: bytes):
-    """Whole file and its header fields after the magic and version, both checked."""
+def _read(path, header: struct.Struct, magic: bytes, payload):
+    """Whole file and its header fields after the magic and version, both checked,
+    and its length checked against the header plus ``payload(*fields)`` bytes."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -62,16 +63,17 @@ def _read(path, header: struct.Struct, magic: bytes):
         raise FormatError(f"bad magic {found!r}, expected {magic!r}", offset=0)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported {name} version {version}", offset=4)
+    expected = header.size + payload(*fields)
+    if len(raw) != expected:
+        raise FormatError(
+            f"{name} payload length mismatch: expected {expected} bytes, got {len(raw)}",
+            offset=min(len(raw), expected))
     return raw, fields
 
 
 def read_grid(path) -> ScalarField:
-    raw, (nx, ny, ox, oy, h) = _read(path, _GRID_HEADER, GRID_MAGIC)
-    expected = _GRID_HEADER.size + nx * ny * 8
-    if len(raw) != expected:
-        raise FormatError(
-            f"TAWG payload length mismatch: expected {expected} bytes, got {len(raw)}",
-            offset=min(len(raw), expected))
+    raw, (nx, ny, ox, oy, h) = _read(path, _GRID_HEADER, GRID_MAGIC,
+                                     lambda nx, ny, *_: nx * ny * 8)
     data = np.frombuffer(raw, dtype="<f8", offset=_GRID_HEADER.size).reshape(nx, ny)
     return ScalarField(Grid(int(nx), int(ny), h, (ox, oy)), data.copy())
 
@@ -86,17 +88,12 @@ def write_trace(path, trace: BoundaryTrace):
 
 
 def read_trace(path) -> BoundaryTrace:
-    raw, (n_times, n_det, dt) = _read(path, _TRACE_HEADER, TRACE_MAGIC)
-    coords_bytes = n_det * 16
-    expected = _TRACE_HEADER.size + coords_bytes + n_times * n_det * 8
-    if len(raw) != expected:
-        raise FormatError(
-            f"TAWS payload length mismatch: expected {expected} bytes, got {len(raw)}",
-            offset=min(len(raw), expected))
+    raw, (n_times, n_det, dt) = _read(path, _TRACE_HEADER, TRACE_MAGIC,
+                                      lambda n_times, n_det, _: (2 + n_times) * n_det * 8)
     points = np.frombuffer(raw, dtype="<f8", offset=_TRACE_HEADER.size,
                            count=n_det * 2).reshape(n_det, 2)
     values = np.frombuffer(raw, dtype="<f8",
-                           offset=_TRACE_HEADER.size + coords_bytes).reshape(n_times, n_det)
+                           offset=_TRACE_HEADER.size + n_det * 16).reshape(n_times, n_det)
     return BoundaryTrace(points=points.copy(), dt=dt, values=values.copy())
 
 

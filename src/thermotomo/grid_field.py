@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     from .medium import Medium
 
 DEFAULT_HARMONIC_TOL = 1e-10
+_MAX_LENGTH = np.iinfo(np.intp).max // 8    # the longest float64 array numpy can index
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ConfigurationError(f"grid needs at least 3x3 nodes, got {self.nx}x{self.ny}")
+        if self.nx * self.ny > _MAX_LENGTH:
+            raise ConfigurationError(f"grid of {self.nx}x{self.ny} nodes is too large to index")
         if not 0 < self.h < np.inf:
             raise ConfigurationError(f"grid spacing must be positive and finite, got {self.h}")
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))

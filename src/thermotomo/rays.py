@@ -42,7 +42,7 @@ from .errors import (
     DegenerateInputError,
     TangencyError,
 )
-from .grid_field import Region
+from .grid_field import _MAX_LENGTH, Region
 from .medium import InterfaceDescriptor, Medium, critical_angle, speeds_at
 
 
@@ -266,16 +266,13 @@ _EXPIRY, _EXIT, _UNDETERMINED, _REFLECT, _TRANSMIT, _TRUNCATION = range(len(_KIN
 class _Scene(NamedTuple):
     """What every ray of one trace shares.  Interfaces are sorted by ascending
     radius, so a tie goes inward.  For interface k and a crossing j (0 outward,
-    1 inward), ``speeds[k, j]`` is (c_in, c_out), ``inv_sq[k, j]`` is
-    (c_in^-2, c_out^-2) and ``critical[k, j]`` the critical angle, inf if there
-    is none."""
+    1 inward), ``laws[k, j]`` is (c_in, c_out, c_in^-2, c_out^-2, critical
+    angle), the angle inf if there is none."""
 
     medium: Medium
     sides: np.ndarray       # xmin, xmax, ymin, ymax
     radius: np.ndarray
-    speeds: np.ndarray
-    inv_sq: np.ndarray
-    critical: np.ndarray
+    laws: np.ndarray
     T: float
     max_depth: int
     min_weight: float
@@ -333,12 +330,10 @@ def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]
-    speeds = [[(i.c_int, i.c_ext), (i.c_ext, i.c_int)] for i in ifaces]
-    inv_sq = [[(c_in ** -2, c_out ** -2) for c_in, c_out in ks] for ks in speeds]
-    critical = [[_critical(c_in, c_out) for c_in, c_out in ks] for ks in speeds]
+    laws = [[(c_in, c_out, c_in ** -2, c_out ** -2, _critical(c_in, c_out))
+             for c_in, c_out in ((i.c_int, i.c_ext), (i.c_ext, i.c_int))] for i in ifaces]
     return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]),
-                  np.array(speeds).reshape(-1, 2, 2), np.array(inv_sq).reshape(-1, 2, 2),
-                  np.array(critical).reshape(-1, 2), float(T), max_depth, min_weight)
+                  np.array(laws).reshape(-1, 2, 5), float(T), max_depth, min_weight)
 
 
 def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
@@ -408,9 +403,7 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
     r_unit = p / np.hypot(p[:, 0], p[:, 1])[:, None]
     dr = np.vecdot(dc, r_unit)
     inward = np.where(dr > 0, 0, 1)
-    c_in, c_out = s.speeds[k, inward].T
-    inv_sq_in, inv_sq_out = s.inv_sq[k, inward].T
-    alpha0 = s.critical[k, inward]
+    c_in, c_out, inv_sq_in, inv_sq_out, alpha0 = s.laws[k, inward].T
     normal = np.where(inward[:, None], -r_unit, r_unit)
     alpha = _math(math.acos, np.minimum(np.abs(dr), 1.0))
     angle[ic] = alpha
@@ -522,8 +515,8 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
 def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
     """Deterministic sample of kset: a rim-biased golden-angle spiral for disks,
     an inset lattice for rectangles."""
-    if n_pos < 1:
-        raise ConfigurationError("need at least one position sample")
+    if not 1 <= n_pos <= _MAX_LENGTH:
+        raise ConfigurationError(f"need at least one position sample and at most {_MAX_LENGTH}")
     if kset.kind == "disk":
         cx, cy = kset.params["center"]
         rad = kset.params["radius"]
@@ -541,8 +534,8 @@ def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
 
 def sample_directions(n_dir: int) -> np.ndarray:
     """n_dir unit directions over the half circle (both signs are launched)."""
-    if n_dir < 1:
-        raise ConfigurationError("need at least one direction sample")
+    if not 1 <= n_dir <= _MAX_LENGTH:
+        raise ConfigurationError(f"need at least one direction sample and at most {_MAX_LENGTH}")
     th = math.pi * (np.arange(n_dir) + 0.5) / n_dir
     return np.column_stack((np.cos(th), np.sin(th)))
 

@@ -117,14 +117,9 @@ def time_reverse(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> WaveState:
     return solve_backward(h, cauchy, m, cfg.omega)
 
 
-def project_onto_kset(s: ScalarField, cfg: ReconConfig) -> ScalarField:
-    """Restrict to the source region and remove the harmonic part of its trace."""
-    return project_HD(s, cfg.kset, cfg.harmonic_tol)
-
-
 def pseudo_inverse_step(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> ScalarField:
     """One application of the projected pseudo-inverse: Pi_K A_1 h."""
-    return project_onto_kset(time_reverse(h, m, cfg).u, cfg)
+    return project_HD(time_reverse(h, m, cfg).u, cfg.kset, cfg.harmonic_tol)
 
 
 def apply_error_operator(f1: ScalarField, m: Medium, cfg: ReconConfig) -> ScalarField:
@@ -133,7 +128,7 @@ def apply_error_operator(f1: ScalarField, m: Medium, cfg: ReconConfig) -> Scalar
     scfg = cfg.solver_config(m)
     trace = forward(WaveState(f1, ScalarField.zeros(m.grid)), m, cfg.omega, cfg.T, scfg)
     rec = pseudo_inverse_step(trace, m, cfg)
-    out = project_onto_kset(f1, cfg) - rec
+    out = project_HD(f1, cfg.kset, cfg.harmonic_tol) - rec
     out.data[~cfg.kset.mask] = 0.0
     return out
 
@@ -246,6 +241,8 @@ def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
     """
     if n_power_iters < 5:
         raise ConfigurationError(f"need at least 5 power iterations, got {n_power_iters}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     cfg.validate_against(m)
     f = _random_zero_trace_field(cfg, seed)
     norm = hd_norm(f, cfg.kset)

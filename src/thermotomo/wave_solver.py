@@ -234,22 +234,16 @@ def _run(levels, w, scratch, steps, pin, record, where=None):
     return prev, curr
 
 
-def _taylor_second_level(u0, ut0, c_sq, h, dt):
-    """u^1 = u^0 + dt u_t^0 + dt^2/2 c^2 Lap u^0, zero ring."""
-    u1 = np.zeros_like(u0)
-    lam = 0.5 * dt * dt / (h * h)
-    u1[1:-1, 1:-1] = u0[1:-1, 1:-1] + dt * ut0[1:-1, 1:-1] + lam * c_sq[1:-1, 1:-1] * _lap_sum(u0)
-    return u1
-
-
 def _seed(u0, ut0, c_sq, h, dt, levels, pin=None, record=None):
-    """Levels ``levels[0]``, a copy of u0 on a zero outer ring, and ``levels[1]``,
-    its Taylor step with ut0: both pinned, the second recorded."""
+    """Levels ``levels[0]``, a copy u of u0 on a zero outer ring, and ``levels[1]``,
+    u + dt ut0 + dt^2/2 c^2 Lap u on that ring: both pinned, the second recorded."""
     prev = u0.copy()
     prev[[0, -1], :] = prev[:, [0, -1]] = 0.0
     if pin is not None:
         pin(levels[0], prev)
-    curr = _taylor_second_level(prev, ut0, c_sq, h, dt)
+    curr = np.zeros_like(prev)
+    curr[1:-1, 1:-1] = (prev[1:-1, 1:-1] + dt * ut0[1:-1, 1:-1]
+                        + 0.5 * dt * dt / (h * h) * c_sq[1:-1, 1:-1] * _lap_sum(prev))
     if pin is not None:
         pin(levels[1], curr)
     if record is not None:

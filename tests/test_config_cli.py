@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from thermotomo import cli
-from thermotomo.cli import main
-from thermotomo.config import _NUMBERED_KEYS, _SCALAR_KEYS, RunConfig, parse_config_text
+from thermotomo.cli import build_parser, main
+from thermotomo.config import _GROUPS, _SCALAR_KEYS, RunConfig, parse_config_text
 from thermotomo.errors import ConfigurationError
 from thermotomo.formats import read_grid, read_trace
 from thermotomo.rays import check_visibility
@@ -68,8 +69,11 @@ class TestConfigParsing:
         assert values["time.T"] == 1.2
 
     def test_unknown_key_rejected(self):
-        # the removed solver options must not parse silently
-        for line in ("grid.nz = 4\n", "solver.sponge = on\n", "solver.box_margin = 1.0\n"):
+        # the removed solver options must not parse silently, nor a numbered key
+        # with a leading zero or a field of another group
+        for line in ("grid.nz = 4\n", "solver.sponge = on\n", "solver.box_margin = 1.0\n",
+                     "phantom.01.cx = 0.5\n", "layer.01.speed = 0.9\n", "layer.1.sigma = 1\n",
+                     "phantom.1.speed = 1\n", "kset.1.cx = 1\n"):
             with pytest.raises(ConfigurationError, match="unknown key"):
                 parse_config_text(line)
 
@@ -177,6 +181,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "duplicate" not in err
 
+    @pytest.mark.parametrize("key, cmd", [("grid.nx", "forward"), ("grid.ny", "roundtrip"),
+                                          ("rays.n_pos", "raytrace"), ("rays.n_dir", "raytrace")])
+    def test_count_too_large_to_index_exits_2(self, tmp_path, capsys, key, cmd):
+        # numpy cannot index that many float64 values, and says so with a ValueError
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
+                                if not kept.startswith(key + " "))
+                        + f"{key} = 99999999999999999999\n")
+        assert main([cmd, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out of memory" not in err
+
+    def test_knorm_negative_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY.replace("seed = 7", "seed = -1"))
+        assert main(["knorm", "--config", str(path), "--output-dir", str(tmp_path),
+                     "--power-iters", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+
+    def test_subcommand_flags(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {flag for a in sp._actions for flag in a.option_strings}
+                 for name, sp in sub.choices.items()}
+        common = {"-h", "--help", "--config", "--output-dir"}
+        term_pgms = {"--term-pgms", "--no-term-pgms"}
+        assert flags == {"forward": common, "reconstruct": common | {"--trace"} | term_pgms,
+                         "roundtrip": common | term_pgms, "raytrace": common,
+                         "knorm": common | {"--power-iters"}, "energy": common}
+
     @pytest.mark.parametrize("cmd, text, err", [
         ("raytrace", TINY + "rays.min_weight = 1\n", "min_weight below 1"),
         ("raytrace", TINY + "rays.min_weight = 2.5\n", "min_weight below 1"),
@@ -213,7 +246,7 @@ class TestCli:
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         script = textwrap.dedent("""
             import sys
-            from thermotomo.cli import main
+            from thermotomo.cli import build_parser, main
             for cmd in ("forward", "reconstruct", "roundtrip", "raytrace", "energy"):
                 assert main([cmd, "--config", sys.argv[1]]) == 0, cmd
             assert main(["knorm", "--config", sys.argv[1], "--power-iters", "5"]) == 0
@@ -357,9 +390,8 @@ class TestCli:
 
 SWEEP_VALUES = {float: ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
                 int: ("0", "-1", "-5", "2")}
-SWEEP_KEYS = {**_SCALAR_KEYS, **{pattern.pattern.strip("^$").replace(r"(\d+)", "1")
-                                 .replace("\\.", "."): caster
-                                 for pattern, caster in _NUMBERED_KEYS.items()}}
+SWEEP_KEYS = {**_SCALAR_KEYS, **{f"{group}.1.{f}": float
+                                 for group, fields in _GROUPS.items() for f in fields}}
 SWEEP = [(key, value) for key, caster in SWEEP_KEYS.items()
          for value in SWEEP_VALUES.get(caster, ())]
 
