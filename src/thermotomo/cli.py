@@ -56,8 +56,8 @@ def cmd_forward(args) -> int:
                            on_step=_progress(args, "forward"))
     write_trace(os.path.join(out, "trace.taws"), trace)
     write_grid(os.path.join(out, "phantom.tawg"), phantom)
-    emit_pgm(phantom, os.path.join(out, "phantom.pgm"))
-    emit_pgm(final.u, os.path.join(out, "field_T.pgm"))
+    emit_pgm(phantom, os.path.join(out, "phantom.pgm"), _pgm_range(phantom))
+    emit_pgm(final.u, os.path.join(out, "field_T.pgm"), _pgm_range(final.u))
     print(f"wrote {out}/trace.taws ({trace.values.shape[0]} x {trace.values.shape[1]} samples)")
     return EXIT_OK
 

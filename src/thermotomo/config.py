@@ -67,21 +67,17 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _numbered_group(values: dict, prefix: str) -> list[dict]:
+def _numbered_group(values: dict, prefix: str) -> list[tuple]:
+    """Entries 1..n of a numbered group, each a tuple of its ``_GROUPS`` fields."""
     indices = {int(m[2]) for m in map(_NUMBERED.fullmatch, values) if m and m[1] == prefix}
-    if not indices:
-        return []
     if sorted(indices) != list(range(1, len(indices) + 1)):
         raise ConfigurationError(f"{prefix} entries must be numbered 1..n, got {sorted(indices)}")
     group = []
     for k in range(1, len(indices) + 1):
-        entry = {}
-        for f in _GROUPS[prefix]:
-            key = f"{prefix}.{k}.{f}"
-            if key not in values:
-                raise ConfigurationError(f"missing {key}")
-            entry[f] = values[key]
-        group.append(entry)
+        keys = [f"{prefix}.{k}.{f}" for f in _GROUPS[prefix]]
+        if missing := [key for key in keys if key not in values]:
+            raise ConfigurationError(f"missing {missing[0]}")
+        group.append(tuple(values[key] for key in keys))
     return group
 
 
@@ -90,8 +86,8 @@ class RunConfig:
     """Typed view over a parsed config with builders for the run objects."""
 
     values: dict
-    layers: list[dict] = field(default_factory=list)
-    bumps: list[dict] = field(default_factory=list)
+    layers: list[tuple] = field(default_factory=list)  # (radius, speed) per layer
+    bumps: list[tuple] = field(default_factory=list)   # (cx, cy, sigma) per bump
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -127,8 +123,7 @@ class RunConfig:
         return Grid(v["grid.nx"], v["grid.ny"], v["grid.h"], (v["grid.ox"], v["grid.oy"]))
 
     def build_medium(self, grid: Grid) -> Medium:
-        spec = [(layer["radius"], layer["speed"]) for layer in self.layers]
-        return build_medium(spec, grid)
+        return build_medium(self.layers, grid)
 
     def build_omega(self, grid: Grid) -> Region:
         v = self.values
@@ -158,7 +153,7 @@ class RunConfig:
         if kind == "gaussian_bump" and len(self.bumps) != 1:
             raise ConfigurationError("gaussian_bump phantom needs exactly one bump")
         # a gaussian_bump is a one-bump sum_of_bumps, bit for bit
-        bumps = [((b["cx"], b["cy"]), b["sigma"]) for b in self.bumps]
+        bumps = [((cx, cy), sigma) for cx, cy, sigma in self.bumps]
         return make_phantom("sum_of_bumps", {"bumps": bumps}, grid, kset)
 
     def recon_config(self, omega: Region, kset: Region) -> ReconConfig:

@@ -171,11 +171,9 @@ class Region:
             raise ConfigurationError("region has an empty interior node set")
         if (self.interior_mask & self.boundary_mask).any():
             raise ConfigurationError("region interior and boundary overlap")
-        ring = np.zeros(grid.shape, dtype=bool)
-        ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
-        if ((self.interior_mask | self.boundary_mask) & ring).any():
+        self.mask = m = self.interior_mask | self.boundary_mask
+        if m[0].any() or m[-1].any() or m[:, 0].any() or m[:, -1].any():
             raise ConfigurationError("region touches the outermost grid ring")
-        self.mask = self.interior_mask | self.boundary_mask
         ii, jj = np.nonzero(self.mask)
         # the closure's bounding box, which holds every node and edge of the region
         self._window = (slice(ii.min(), ii.max() + 1), slice(jj.min(), jj.max() + 1))
@@ -194,17 +192,12 @@ class Region:
             raise ConfigurationError("rectangle needs at least one interior node per axis")
         interior = np.zeros(grid.shape, dtype=bool)
         interior[i0 + 1:i1, j0 + 1:j1] = True
-        # counterclockwise perimeter walk starting at (i0, j0), no duplicates
-        bi, bj = [], []
-        for i in range(i0, i1 + 1):
-            bi.append(i); bj.append(j0)
-        for j in range(j0 + 1, j1 + 1):
-            bi.append(i1); bj.append(j)
-        for i in range(i1 - 1, i0 - 1, -1):
-            bi.append(i); bj.append(j1)
-        for j in range(j1 - 1, j0, -1):
-            bi.append(i0); bj.append(j)
-        nodes = (np.asarray(bi), np.asarray(bj))
+        # counterclockwise perimeter walk starting at (i0, j0), no duplicates:
+        # the bottom (j = j0), right (i = i1), top (j = j1) and left (i = i0) edges
+        bottom, top = np.arange(i0, i1 + 1), np.arange(i1 - 1, i0 - 1, -1)
+        right, left = np.arange(j0 + 1, j1 + 1), np.arange(j1 - 1, j0, -1)
+        nodes = (np.concatenate((bottom, np.full(right.size, i1), top, np.full(left.size, i0))),
+                 np.concatenate((np.full(bottom.size, j0), right, np.full(top.size, j1), left)))
         params = {"i0": i0, "i1": i1, "j0": j0, "j1": j1}
         return cls(grid, "rectangle", interior, nodes, params)
 

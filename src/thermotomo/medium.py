@@ -1,9 +1,10 @@
 """Piecewise-constant sound-speed maps over nested concentric disks.
 
-The background speed is 1 outside the outermost disk.  Disks are centered at
-the physical point (0, 0); nesting is therefore equivalent to strictly
-decreasing radii.  Each circle is an interface carrying the speed limits from
-its two sides.
+A medium is its (radius, speed) layers, outermost first, and the background
+speed outside them, 1 unless ``uniform_medium`` sets it; its nodal samples,
+interfaces and point speeds all derive from these.  Disks are centered at the
+physical point (0, 0); nesting is therefore equivalent to strictly decreasing
+radii.  Each circle is an interface carrying the speed limits from its two sides.
 """
 
 from __future__ import annotations
@@ -37,19 +38,28 @@ class InterfaceDescriptor:
 
 @dataclass(eq=False)
 class Medium:
-    """Sound-speed map c(x) with cached nodal samples and interface descriptors."""
+    """Sound-speed map c(x): the innermost disk's speed, ``background`` outside
+    every disk.  ``c_field`` (nodal samples), ``c_sq`` (their square, the
+    solver's weight) and ``interfaces`` are derived from ``layers``."""
 
     grid: Grid
     layers: tuple[tuple[float, float], ...]  # (radius, speed), outermost first
-    interfaces: tuple[InterfaceDescriptor, ...]
-    c_field: np.ndarray
-
-    @property
-    def c_sq(self) -> np.ndarray:
-        return self._c_sq
+    background: float = BACKGROUND_SPEED
 
     def __post_init__(self):
-        self._c_sq = self.c_field ** 2
+        xx, yy = self.grid.meshgrid()
+        self.c_field = self._speed(np.hypot(xx, yy))
+        self.c_sq = self.c_field ** 2
+        outside = [self.background, *(c for _, c in self.layers)]
+        self.interfaces = tuple(InterfaceDescriptor(radius=r, c_int=c, c_ext=c_ext)
+                                for (r, c), c_ext in zip(self.layers, outside))
+
+    def _speed(self, r: np.ndarray) -> np.ndarray:
+        """c at each distance r from the center, by the rule above."""
+        c = np.full(r.shape, self.background)
+        for radius, speed in self.layers:  # outermost first; inner disks overwrite
+            c[r < radius] = speed
+        return c
 
     @property
     def c_max(self) -> float:
@@ -80,31 +90,17 @@ def build_medium(spec: list[tuple[float, float]], grid: Grid) -> Medium:
     for _, c in layers:
         _check_speed(c)
     xmin, xmax, ymin, ymax = grid.bounds
-    if layers:
-        r0 = radii[0]
-        if not (xmin < -r0 and r0 < xmax and ymin < -r0 and r0 < ymax):
-            raise ConfigurationError("outermost disk does not fit inside the grid")
-
-    xx, yy = grid.meshgrid()
-    rr = np.hypot(xx, yy)
-    c = np.full(grid.shape, BACKGROUND_SPEED)
-    for radius, speed in layers:  # outermost first; inner disks overwrite
-        c[rr < radius] = speed
-
-    interfaces = []
-    outside = BACKGROUND_SPEED
-    for radius, speed in layers:
-        interfaces.append(InterfaceDescriptor(radius=radius, c_int=speed, c_ext=outside))
-        outside = speed
-    return Medium(grid=grid, layers=layers, interfaces=tuple(interfaces), c_field=c)
+    if layers and not radii[0] < min(-xmin, xmax, -ymin, ymax):  # not a NaN radius either
+        raise ConfigurationError("outermost disk does not fit inside the grid")
+    return Medium(grid, layers)
 
 
 def uniform_medium(grid: Grid, speed: float = BACKGROUND_SPEED) -> Medium:
-    """Constant-speed medium with no interfaces (c must still be 1 outside any
-    would-be domain, so non-unit speeds are for controlled experiments only)."""
+    """Constant-speed medium with no interfaces: waves and rays both move at
+    ``speed``.  A non-unit speed is for controlled experiments only, since
+    ``exterior_neumann`` still solves at unit speed outside the rectangle."""
     _check_speed(speed)
-    c = np.full(grid.shape, float(speed))
-    return Medium(grid=grid, layers=(), interfaces=(), c_field=c)
+    return Medium(grid, (), float(speed))
 
 
 def speed_at(m: Medium, x: tuple[float, float]) -> float:
@@ -121,10 +117,7 @@ def speeds_at(m: Medium, points: np.ndarray) -> np.ndarray:
         raise DomainError(f"point {tuple(points[outside][0].tolist())} lies outside the grid")
     # math.hypot, not np.hypot: the two differ in the last bit
     r = np.fromiter(map(math.hypot, px.tolist(), py.tolist()), dtype=np.float64, count=len(px))
-    c = np.full(len(r), BACKGROUND_SPEED)
-    for radius, speed in m.layers:  # outermost first; inner disks overwrite
-        c[r < radius] = speed
-    return c
+    return m._speed(r)
 
 
 def critical_angle(iface: InterfaceDescriptor) -> float | None:

@@ -528,8 +528,7 @@ def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
     side = max(1, int(math.ceil(math.sqrt(n_pos))))
     xs = np.linspace(g.xs[i0] + 0.25 * g.h, g.xs[i1] - 0.25 * g.h, side)
     ys = np.linspace(g.ys[j0] + 0.25 * g.h, g.ys[j1] - 0.25 * g.h, side)
-    pts = np.array([(x, y) for x in xs for y in ys])
-    return pts[:n_pos]
+    return np.column_stack((np.repeat(xs, side), np.tile(ys, side)))[:n_pos]
 
 
 def sample_directions(n_dir: int) -> np.ndarray:

@@ -132,10 +132,6 @@ class BoundaryTrace:
         return self.values.shape[0] - 1
 
     @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.shape[0])
-
-    @property
     def T(self) -> float:
         return self.dt * self.n_steps
 

@@ -334,6 +334,14 @@ class TestCli:
         assert main(["reconstruct", "--config", cfg]) == 0
         assert (tmp_path / "out" / "report.csv").exists()
 
+    def test_forward_of_a_phantom_that_rounds_to_zero(self, tmp_path):
+        # a bump far narrower than h is zero at every node, and so is the wave
+        text = TINY.replace("phantom.1.sigma = 0.05", "phantom.1.sigma = 0.0001")
+        cfg = write_cfg(tmp_path, text, output_dir=str(tmp_path / "out"))
+        assert main(["forward", "--config", cfg]) == 0
+        for name in ("phantom.pgm", "field_T.pgm"):
+            assert (tmp_path / "out" / name).read_bytes().endswith(bytes(2 * 161 * 161))
+
     def test_energy_prints_ratio(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         assert main(["energy", "--config", cfg]) == 0

@@ -51,6 +51,25 @@ class TestGridAndRegion:
         assert r.boundary_nodes[0].size == 4 * 10
         assert r.interior_mask.sum() == 9 * 9
 
+    @pytest.mark.parametrize("grid, box", [(Grid(7, 7, 0.1), (1, 5, 1, 5)),
+                                           (Grid(9, 7, 0.1), (1, 6, 2, 5))],
+                             ids=["interior_3x3", "nx_ne_ny"])
+    def test_rectangle_walk_matches_the_loop_walk(self, grid, box):
+        # oracle: the counterclockwise walk as four loops, starting at (i0, j0)
+        i0, i1, j0, j1 = box
+        bi, bj = [], []
+        for i in range(i0, i1 + 1):
+            bi.append(i); bj.append(j0)
+        for j in range(j0 + 1, j1 + 1):
+            bi.append(i1); bj.append(j)
+        for i in range(i1 - 1, i0 - 1, -1):
+            bi.append(i); bj.append(j1)
+        for j in range(j1 - 1, j0, -1):
+            bi.append(i0); bj.append(j)
+        got = Region.rectangle(grid, *box).boundary_nodes
+        for have, want in zip(got, (bi, bj)):
+            assert have.dtype == np.int64 and have.tolist() == want
+
     def test_disk_region_neighbors_stay_inside(self, small_grid):
         r = Region.disk(small_grid, (0.0, 0.0), 0.5)
         ii, jj = np.nonzero(r.interior_mask)

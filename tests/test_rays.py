@@ -230,6 +230,17 @@ class TestTraceBranches:
         assert times[0] == pytest.approx(rect_x1 - 0.1, abs=1e-9)
         assert times[1] == pytest.approx(0.1 - rect_x0, abs=1e-9)
 
+    def test_uniform_medium_rays_move_at_its_speed(self):
+        # at speed 2 a ray from the origin leaves the square [-1, 1]^2 at t = 0.5;
+        # rays that read speed 1 outside every disk stopped at x = 0.75 at T
+        g = Grid(81, 81, 0.05, origin=(-2.0, -2.0))
+        omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
+        graph = trace_branches((0.0, 0.0), (1.0, 0.0), uniform_medium(g, 2.0), omega, 0.75)
+        assert [n.kind for n in graph.nodes].count("exit") == 2
+        for n in graph.exits():
+            assert abs(n.x[0]) == pytest.approx(1.0, abs=1e-12)
+            assert n.t == pytest.approx(0.5, abs=1e-12)
+
     def test_radial_ray_transmits_and_exits(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.05, 0.0), (1.0, 0.0), m, omega, 4.0,
@@ -377,6 +388,18 @@ class TestVisibility:
         visible, uncovered = check_visibility(kset, m, omega, 3.0,
                                               {"n_pos": 9, "n_dir": 8})
         assert visible and not uncovered
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 101])
+    def test_rectangle_lattice_is_x_major(self, setup, n):
+        g, _, _, _ = setup
+        kset = Region.rectangle_from_physical(g, -0.3, 0.2, -0.15, 0.25)
+        side = math.ceil(math.sqrt(n))
+        (i0, i1, j0, j1), q = kset.box, 0.25 * g.h
+        xs = np.linspace(g.xs[i0] + q, g.xs[i1] - q, side)
+        ys = np.linspace(g.ys[j0] + q, g.ys[j1] - q, side)
+        want = np.array([(x, y) for x in xs for y in ys][:n])
+        got = sample_positions(kset, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_bad_sampling_keys_rejected(self, setup):
         g, m, omega, kset = setup

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
 from thermotomo import recon
+from thermotomo.config import RunConfig
 from thermotomo.errors import ConfigurationError, DegenerateInputError
 from thermotomo.grid_field import (
     Grid,
@@ -24,6 +26,7 @@ from thermotomo.recon import (
     ReconConfig,
     _gaussian,
     _non_contraction,
+    _random_zero_trace_field,
     apply_error_operator,
     energy_decay_ratio,
     estimate_contraction,
@@ -386,3 +389,30 @@ class TestEnergyDecay:
                   field]
         edrs = [energy_decay_ratio(f, m, cfg) for f in tested]
         assert mu <= np.sqrt(max(edrs)) + 0.1
+
+
+class TestEnergyEstimate:
+    """The paper's estimate ||K f||_D <= sqrt(E_Omega(T) / E(0)) ||f||_D on the
+    example configs, for the phantom projected to zero trace and for the
+    smoothed noise that seeds ``knorm``."""
+
+    @pytest.mark.parametrize("name, seed, ratio, bound", [
+        ("example1", None, 0.1790, 0.3575),
+        ("example1", 0, 0.1597, 0.3059),
+        ("example1", 1, 0.1748, 0.3260),
+        ("example2_skull", None, 0.0986, 0.2844),
+    ], ids=["example1_phantom", "example1_seed0", "example1_seed1", "example2_phantom"])
+    def test_error_operator_obeys_the_energy_bound(self, name, seed, ratio, bound):
+        run = RunConfig.from_file(Path(__file__).parents[1] / "configs" / f"{name}.cfg")
+        g = run.build_grid()
+        m, kset = run.build_medium(g), run.build_kset(g)
+        cfg = run.recon_config(run.build_omega(g), kset)
+        if seed is None:
+            f = project_HD(run.build_phantom(g, kset), kset, cfg.harmonic_tol)
+        else:
+            f = _random_zero_trace_field(cfg, seed)
+        k_ratio = hd_norm(apply_error_operator(f, m, cfg), kset) / hd_norm(f, kset)
+        energy_bound = math.sqrt(energy_decay_ratio(f, m, cfg))
+        assert k_ratio <= energy_bound
+        assert (k_ratio, energy_bound) == (pytest.approx(ratio, abs=1e-3),
+                                           pytest.approx(bound, abs=1e-3))
