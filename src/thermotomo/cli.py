@@ -10,13 +10,12 @@ seed, repeated runs produce identical output bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from .config import RunConfig
 from .errors import ConfigurationError, FormatError, NumericalError
-from .formats import emit_pgm, read_trace, write_grid, write_trace
+from .formats import emit_pgm, read_trace, write_csv, write_grid, write_text, write_trace
 from .grid_field import ScalarField, WaveState
 from .rays import check_visibility, sample_directions, sample_positions, trace_branches
 from .recon import energy_decay_ratio, estimate_contraction, neumann_series
@@ -97,7 +96,11 @@ def _run_series(args, truth=None):
             print(msg, file=sys.stderr)
 
     recon, report = neumann_series(trace, medium, rcfg, truth=truth_field, on_term=on_term)
-    report.write_csv(os.path.join(out, "report.csv"))
+    write_csv(os.path.join(out, "report.csv"),
+              [("term", "update_norm", "err_hd", "err_l2"),
+               *((t.term, *("" if v is None else f"{v:.12e}"
+                            for v in (t.update_norm, t.err_hd, t.err_l2)))
+                 for t in report.iterates)])
     write_grid(os.path.join(out, "recon.tawg"), recon)
     emit_pgm(recon, os.path.join(out, "recon.pgm"), _pgm_range(recon))
     terms = len(report.iterates)
@@ -131,16 +134,14 @@ def cmd_raytrace(args) -> int:
     x_text = [[f"{v:.12g}" for v in x] for x in xs]
     d_text = [[f"{v:.12g}" for v in d] for d in ds]
     lost = set(uncovered)
-    with open(os.path.join(out, "visibility.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "dx", "dy", "covered"])
-        w.writerows([*xt, *dt, int((tuple(x), tuple(d)) not in lost)]
-                    for x, xt in zip(xs, x_text) for d, dt in zip(ds, d_text))
+    write_csv(os.path.join(out, "visibility.csv"),
+              [("x", "y", "dx", "dy", "covered"),
+               *([*xt, *dt, int((tuple(x), tuple(d)) not in lost)]
+                 for x, xt in zip(xs, x_text) for d, dt in zip(ds, d_text))])
     n_graphs = min(4, len(positions))
     for k in range(n_graphs):
         g = trace_branches(positions[k], directions[0], medium, omega, T, sampling["caps"])
-        with open(os.path.join(out, f"branches_{k}.txt"), "w") as fh:
-            fh.write(g.to_text())
+        write_text(os.path.join(out, f"branches_{k}.txt"), g.to_text())
     total = len(positions) * len(directions)
     print(f"visibility: {'all covered' if visible else 'NOT covered'} "
           f"({total - len(uncovered)}/{total} samples)")
@@ -152,10 +153,8 @@ def cmd_knorm(args) -> int:
     rcfg = cfg.recon_config(omega, kset)
     seed = {"seed": cfg.values["seed"]} if "seed" in cfg.values else {}
     mu = estimate_contraction(medium, rcfg, n_power_iters=args.power_iters, **seed)
-    with open(os.path.join(out, "knorm.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_power_iters", "mu_hat"])
-        w.writerow([args.power_iters, f"{mu:.12e}"])
+    write_csv(os.path.join(out, "knorm.csv"),
+              [("n_power_iters", "mu_hat"), (args.power_iters, f"{mu:.12e}")])
     print(f"mu_hat = {mu:.6f}")
     return EXIT_OK
 

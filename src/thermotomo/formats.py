@@ -1,15 +1,16 @@
-"""Bit-exact binary file formats: TAWG grids, TAWS traces, 16-bit PGM images.
+"""Output files: bit-exact TAWG grids, TAWS traces, 16-bit PGMs; text and CSV.
 
 All integers and floats are little-endian and fixed-width; round trips are
-bitwise identical.  Writers are whole-file atomic (write to a temp file in
-the target directory, then rename).
+bitwise identical.  Every file is written whole by one function: to a new temp
+file in the target directory, then renamed over it, with ``open()``'s mode.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -26,8 +27,9 @@ _TRACE_HEADER = struct.Struct("<4sIQQd")     # magic, version, n_times, n_det, d
 
 
 def _atomic_write(path, payload: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a fresh name, created exclusively; the umask trims 0o666 as for open()
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -36,6 +38,18 @@ def _atomic_write(path, payload: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text(path, text: str):
+    """Text as UTF-8, its line ends as given."""
+    _atomic_write(path, text.encode("utf-8"))
+
+
+def write_csv(path, rows):
+    """Rows as ``csv.writer`` writes them: minimal quoting, ``\r\n`` line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def write_grid(path, field: ScalarField):

@@ -9,7 +9,6 @@ geometric series; each term costs one forward and one backward solve.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -96,15 +95,6 @@ class ReconReport:
     converged: bool = False
     non_contraction_warning: bool = False
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["term", "update_norm", "err_hd", "err_l2"])
-            for t in self.iterates:
-                w.writerow([t.term, f"{t.update_norm:.12e}",
-                            "" if t.err_hd is None else f"{t.err_hd:.12e}",
-                            "" if t.err_l2 is None else f"{t.err_l2:.12e}"])
-
 
 def time_reverse(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> WaveState:
     """Pseudo-inverse of the measurement: backward solve from [phi, 0] at t = T,
@@ -128,9 +118,7 @@ def apply_error_operator(f1: ScalarField, m: Medium, cfg: ReconConfig) -> Scalar
     scfg = cfg.solver_config(m)
     trace = forward(WaveState(f1, ScalarField.zeros(m.grid)), m, cfg.omega, cfg.T, scfg)
     rec = pseudo_inverse_step(trace, m, cfg)
-    out = project_HD(f1, cfg.kset, cfg.harmonic_tol) - rec
-    out.data[~cfg.kset.mask] = 0.0
-    return out
+    return project_HD(f1, cfg.kset, cfg.harmonic_tol) - rec
 
 
 def _non_contraction(update_norms: list[float]) -> bool:
@@ -182,7 +170,6 @@ def neumann_series(h: BoundaryTrace, m: Medium, cfg: ReconConfig,
                                m, cfg.omega, cfg.T, scfg)
         update = pseudo_inverse_step(residual, m, cfg)
         f = f + update
-        f.data[~cfg.kset.mask] = 0.0
         norm_update = hd_norm(update, cfg.kset)
         record(k, norm_update, f)
         base = hd_norm(f, cfg.kset)
@@ -228,7 +215,6 @@ def _random_zero_trace_field(cfg: ReconConfig, seed: int) -> ScalarField:
     data = np.zeros(g.shape)
     data[cfg.kset.mask] = rng.standard_normal(int(cfg.kset.mask.sum()))
     data = _gaussian(data, SEED_SMOOTH_SIGMA)
-    data[~cfg.kset.mask] = 0.0
     return project_HD(ScalarField(g, data), cfg.kset, cfg.harmonic_tol)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thermotomo import cli
+from thermotomo import cli, formats
 from thermotomo.cli import build_parser, main
 from thermotomo.config import _GROUPS, _SCALAR_KEYS, RunConfig, parse_config_text
 from thermotomo.errors import ConfigurationError
@@ -394,6 +395,42 @@ class TestCli:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# -- output files: every one written whole by one function, with open()'s mode --
+
+
+def _run_every_command(tmp_path):
+    """Each subcommand on TINY, into its own output directory: their paths."""
+    cfg, trace, outs = write_cfg(tmp_path), str(tmp_path / "forward" / "trace.taws"), []
+    for cmd, *flags in (["forward"], ["reconstruct", "--trace", trace], ["roundtrip"],
+                        ["raytrace"], ["knorm", "--power-iters", "5"], ["energy"]):
+        outs.append(tmp_path / cmd)
+        assert main([cmd, "--config", cfg, "--output-dir", str(outs[-1]), *flags]) == 0
+    return outs
+
+
+def test_every_output_is_written_atomically(tmp_path, monkeypatch):
+    written, atomic_write = [], formats._atomic_write
+
+    def recorded(path, payload):
+        written.append(os.path.abspath(path))
+        atomic_write(path, payload)
+
+    monkeypatch.setattr(formats, "_atomic_write", recorded)
+    files = [str(p) for out in _run_every_command(tmp_path) for p in out.iterdir()]
+    assert written and sorted(written) == sorted(files)
+
+
+def test_every_output_gets_the_mode_of_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        outs = _run_every_command(tmp_path)
+    finally:
+        os.umask(old)
+    modes = {f"{out.name}/{p.name}": p.stat().st_mode & 0o777
+             for out in outs for p in out.iterdir()}
+    assert modes and all(mode == 0o644 for mode in modes.values()), modes
+
+
 # -- input sweep: every int and float key at edge values exits 0 or 2 --------------
 
 SWEEP_VALUES = {float: ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
@@ -404,8 +441,8 @@ SWEEP = [(key, value) for key, caster in SWEEP_KEYS.items()
          for value in SWEEP_VALUES.get(caster, ())]
 
 
-def _forked_main(argv, log_path):
-    """``main(argv)`` in a forked child: its exit code and what it printed."""
+def _fork_main(argv, log_path):
+    """Start ``main(argv)`` in a forked child that prints to log_path; its pid."""
     pid = os.fork()
     if pid == 0:
         code = 70
@@ -421,6 +458,11 @@ def _forked_main(argv, log_path):
                 log.flush()
         finally:
             os._exit(code if isinstance(code, int) else 70)    # never back into pytest
+    return pid
+
+
+def _reap(pid, log_path):
+    """A forked ``main``'s exit code and what it printed, once it has ended."""
     _, status = os.waitpid(pid, 0)
     return os.waitstatus_to_exitcode(status), Path(log_path).read_text()
 
@@ -434,13 +476,29 @@ def test_sweep_keys_are_config_keys():
 
 @pytest.mark.parametrize("cmd", ["forward", "raytrace", "energy", "roundtrip"])
 def test_input_sweep_exits_0_or_2(tmp_path, cmd):
-    # the value replaces its key's line in TINY, or is added
-    path, out, log = tmp_path / "sweep.cfg", tmp_path / "out", tmp_path / "log.txt"
-    failures = []
-    for key, value in SWEEP:
-        path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
-                                if not kept.startswith(key + " ")) + f"{key} = {value}\n")
-        code, printed = _forked_main([cmd, "--config", str(path), "--output-dir", str(out)], log)
+    # the value replaces its key's line in TINY, or is added.  Two children run
+    # at once, each with its own config file, output directory and log, and
+    # they are reaped in the order they started
+    running, failures = collections.deque(), []
+
+    def reap():
+        key, value, pid, log = running.popleft()
+        code, printed = _reap(pid, log)
         if code not in (0, 2) or "Traceback" in printed:
             failures.append(f"{key} = {value}: exit {code}\n{printed}")
+
+    try:
+        for n, (key, value) in enumerate(SWEEP):
+            if len(running) == 2:
+                reap()
+            slot = tmp_path / str(n % 2)    # the slot of the child just reaped
+            slot.mkdir(exist_ok=True)
+            path, log = slot / "sweep.cfg", slot / "log.txt"
+            path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
+                                    if not kept.startswith(key + " ")) + f"{key} = {value}\n")
+            argv = [cmd, "--config", str(path), "--output-dir", str(slot / "out")]
+            running.append((key, value, _fork_main(argv, log), log))
+    finally:
+        while running:
+            reap()
     assert not failures, "\n".join(failures)

@@ -1,3 +1,4 @@
+import csv
 import os
 import struct
 
@@ -5,7 +6,15 @@ import numpy as np
 import pytest
 
 from thermotomo.errors import DegenerateInputError, FormatError
-from thermotomo.formats import emit_pgm, read_grid, read_trace, write_grid, write_trace
+from thermotomo.formats import (
+    emit_pgm,
+    read_grid,
+    read_trace,
+    write_csv,
+    write_grid,
+    write_text,
+    write_trace,
+)
 from thermotomo.grid_field import Grid, ScalarField
 from thermotomo.wave_solver import BoundaryTrace
 
@@ -154,3 +163,31 @@ class TestAtomicity:
         path = tmp_path / "f.tawg"
         write_grid(path, field)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tawg"]
+
+    def test_failed_rename_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "b.txt"
+        write_text(path, "old\n")
+
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            write_text(path, "new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
+        assert path.read_text() == "old\n"
+
+
+class TestText:
+    def test_csv_bytes_are_csv_writers_on_a_file(self, tmp_path):
+        # quoting, embedded line breaks and the \r\n line ends are csv.writer's
+        rows = [("x", "y,z", 'q"uote'), (1, 2.5, ""), ("line\nbreak", None, -0.0)]
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        write_csv(tmp_path / "new.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes().endswith(b"-0.0\r\n")
+
+    def test_text_is_written_as_given(self, tmp_path):
+        write_text(tmp_path / "t.txt", "# head\nrow 1\n")
+        assert (tmp_path / "t.txt").read_bytes() == b"# head\nrow 1\n"

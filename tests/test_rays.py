@@ -431,7 +431,7 @@ def _ref_speed_at(m, x):
     for radius, speed in reversed(m.layers):  # innermost first
         if r < radius:
             return speed
-    return BACKGROUND_SPEED
+    return m.background
 
 
 def _ref_reflect(d, n):
@@ -671,14 +671,15 @@ def _example(name):
 
 
 def _geometries():
-    """(medium, omega, kset, T) for the example1 disk, the example2 skull and the
-    slow disk of acceptance criterion 5."""
-    _, m1, omega1, kset1 = example1_setup()
+    """(medium, omega, kset, T) for the example1 disk, the example2 skull, the
+    slow disk of acceptance criterion 5 and example1's box at uniform speed 2."""
+    g1, m1, omega1, kset1 = example1_setup()
     m2, omega2, T2 = _example("example2_skull")
     _, m5, omega5, kset5 = example1_setup(N=512, L=4.1, kr=0.483)
     return {"example1": (m1, omega1, kset1, 4.0),
             "skull": (m2, omega2, Region.disk(omega2.grid, (0.0, 0.0), 0.4), T2),
-            "slow_disk": (m5, omega5, kset5, 1.0)}
+            "slow_disk": (m5, omega5, kset5, 1.0),
+            "uniform_fast": (uniform_medium(g1, 2.0), omega1, kset1, 4.0)}
 
 
 class TestReferenceTracer:
@@ -688,7 +689,7 @@ class TestReferenceTracer:
     def geometries(self):
         return _geometries()
 
-    @pytest.mark.parametrize("name", ["example1", "skull", "slow_disk"])
+    @pytest.mark.parametrize("name", ["example1", "skull", "slow_disk", "uniform_fast"])
     @pytest.mark.parametrize("caps", [None, {"max_depth": 3, "min_weight": 0.05}])
     def test_sampled_graphs_match(self, geometries, name, caps):
         m, omega, kset, T = geometries[name]
