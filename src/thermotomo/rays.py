@@ -25,7 +25,11 @@ first the rays closest to an exit, those that last left the farthest-out
 interface on its outer side, dropping a sample's rays, waiting ones
 included, once it has an exit.  A sample is covered when its tree holds an
 exit, and an uncovered sample's whole tree is traced, so the flags do not
-depend on that order; it only decides how much work is skipped.
+depend on that order; it only decides how much work is skipped.  It skips
+every launch that the ray parameter q = |x × d| / c proves trapped: every
+reflection and transmission keeps q, so a launch inside a circle of radius R
+within the rectangle, with q·c_ext > R for the circle's outer speed c_ext, is
+totally reflected there for good.
 """
 
 from __future__ import annotations
@@ -353,6 +357,16 @@ def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(x0, len(d), axis=0), np.tile(d, (len(x0), 1))
 
 
+def _confined(s: _Scene, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Which launches (x, d) the ray-parameter rule of the module docstring traps."""
+    q = np.abs(x[:, 0] * d[:, 1] - x[:, 1] * d[:, 0]) / speeds_at(s.medium, x)
+    xmin, xmax, ymin, ymax = s.sides
+    inside = (s.radius < min(-xmin, xmax, -ymin, ymax)) & (np.hypot(*x.T)[:, None] < s.radius)
+    # q drifts by ulps per event, far below the 1e-9 margin, so a traced branch
+    # ends at that circle in total reflection or undetermined, never in an exit
+    return (inside & (q[:, None] * s.laws[:, 0, 1] > s.radius * (1 + 1e-9))).any(axis=1)
+
+
 def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
     """Every ray's events where it next meets an interface, the rectangle or time T.
 
@@ -550,10 +564,11 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     rays, waiting ones included, are dropped in the round in which one of
     them exits.  The order cannot change the result: a ray's events do not
     depend on its round, a covered sample stays covered, and no ray of an
-    uncovered sample is dropped.  A law error is raised only from a ray the
-    sweep advances, and no ray of a covered sample is advanced.  Returns
-    (all_covered, uncovered_samples); tangent-undetermined samples count as
-    uncovered.
+    uncovered sample is dropped, and a launch the ray parameter traps (see
+    the module docstring) is never advanced, as no branch of it can exit.  A
+    law error is raised only from a ray the sweep advances: never from a
+    covered sample's rays or a trapped launch's.  Returns (all_covered,
+    uncovered_samples); tangent-undetermined samples count as uncovered.
     """
     sampling = _filled(sampling, {**SAMPLING_DEFAULTS, "caps": None}, "sampling keys")
     n_pos, n_dir = int(sampling["n_pos"]), int(sampling["n_dir"])
@@ -561,8 +576,9 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     positions = sample_positions(kset, n_pos)
     directions = sample_directions(n_dir)
     x, d = _launch(s, positions, directions)
+    free = ~_confined(s, x, d)
     covered = np.zeros(len(positions) * len(directions), dtype=bool)
-    for ev, sample in _grow(s, x, d, np.arange(len(x)) // 2, covered):
+    for ev, sample in _grow(s, x[free], d[free], np.flatnonzero(free) // 2, covered):
         covered[sample[ev.kind == _EXIT]] = True
         del ev, sample      # freed before the next round is advanced
     xs, ds = positions.tolist(), directions.tolist()

@@ -163,14 +163,12 @@ class TestCli:
             assert main(["energy", "--config", str(path)]) == 2
             assert "unknown key" in capsys.readouterr().err
 
-    # medium.mollify_width is a removed key: any value of it is rejected as unknown
     @pytest.mark.parametrize("line", ["recon.tol_rel = -1", "recon.tol_rel = nan",
-                                      "medium.mollify_width = -0.1",
-                                      "medium.mollify_width = nan",
+                                      "recon.harmonic_tol = 1e-20", "kset.radius = nan",
                                       "time.T = inf", "layer.1.speed = inf",
                                       "omega.xmin = nan", "phantom.1.sigma = nan",
                                       "phantom.1.cx = nan", "layer.1.speed = 1e300",
-                                      "solver.cfl = 1e-300", "phantom.1.sigma = 1e-300",
+                                      "grid.h = -0.04", "phantom.1.sigma = 1e-300",
                                       "layer.1.speed = 1e-300"])
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
         # the line replaces its key's line in TINY, or is added

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermotomo import rays
@@ -805,26 +805,56 @@ class TestReferenceTracer:
             False, [(tuple(x), tuple(d))])
 
 
+def _assert_flags_match(radii, speeds, centre, radius, T, max_depth, min_weight,
+                        n_pos, n_dir):
+    """check_visibility's flags on example1's box with these layers, kset disk,
+    T, caps and sampling are the reference's (examples where the reference
+    raises a law error are rejected)."""
+    radii = sorted(radii, reverse=True)
+    assume(all(r1 - r2 > 0.02 for r1, r2 in zip(radii, radii[1:])))
+    layers = list(zip(radii, speeds))
+    assume(all(c1 != c2 for c1, c2 in zip([BACKGROUND_SPEED] + speeds, speeds)))
+    g, _, omega, _ = example1_setup()
+    m = build_medium(layers, g)
+    kset = Region.disk(g, centre, radius)
+    caps = {"max_depth": max_depth, "min_weight": min_weight}
+    samples = [(tuple(x), tuple(d)) for x in sample_positions(kset, n_pos)
+               for d in sample_directions(n_dir)]
+    try:
+        expected = [s for s in samples
+                    if not _ref_trace_branches(*s, m, omega, T, caps).has_clean_exit()]
+    except (TangencyError, CriticalAngleError, DegenerateInputError):
+        assume(False)
+    sampling = {"n_pos": n_pos, "n_dir": n_dir, "caps": caps}
+    assert check_visibility(kset, m, omega, T, sampling) == (not expected, expected)
+
+
 class TestSweepOrder:
     """check_visibility advances the rays closest to an exit first; which
     samples it finds covered does not depend on that order."""
 
-    # rows the bench-size skull sweep gives ``_advance``; whole generations,
-    # with covered samples dropped only between them, give 29,154
-    SKULL_ROWS = 17_554
+    # rows the bench-size skull sweep gives ``_advance``; tracing its 1,708
+    # trapped launches too gives 17,554, and whole generations, with covered
+    # samples dropped only between them, 29,154
+    SKULL_ROWS = 8_700
 
     def test_rows_advanced_at_bench_size(self, monkeypatch):
         m, omega, T = _example("example2_skull")
         kset = Region.disk(omega.grid, (0.0, 0.0), 0.4)
-        rows, advance = [], rays._advance
+        rows, launched, advance = [], [], rays._advance
 
-        def counting(s, x, *rest):
+        def counting(s, x, d, c, t, w, depth, skip):
             rows.append(len(x))
-            return advance(s, x, *rest)
+            first = depth == 0
+            launched.append(int(first.sum()))
+            assert not rays._confined(s, x[first], d[first]).any()
+            return advance(s, x, d, c, t, w, depth, skip)
 
         monkeypatch.setattr(rays, "_advance", counting)
         visible, uncovered = check_visibility(kset, m, omega, T, {"n_pos": 24, "n_dir": 96})
         assert not visible and len(uncovered) == 854
+        # both launches of every uncovered sample are trapped
+        assert sum(launched) == 2 * (24 * 96 - 854)
         assert sum(rows) <= self.SKULL_ROWS
 
     @given(radii=st.lists(st.floats(0.15, 1.2), min_size=1, max_size=3),
@@ -838,23 +868,82 @@ class TestSweepOrder:
                                        max_depth, min_weight, n_pos, n_dir):
         # 1-3 concentric interfaces whose speeds step up or down, a kset disk
         # inside omega, and any T and caps: the flags are the reference's
-        radii = sorted(radii, reverse=True)
-        assume(all(r1 - r2 > 0.02 for r1, r2 in zip(radii, radii[1:])))
-        layers = list(zip(radii, speeds))
-        assume(all(c1 != c2 for c1, c2 in zip([BACKGROUND_SPEED] + speeds, speeds)))
-        g, _, omega, _ = example1_setup()
-        m = build_medium(layers, g)
-        kset = Region.disk(g, centre, radius)
-        caps = {"max_depth": max_depth, "min_weight": min_weight}
-        samples = [(tuple(x), tuple(d)) for x in sample_positions(kset, n_pos)
-                   for d in sample_directions(n_dir)]
-        try:
-            expected = [s for s in samples
-                        if not _ref_trace_branches(*s, m, omega, T, caps).has_clean_exit()]
-        except (TangencyError, CriticalAngleError, DegenerateInputError):
-            assume(False)
-        sampling = {"n_pos": n_pos, "n_dir": n_dir, "caps": caps}
-        assert check_visibility(kset, m, omega, T, sampling) == (not expected, expected)
+        _assert_flags_match(radii, speeds, centre, radius, T, max_depth, min_weight,
+                            n_pos, n_dir)
+
+
+class TestTrappedLaunches:
+    """check_visibility does not trace a launch whose ray parameter
+    q = |x × d| / c keeps it inside a circle within the rectangle."""
+
+    # in the skull's brain (c = 1) a launch along the tangent at distance p from
+    # the centre has q = p, and the shell (c = 2) reflects it for good when
+    # 2p > 0.5, which the rule takes past its margin: p > 0.25 * (1 + 1e-9)
+    @pytest.mark.parametrize("p,trapped", [
+        (0.1, False), (0.25, False), (0.25 * (1 + 0.5e-9), False),
+        (0.25 * (1 + 2e-9), True), (0.3, True), (0.49, True),
+        (0.6, False), (0.9, False)])            # in the shell and in the water
+    def test_tangent_launch_in_the_skull(self, p, trapped):
+        m, omega, T = _example("example2_skull")
+        s = rays._scene(m, omega, T, None)
+        th = np.linspace(0.0, 2 * math.pi, 7)[:, None]
+        x = p * np.hstack((np.cos(th), np.sin(th)))
+        d = np.hstack((-np.sin(th), np.cos(th)))
+        assert rays._confined(s, np.vstack((x, x)), np.vstack((d, -d))).tolist() == [trapped] * 14
+
+    def test_circle_not_inside_the_rectangle_never_traps(self):
+        m, omega, T = _example("example2_skull")
+        s = rays._scene(m, omega, T, None)
+        x, d = np.array([(0.3, 0.0)]), np.array([(0.0, 1.0)])
+        # the brain circle (r = 0.5) touches these sides, and the shell's is outside them
+        assert not rays._confined(s._replace(sides=np.array([-0.5, 0.5, -0.5, 0.5])), x, d)[0]
+        assert rays._confined(s._replace(sides=np.array([-0.51, 0.51, -0.51, 0.51])), x, d)[0]
+
+    @given(radii=st.lists(st.floats(0.15, 1.5), min_size=1, max_size=3),
+           speeds=st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3),
+           centre=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           radius=st.floats(0.1, 0.45), T=st.floats(0.5, 6.0),
+           max_depth=st.integers(1, 12), min_weight=st.floats(1e-4, 0.5),
+           n_pos=st.integers(1, 3), n_dir=st.integers(1, 4))
+    # a slow disk (r = 1.2) reaching past the rectangle: launches that it would
+    # trap if it lay inside the rectangle exit the rectangle first
+    @example(radii=[1.2], speeds=[0.5, 2.0, 0.7], centre=(0.5, 0.0), radius=0.4, T=6.0,
+             max_depth=12, min_weight=1e-4, n_pos=3, n_dir=4)
+    @settings(max_examples=100, deadline=None)
+    def test_flags_match_the_reference(self, radii, speeds, centre, radius, T,
+                                       max_depth, min_weight, n_pos, n_dir):
+        # speeds 0.05-20 step up or down across 1-3 interfaces, some of them
+        # beyond the rectangle (sides near +-1), and T up to 6: the flags are
+        # the full trace's, trapped launches or not
+        _assert_flags_match(radii, speeds, centre, radius, T, max_depth, min_weight,
+                            n_pos, n_dir)
+
+    def test_trapped_launch_raises_no_law_error(self, monkeypatch):
+        # The slow-shell chord of test_law_error_raises_from_the_batch: in a
+        # shell of c = 0.5 from r = 0.5 to 0.8 around a disk of c = 0.6, the
+        # chord at p = 0.25 / 0.6 has q = p / 0.5 > 0.8 / 1, so the r = 0.8
+        # circle holds it, and its hit on r = 0.5 at the critical angle raises
+        # in a full trace.  The sweep traces neither launch: the sample is
+        # uncovered and nothing is raised.
+        g, _, omega, kset = example1_setup()
+        m = build_medium([(0.8, 0.5), (0.5, 0.6)], g)
+        s = rays._scene(m, omega, 4.0, None)
+        edge = 1e-12 * 0.5 * math.cos(math.asin(0.5 / 0.6))   # p offset worth CRITICAL_TOL
+        raising = []
+        for p in (0.25 / 0.6 + sgn * edge + j * 2.0 ** -54 for sgn in (1, -1) for j in range(-24, 24)):
+            try:
+                trace_branches((p, 0.5), (0.0, 1.0), m, omega, 4.0)
+            except CriticalAngleError:
+                raising.append(p)
+            else:
+                continue
+            x, d = np.array([(p, 0.5)]), np.array([(0.0, 1.0)])
+            assert rays._confined(s, *rays._launch(s, x, d)).all()
+            monkeypatch.setattr(rays, "sample_positions", lambda kset, n: x)
+            monkeypatch.setattr(rays, "sample_directions", lambda n: d)
+            assert check_visibility(kset, m, omega, 4.0, {"n_pos": 1, "n_dir": 1}) == (
+                False, [((p, 0.5), (0.0, 1.0))])
+        assert raising
 
 
 class TestLayerSpeed:
