@@ -55,16 +55,10 @@ def cmd_forward(args) -> int:
                            on_step=_progress(args, "forward"))
     write_trace(os.path.join(out, "trace.taws"), trace)
     write_grid(os.path.join(out, "phantom.tawg"), phantom)
-    emit_pgm(phantom, os.path.join(out, "phantom.pgm"), _pgm_range(phantom))
-    emit_pgm(final.u, os.path.join(out, "field_T.pgm"), _pgm_range(final.u))
+    emit_pgm(phantom, os.path.join(out, "phantom.pgm"))
+    emit_pgm(final.u, os.path.join(out, "field_T.pgm"))
     print(f"wrote {out}/trace.taws ({trace.values.shape[0]} x {trace.values.shape[1]} samples)")
     return EXIT_OK
-
-
-def _pgm_range(f):
-    """(min, max) of a field for emit_pgm; a constant field maps to (lo, lo + 1)."""
-    lo, hi = float(f.data.min()), float(f.data.max())
-    return (lo, hi) if lo < hi else (lo, lo + 1.0)
 
 
 def _run_series(args, truth=None):
@@ -85,10 +79,9 @@ def _run_series(args, truth=None):
 
     def on_term(stats, f):
         nonlocal pgm_lo_hi
-        if args.term_pgms:
-            if pgm_lo_hi is None:
-                pgm_lo_hi = _pgm_range(f)
-            emit_pgm(f, os.path.join(out, f"recon_term_{stats.term:02d}.pgm"), pgm_lo_hi)
+        if args.term_pgms:  # every term on the first term's range
+            pgm_lo_hi = emit_pgm(f, os.path.join(out, f"recon_term_{stats.term:02d}.pgm"),
+                                 pgm_lo_hi)
         if args.verbose:
             msg = f"term {stats.term}: update {stats.update_norm:.3e}"
             if stats.err_hd is not None:
@@ -102,7 +95,7 @@ def _run_series(args, truth=None):
                             for v in (t.update_norm, t.err_hd, t.err_l2)))
                  for t in report.iterates)])
     write_grid(os.path.join(out, "recon.tawg"), recon)
-    emit_pgm(recon, os.path.join(out, "recon.pgm"), _pgm_range(recon))
+    emit_pgm(recon, os.path.join(out, "recon.pgm"))
     terms = len(report.iterates)
     line = f"series: {terms} terms, converged={report.converged}"
     if report.mu_hat is not None:

@@ -111,18 +111,24 @@ def read_trace(path) -> BoundaryTrace:
     return BoundaryTrace(points=points.copy(), dt=dt, values=values.copy())
 
 
-def emit_pgm(field: ScalarField, path, value_range: tuple[float, float] | None = None):
-    """Write a binary 16-bit PGM (P5, maxval 65535, big-endian samples).
+def emit_pgm(field: ScalarField, path,
+             value_range: tuple[float, float] | None = None) -> tuple[float, float]:
+    """Write a binary 16-bit PGM (P5, maxval 65535, big-endian samples) and
+    return the (lo, hi) it used.
 
-    Values map linearly from [lo, hi] (default: field min/max) onto
-    [0, 65535], rounded to nearest and clipped.  Pixel order matches the
-    field's row-major data order: width ny, height nx.
+    Values map linearly from [lo, hi] (default: the field's (min, max), or
+    (lo, lo + 1) for a constant field) onto [0, 65535], rounded to nearest and
+    clipped.  A given range must be finite with lo != hi, and the field finite.
+    Pixel order matches the field's row-major data order: width ny, height nx.
     """
-    lo, hi = value_range if value_range is not None else (float(field.data.min()),
-                                                          float(field.data.max()))
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo == hi:
-        raise DegenerateInputError(f"degenerate value range ({lo}, {hi})")
+    if value_range is None:
+        lo, hi = float(field.data.min()), float(field.data.max())
+        value_range = (lo, hi) if lo < hi else (lo, lo + 1.0)
+    lo, hi = value_range
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(field.data).all()) or lo == hi:
+        raise DegenerateInputError(f"degenerate value range ({lo}, {hi}) or non-finite field")
     scaled = np.round((field.data - lo) / (hi - lo) * 65535.0)
     pixels = np.clip(scaled, 0, 65535).astype(">u2")
     header = f"P5\n{field.grid.ny} {field.grid.nx}\n65535\n".encode("ascii")
     _atomic_write(path, header + pixels.tobytes(order="C"))
+    return lo, hi

@@ -5,6 +5,9 @@ speed outside them, 1 unless ``uniform_medium`` sets it; its nodal samples,
 interfaces and point speeds all derive from these.  Disks are centered at the
 physical point (0, 0); nesting is therefore equivalent to strictly decreasing
 radii.  Each circle is an interface carrying the speed limits from its two sides.
+``Medium`` checks its own layers, so every constructor rejects a bad table alike:
+radii positive, strictly decreasing and inside the grid, and every speed and its
+square positive and finite (a NaN fails each check).
 """
 
 from __future__ import annotations
@@ -40,13 +43,27 @@ class InterfaceDescriptor:
 class Medium:
     """Sound-speed map c(x): the innermost disk's speed, ``background`` outside
     every disk.  ``c_field`` (nodal samples), ``c_sq`` (their square, the
-    solver's weight) and ``interfaces`` are derived from ``layers``."""
+    solver's weight) and ``interfaces`` are derived from ``layers``, after the
+    checks of the module docstring."""
 
     grid: Grid
     layers: tuple[tuple[float, float], ...]  # (radius, speed), outermost first
     background: float = BACKGROUND_SPEED
 
     def __post_init__(self):
+        self.layers = tuple((float(r), float(c)) for r, c in self.layers)
+        radii = [r for r, _ in self.layers]
+        if not all(r > 0 for r in radii):
+            raise ConfigurationError("disk radii must be positive")
+        if not all(r2 < r1 for r1, r2 in zip(radii, radii[1:])):
+            raise ConfigurationError(
+                f"disks must be strictly nested (radii strictly decreasing), got {radii}")
+        for _, c in self.layers:
+            _check_speed(c)
+        xmin, xmax, ymin, ymax = self.grid.bounds
+        if radii and not radii[0] < min(-xmin, xmax, -ymin, ymax):
+            raise ConfigurationError("outermost disk does not fit inside the grid")
+        _check_speed(self.background)
         xx, yy = self.grid.meshgrid()
         self.c_field = self._speed(np.hypot(xx, yy))
         self.c_sq = self.c_field ** 2
@@ -75,31 +92,14 @@ def _check_speed(c: float):
 
 
 def build_medium(spec: list[tuple[float, float]], grid: Grid) -> Medium:
-    """Build a nested-disk medium from (radius, speed) pairs, outermost first.
-
-    Node speed is the speed of the innermost disk containing the node, 1
-    outside all disks.
-    """
-    layers = tuple((float(r), float(c)) for r, c in spec)
-    radii = [r for r, _ in layers]
-    if any(r <= 0 for r in radii):
-        raise ConfigurationError("disk radii must be positive")
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ConfigurationError(
-            f"disks must be strictly nested (radii strictly decreasing), got {radii}")
-    for _, c in layers:
-        _check_speed(c)
-    xmin, xmax, ymin, ymax = grid.bounds
-    if layers and not radii[0] < min(-xmin, xmax, -ymin, ymax):  # not a NaN radius either
-        raise ConfigurationError("outermost disk does not fit inside the grid")
-    return Medium(grid, layers)
+    """The nested-disk medium of (radius, speed) pairs, outermost first."""
+    return Medium(grid, tuple(spec))
 
 
 def uniform_medium(grid: Grid, speed: float = BACKGROUND_SPEED) -> Medium:
     """Constant-speed medium with no interfaces: waves and rays both move at
     ``speed``.  A non-unit speed is for controlled experiments only, since
     ``exterior_neumann`` still solves at unit speed outside the rectangle."""
-    _check_speed(speed)
     return Medium(grid, (), float(speed))
 
 

@@ -340,8 +340,8 @@ def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
                   np.array(laws).reshape(-1, 2, 5), float(T), max_depth, min_weight)
 
 
-def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Rays (x, d) and (x, -d) for every position x and direction d, in that order."""
+def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rays (x, d, c) and (x, -d, c), c the speed at x, for each x and d, in that order."""
     x0 = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     d0 = np.asarray(directions, dtype=np.float64).reshape(-1, 1, 2) * np.array([[1.0], [-1.0]])
     r0 = np.hypot(x0[:, 0], x0[:, 1])
@@ -351,15 +351,16 @@ def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray]:
     if not ((xmin < x0[:, 0]) & (x0[:, 0] < xmax) & (ymin < x0[:, 1]) & (x0[:, 1] < ymax)).all():
         raise ConfigurationError("launch point must lie inside the measurement rectangle")
     norm = np.hypot(d0[..., 0], d0[..., 1])
-    if (norm == 0.0).any():
-        raise ConfigurationError("ray direction must be nonzero")
+    if not (np.isfinite(d0).all() and (norm > 0.0).all()):
+        raise ConfigurationError("ray direction must be finite and nonzero")
     d = (d0 / norm[..., None]).reshape(-1, 2)
-    return np.repeat(x0, len(d), axis=0), np.tile(d, (len(x0), 1))
+    return (np.repeat(x0, len(d), axis=0), np.tile(d, (len(x0), 1)),
+            np.repeat(speeds_at(s.medium, x0), len(d)))
 
 
-def _confined(s: _Scene, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Which launches (x, d) the ray-parameter rule of the module docstring traps."""
-    q = np.abs(x[:, 0] * d[:, 1] - x[:, 1] * d[:, 0]) / speeds_at(s.medium, x)
+def _confined(s: _Scene, x: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which launches (x, d) at speed c the ray-parameter rule of the module docstring traps."""
+    q = np.abs(x[:, 0] * d[:, 1] - x[:, 1] * d[:, 0]) / c
     xmin, xmax, ymin, ymax = s.sides
     inside = (s.radius < min(-xmin, xmax, -ymin, ymax)) & (np.hypot(*x.T)[:, None] < s.radius)
     # q drifts by ulps per event, far below the 1e-9 margin, so a traced branch
@@ -453,9 +454,9 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
                    direction, live & (kind != _TRUNCATION))
 
 
-def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray,
+def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, c: np.ndarray, owner: np.ndarray,
           done: np.ndarray | None = None):
-    """Advance the rays launched at (x, d) round by round until none is left.
+    """Advance the rays launched at (x, d) at speed c round by round until none is left.
 
     Yields each round's events with the ``owner`` of each event's ray (launch
     i belongs to ``owner[i]``).  Without ``done`` a round is a whole
@@ -468,7 +469,7 @@ def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, owner: np.ndarray,
     ray of a done owner is.
     """
     n = len(x)
-    rays = [x, d, speeds_at(s.medium, x), np.zeros(n), np.ones(n), np.zeros(n, dtype=int),
+    rays = [x, d, c, np.zeros(n), np.ones(n), np.zeros(n, dtype=int),
             np.full(n, -1), owner]      # x, d, c, t, w, depth, skip, owner
     while len(rays[0]):
         now = slice(None) if done is None else rays[6] == rays[6].max()
@@ -496,7 +497,7 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
     and one ray's events are numbered consecutively.
     """
     s = _scene(m, omega, T, caps)
-    x, d = _launch(s, [x0], [d0])
+    x, d, c = _launch(s, [x0], [d0])
     graph = RayBranchGraph()
     for k in range(2):
         graph.add(None, "launch", x[k], 0.0, 1.0, 0, direction=d[k])
@@ -506,7 +507,7 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
         return graph
     events: list[list] = [[], []]   # per ray: (node arguments, child ray or None)
     first = 0                       # the current generation's first ray
-    for ev, _ in _grow(s, x, d, np.zeros(2, dtype=int)):
+    for ev, _ in _grow(s, x, d, c, np.zeros(2, dtype=int)):
         nxt = len(events)
         for ray, node, live in zip(ev.ray.tolist(), ev.nodes(), ev.live.tolist()):
             events[first + ray].append((node, len(events) if live else None))
@@ -575,10 +576,10 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     s = _scene(m, omega, T, sampling["caps"])
     positions = sample_positions(kset, n_pos)
     directions = sample_directions(n_dir)
-    x, d = _launch(s, positions, directions)
-    free = ~_confined(s, x, d)
+    x, d, c = _launch(s, positions, directions)
+    free = ~_confined(s, x, d, c)
     covered = np.zeros(len(positions) * len(directions), dtype=bool)
-    for ev, sample in _grow(s, x[free], d[free], np.flatnonzero(free) // 2, covered):
+    for ev, sample in _grow(s, x[free], d[free], c[free], np.flatnonzero(free) // 2, covered):
         covered[sample[ev.kind == _EXIT]] = True
         del ev, sample      # freed before the next round is advanced
     xs, ds = positions.tolist(), directions.tolist()

@@ -291,6 +291,14 @@ class TestCli:
         assert main(["raytrace", "--config", str(path)]) == 2
         assert "must its square" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["raytrace", "energy"])
+    def test_nan_layer_radius_exits_2(self, tmp_path, capsys, cmd):
+        # a NaN disk used to drop out of the raster while its interface stayed: exit 0
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + "layer.2.radius = nan\nlayer.2.speed = 0.7\n")
+        assert main([cmd, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "disk radii must be positive" in capsys.readouterr().err
+
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a long time.T asks forward for a trace of hundreds of GiB
         def too_big(args):

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import struct
 
@@ -152,10 +153,30 @@ class TestPgm:
 
     def test_degenerate_range_rejected(self, tmp_path):
         g = Grid(3, 3, 1.0)
+        for value_range in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(DegenerateInputError):
+                emit_pgm(ScalarField.zeros(g), tmp_path / "f.pgm", value_range)
         with pytest.raises(DegenerateInputError):
-            emit_pgm(ScalarField.zeros(g), tmp_path / "f.pgm", (1.0, 1.0))
-        with pytest.raises(DegenerateInputError):
-            emit_pgm(ScalarField.zeros(g), tmp_path / "f.pgm")
+            emit_pgm(ScalarField(g, np.full((3, 3), math.nan)), tmp_path / "f.pgm")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, tmp_path, bad):
+        data = np.zeros((3, 3))
+        data[1, 2] = bad
+        for value_range in (None, (0.0, 1.0)):
+            with pytest.raises(DegenerateInputError):
+                emit_pgm(ScalarField(Grid(3, 3, 1.0), data), tmp_path / "f.pgm", value_range)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_returns_the_range_it_used(self, tmp_path):
+        g = Grid(3, 3, 1.0)
+        data = np.linspace(-2.0, 7.0, 9).reshape(3, 3)
+        assert emit_pgm(ScalarField(g, data), tmp_path / "a.pgm") == (-2.0, 7.0)
+        assert emit_pgm(ScalarField(g, data), tmp_path / "b.pgm", (0.0, 1.0)) == (0.0, 1.0)
+        # a constant field maps onto (lo, lo + 1): an all-zero image
+        path = tmp_path / "c.pgm"
+        assert emit_pgm(ScalarField(g, np.full((3, 3), 0.5)), path) == (0.5, 1.5)
+        assert not any(path.read_bytes().split(b"\n", 3)[3])
 
 
 class TestAtomicity:

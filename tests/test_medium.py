@@ -7,6 +7,7 @@ from thermotomo.errors import ConfigurationError, DomainError
 from thermotomo.grid_field import Grid
 from thermotomo.medium import (
     InterfaceDescriptor,
+    Medium,
     build_medium,
     critical_angle,
     interface_gamma,
@@ -72,6 +73,37 @@ class TestBuildMedium:
     def test_uniform_medium_needs_a_finite_positive_speed(self, grid, speed):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             uniform_medium(grid, speed)
+
+
+# (layers, background, what the error says); a layer set goes through Medium and
+# build_medium, a background with no layers through Medium and uniform_medium
+INVALID_MEDIA = {
+    "nan radius in layer 2": ([(0.9, 2.0), (math.nan, 1.5)], 1.0, "radii must be positive"),
+    "non-nested radii": ([(0.3, 2.0), (0.5, 3.0)], 1.0, "strictly nested"),
+    **{f"speed {c}": ([(0.9, 2.0), (0.5, c)], 1.0, "positive and finite")
+       for c in (0.0, -1.0, math.nan, 1e300, 1e-300)},
+    "equal adjacent speeds": ([(0.8, 2.0), (0.4, 2.0)], 1.0, "equal speeds"),
+    "outermost disk past the grid": ([(1.5, 0.5)], 1.0, "does not fit inside the grid"),
+    "nan background": ([], math.nan, "positive and finite"),
+}
+
+
+@pytest.mark.parametrize("layers,background,message", INVALID_MEDIA.values(),
+                         ids=INVALID_MEDIA.keys())
+def test_every_constructor_rejects_an_invalid_medium_alike(grid, layers, background, message):
+    # the checks live in Medium, so no constructor lets a bad table through
+    # (a NaN radius, or a NaN speed that made c_max NaN, used to pass)
+    builders = [lambda: Medium(grid, tuple(layers), background)]
+    if background == 1.0:
+        builders.append(lambda: build_medium(layers, grid))
+    if not layers:
+        builders.append(lambda: uniform_medium(grid, background))
+    texts = set()
+    for build in builders:
+        with pytest.raises(ConfigurationError, match=message) as err:
+            build()
+        texts.add(str(err.value))
+    assert len(builders) == 2 and len(texts) == 1
 
 
 class TestSpeedAt:

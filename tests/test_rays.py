@@ -19,7 +19,7 @@ from thermotomo.errors import (
     TangencyError,
 )
 from thermotomo.grid_field import Grid, Region
-from thermotomo.medium import BACKGROUND_SPEED, build_medium, speed_at, uniform_medium
+from thermotomo.medium import BACKGROUND_SPEED, build_medium, speed_at, speeds_at, uniform_medium
 from thermotomo.rays import (
     amplitude_coeffs,
     check_visibility,
@@ -331,6 +331,14 @@ class TestTraceBranches:
             trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, T)
         with pytest.raises(ConfigurationError, match="nonnegative and finite"):
             check_visibility(kset, m, omega, T, {"n_pos": 2, "n_dir": 2})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_rejected(self, setup, bad):
+        # such a direction used to give two expiry leaves at (nan, nan)
+        g, m, omega, _ = setup
+        for d0 in ((bad, 0.0), (0.0, bad), (bad, bad), (bad, -bad)):
+            with pytest.raises(ConfigurationError, match="finite and nonzero"):
+                trace_branches((0.1, 0.0), d0, m, omega, 4.0)
 
     def test_text_serialization_round_shape(self, setup):
         g, m, omega, _ = setup
@@ -781,7 +789,8 @@ class TestReferenceTracer:
             covered, rounds = np.zeros(2, dtype=bool), []
             x, d = np.array([(0.65, 0.0), (p, 0.5)]), np.array([(1.0, 0.0), (0.0, 1.0)])
             try:
-                for ev, owner in rays._grow(s, x, d, np.array([0, 1]), covered):
+                for ev, owner in rays._grow(s, x, d, speeds_at(m, x), np.array([0, 1]),
+                                            covered):
                     covered[owner[ev.kind == rays._EXIT]] = True
                     rounds.append((len(ev.ray), covered.tolist()))
             except CriticalAngleError:
@@ -847,7 +856,7 @@ class TestSweepOrder:
             rows.append(len(x))
             first = depth == 0
             launched.append(int(first.sum()))
-            assert not rays._confined(s, x[first], d[first]).any()
+            assert not rays._confined(s, x[first], d[first], c[first]).any()
             return advance(s, x, d, c, t, w, depth, skip)
 
         monkeypatch.setattr(rays, "_advance", counting)
@@ -856,6 +865,21 @@ class TestSweepOrder:
         # both launches of every uncovered sample are trapped
         assert sum(launched) == 2 * (24 * 96 - 854)
         assert sum(rows) <= self.SKULL_ROWS
+
+    def test_launch_speeds_looked_up_once(self, monkeypatch):
+        # one lookup per sample position serves every launch from it, in the
+        # trap check and in the first round alike
+        m, omega, T = _example("example2_skull")
+        kset = Region.disk(omega.grid, (0.0, 0.0), 0.4)
+        rows, lookup = [], rays.speeds_at
+
+        def counting(medium, points):
+            rows.append(len(points))
+            return lookup(medium, points)
+
+        monkeypatch.setattr(rays, "speeds_at", counting)
+        check_visibility(kset, m, omega, T, {"n_pos": 24, "n_dir": 96})
+        assert rows == [24]
 
     @given(radii=st.lists(st.floats(0.15, 1.2), min_size=1, max_size=3),
            speeds=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
@@ -889,15 +913,16 @@ class TestTrappedLaunches:
         th = np.linspace(0.0, 2 * math.pi, 7)[:, None]
         x = p * np.hstack((np.cos(th), np.sin(th)))
         d = np.hstack((-np.sin(th), np.cos(th)))
-        assert rays._confined(s, np.vstack((x, x)), np.vstack((d, -d))).tolist() == [trapped] * 14
+        x, d = np.vstack((x, x)), np.vstack((d, -d))
+        assert rays._confined(s, x, d, speeds_at(m, x)).tolist() == [trapped] * 14
 
     def test_circle_not_inside_the_rectangle_never_traps(self):
         m, omega, T = _example("example2_skull")
         s = rays._scene(m, omega, T, None)
-        x, d = np.array([(0.3, 0.0)]), np.array([(0.0, 1.0)])
+        x, d, c = np.array([(0.3, 0.0)]), np.array([(0.0, 1.0)]), np.array([1.0])
         # the brain circle (r = 0.5) touches these sides, and the shell's is outside them
-        assert not rays._confined(s._replace(sides=np.array([-0.5, 0.5, -0.5, 0.5])), x, d)[0]
-        assert rays._confined(s._replace(sides=np.array([-0.51, 0.51, -0.51, 0.51])), x, d)[0]
+        assert not rays._confined(s._replace(sides=np.array([-0.5, 0.5, -0.5, 0.5])), x, d, c)[0]
+        assert rays._confined(s._replace(sides=np.array([-0.51, 0.51, -0.51, 0.51])), x, d, c)[0]
 
     @given(radii=st.lists(st.floats(0.15, 1.5), min_size=1, max_size=3),
            speeds=st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3),

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from thermotomo import recon
@@ -424,3 +426,31 @@ class TestEnergyEstimate:
         assert k_ratio <= energy_bound
         assert (k_ratio, energy_bound) == (pytest.approx(ratio, abs=1e-3),
                                            pytest.approx(bound, abs=1e-3))
+
+    # smoothed noise on kset, or 1-3 bumps (offset as a fraction of the room
+    # their 3-sigma clearance leaves, angle, sigma, amplitude) inside it
+    @given(field=st.one_of(
+        st.tuples(st.just("noise"), st.integers(0, 2 ** 32 - 1), st.floats(1.0, 4.0)),
+        st.tuples(st.just("bumps"), st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.035, 0.06),
+                      st.floats(0.25, 1.0) | st.floats(-1.0, -0.25)),
+            min_size=1, max_size=3))))
+    @settings(max_examples=20, deadline=None)
+    def test_energy_bound_holds_where_the_source_is_visible(self, field):
+        # visible_case (T = 3.5) leaves the bound slack; on example1_setup's
+        # defaults (T = 1.2) sampled bump sums exceed it by up to 1.9e-3
+        g, m, cfg = visible_case()
+        kset, data = cfg.kset, np.zeros(g.shape)
+        if field[0] == "noise":
+            _, seed, sigma = field
+            data[kset.mask] = np.random.default_rng(seed).standard_normal(int(kset.mask.sum()))
+            data = _gaussian(data, sigma)
+        else:
+            room = kset.params["radius"]
+            for offset, angle, sigma, amplitude in field[1]:
+                r = offset * (room - 3 * sigma)
+                centre = (r * math.cos(angle), r * math.sin(angle))
+                data += amplitude * centered_bump(g, kset, sigma, centre).data
+        f = project_HD(ScalarField(g, data), kset, cfg.harmonic_tol)
+        k_ratio = hd_norm(apply_error_operator(f, m, cfg), kset) / hd_norm(f, kset)
+        assert k_ratio <= math.sqrt(energy_decay_ratio(f, m, cfg))
