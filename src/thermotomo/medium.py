@@ -6,8 +6,8 @@ interfaces and point speeds all derive from these.  Disks are centered at the
 physical point (0, 0); nesting is therefore equivalent to strictly decreasing
 radii.  Each circle is an interface carrying the speed limits from its two sides.
 ``Medium`` checks its own layers, so every constructor rejects a bad table alike:
-radii positive, strictly decreasing and inside the grid, and every speed and its
-square positive and finite (a NaN fails each check).
+radii positive, strictly decreasing and inside the grid, and each speed by
+``_check_speed``, the speed rule that ``InterfaceDescriptor`` and ``rays``' laws share.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class InterfaceDescriptor:
     c_ext: float
 
     def __post_init__(self):
-        if self.c_int <= 0 or self.c_ext <= 0:
-            raise ConfigurationError("interface speeds must be positive")
+        _check_speed(self.c_int)
+        _check_speed(self.c_ext)
         if self.c_int == self.c_ext:
             raise ConfigurationError(
                 f"interface at radius {self.radius} has equal speeds on both sides")
@@ -58,18 +58,17 @@ class Medium:
         if not all(r2 < r1 for r1, r2 in zip(radii, radii[1:])):
             raise ConfigurationError(
                 f"disks must be strictly nested (radii strictly decreasing), got {radii}")
-        for _, c in self.layers:
-            _check_speed(c)
+        _check_speed(self.background)
+        outside = [self.background, *(c for _, c in self.layers)]
+        # each interface checks its speeds, so every layer's speed is checked here
+        self.interfaces = tuple(InterfaceDescriptor(radius=r, c_int=c, c_ext=c_ext)
+                                for (r, c), c_ext in zip(self.layers, outside))
         xmin, xmax, ymin, ymax = self.grid.bounds
         if radii and not radii[0] < min(-xmin, xmax, -ymin, ymax):
             raise ConfigurationError("outermost disk does not fit inside the grid")
-        _check_speed(self.background)
         xx, yy = self.grid.meshgrid()
         self.c_field = self._speed(np.hypot(xx, yy))
         self.c_sq = self.c_field ** 2
-        outside = [self.background, *(c for _, c in self.layers)]
-        self.interfaces = tuple(InterfaceDescriptor(radius=r, c_int=c, c_ext=c_ext)
-                                for (r, c), c_ext in zip(self.layers, outside))
 
     def _speed(self, r: np.ndarray) -> np.ndarray:
         """c at each distance r from the center, by the rule above."""
@@ -85,7 +84,7 @@ class Medium:
 
 def _check_speed(c: float):
     """Reject a speed that is not positive and finite, or whose square, the
-    solver's weight, is not (it over- or underflows)."""
+    solver's weight, is not (it over- or underflows); a NaN fails both."""
     if not (0 < c and 0 < c * c < math.inf):
         raise ConfigurationError(
             f"speed must be positive and finite, and so must its square, got {c}")
@@ -125,9 +124,12 @@ def critical_angle(iface: InterfaceDescriptor) -> float | None:
 
     Returns None when c_int > c_ext: the transmitted ray then always exists.
     """
-    if iface.c_int < iface.c_ext:
-        return math.asin(iface.c_int / iface.c_ext)
-    return None
+    return _critical_angle(iface.c_int, iface.c_ext)
+
+
+def _critical_angle(c_in: float, c_out: float) -> float | None:
+    """``critical_angle`` of a crossing from the c_in side to the c_out side."""
+    return math.asin(c_in / c_out) if c_in < c_out else None
 
 
 def interface_gamma(iface: InterfaceDescriptor) -> float:

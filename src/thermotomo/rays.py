@@ -47,7 +47,7 @@ from .errors import (
     TangencyError,
 )
 from .grid_field import _MAX_LENGTH, Region
-from .medium import InterfaceDescriptor, Medium, critical_angle, speeds_at
+from .medium import Medium, _check_speed, _critical_angle, speeds_at
 
 
 def __getattr__(name):
@@ -148,9 +148,14 @@ def _math(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
 
 
-def _critical(c_in: float, c_out: float) -> float:
-    """``critical_angle`` of a crossing from the c_in side, inf when there is none."""
-    return critical_angle(InterfaceDescriptor(math.nan, c_in, c_out)) if c_in < c_out else math.inf
+def _crossing(c_in: float, c_out: float) -> tuple[float, float, float, float, float]:
+    """(c_in, c_out, c_in^-2, c_out^-2, critical angle, inf if none) of a crossing
+    from the c_in side, after ``_check_speed`` on both; equal speeds pass straight."""
+    c_in, c_out = float(c_in), float(c_out)
+    _check_speed(c_in)
+    _check_speed(c_out)
+    alpha0 = _critical_angle(c_in, c_out)
+    return c_in, c_out, c_in ** -2, c_out ** -2, math.inf if alpha0 is None else alpha0
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -195,13 +200,17 @@ def _phase_derivatives(alpha: np.ndarray, c_in: np.ndarray, inv_sq_in: np.ndarra
     return a, b
 
 
+def _check_derivatives(a: np.ndarray, b: np.ndarray):
+    """Reject an incident normal derivative a <= 0 or a transmitted one b < 0, NaN included."""
+    if (bad := ~(a > 0)).any():
+        raise DegenerateInputError(f"incident normal derivative must be positive, got {a[bad][0]}")
+    if (bad := ~(b >= 0)).any():
+        raise DegenerateInputError(
+            f"transmitted normal derivative must be nonnegative, got {b[bad][0]}")
+
+
 def _energy_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if (a <= 0).any():
-        raise DegenerateInputError(
-            f"incident normal derivative must be positive, got {a[a <= 0][0]}")
-    if (b < 0).any():
-        raise DegenerateInputError(
-            f"transmitted normal derivative must be nonnegative, got {b[b < 0][0]}")
+    _check_derivatives(a, b)
     frac = 4.0 * a * b / _math(lambda v: v ** 2, a + b)
     return np.where(b == 0.0, 0.0, frac)
 
@@ -224,10 +233,8 @@ def snell_transmit(d: np.ndarray, n: np.ndarray, c_in: float, c_out: float):
     at the critical angle (within CRITICAL_TOL) raises, matching the excluded
     tangent-transmission case.
     """
-    if c_in <= 0 or c_out <= 0:
-        raise ConfigurationError("speeds must be positive")
-    out, through = _snell(_one(d), _one(n), _one(c_in), _one(c_out),
-                          _one(_critical(c_in, c_out)))
+    c_in, c_out, _, _, alpha0 = _crossing(c_in, c_out)
+    out, through = _snell(_one(d), _one(n), _one(c_in), _one(c_out), _one(alpha0))
     return out[0] if through[0] else None
 
 
@@ -238,8 +245,8 @@ def normal_phase_derivatives(alpha: float, c_in: float, c_out: float) -> tuple[f
     a = sqrt(1/c_in^2 - s^2) and b = sqrt(1/c_out^2 - s^2); b is 0 at and
     beyond the critical angle (no transmitted phase).
     """
-    a, b = _phase_derivatives(_one(alpha), _one(c_in), _one(float(c_in) ** -2),
-                              _one(float(c_out) ** -2))
+    c_in, _, inv_sq_in, inv_sq_out, _ = _crossing(c_in, c_out)
+    a, b = _phase_derivatives(_one(alpha), _one(c_in), _one(inv_sq_in), _one(inv_sq_out))
     return float(a[0]), float(b[0])
 
 
@@ -249,10 +256,7 @@ def amplitude_coeffs(a: float, b: float) -> tuple[float, float]:
     They satisfy b_T0 - b_R0 = 1; b_T0 exceeds 1 when b < a, which is fine
     because energy is not proportional to amplitude.
     """
-    if a <= 0:
-        raise DegenerateInputError(f"incident normal derivative must be positive, got {a}")
-    if b < 0:
-        raise DegenerateInputError(f"transmitted normal derivative must be nonnegative, got {b}")
+    _check_derivatives(_one(a), _one(b))
     return (a - b) / (a + b), 2.0 * a / (a + b)
 
 
@@ -269,9 +273,8 @@ _EXPIRY, _EXIT, _UNDETERMINED, _REFLECT, _TRANSMIT, _TRUNCATION = range(len(_KIN
 
 class _Scene(NamedTuple):
     """What every ray of one trace shares.  Interfaces are sorted by ascending
-    radius, so a tie goes inward.  For interface k and a crossing j (0 outward,
-    1 inward), ``laws[k, j]`` is (c_in, c_out, c_in^-2, c_out^-2, critical
-    angle), the angle inf if there is none."""
+    radius, so a tie goes inward.  ``laws[k, j]`` is the ``_crossing`` row of
+    interface k crossed outward (j = 0) or inward (j = 1)."""
 
     medium: Medium
     sides: np.ndarray       # xmin, xmax, ymin, ymax
@@ -334,8 +337,7 @@ def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]
-    laws = [[(c_in, c_out, c_in ** -2, c_out ** -2, _critical(c_in, c_out))
-             for c_in, c_out in ((i.c_int, i.c_ext), (i.c_ext, i.c_int))] for i in ifaces]
+    laws = [[_crossing(i.c_int, i.c_ext), _crossing(i.c_ext, i.c_int)] for i in ifaces]
     return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]),
                   np.array(laws).reshape(-1, 2, 5), float(T), max_depth, min_weight)
 
@@ -501,10 +503,6 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
     graph = RayBranchGraph()
     for k in range(2):
         graph.add(None, "launch", x[k], 0.0, 1.0, 0, direction=d[k])
-        if T == 0:      # zero observation time: each launch expires at once
-            graph.add(2 * k, "expiry", x[k], 0.0, 1.0, 0)
-    if T == 0:
-        return graph
     events: list[list] = [[], []]   # per ray: (node arguments, child ray or None)
     first = 0                       # the current generation's first ray
     for ev, _ in _grow(s, x, d, c, np.zeros(2, dtype=int)):

@@ -19,7 +19,14 @@ from thermotomo.errors import (
     TangencyError,
 )
 from thermotomo.grid_field import Grid, Region
-from thermotomo.medium import BACKGROUND_SPEED, build_medium, speed_at, speeds_at, uniform_medium
+from thermotomo.medium import (
+    BACKGROUND_SPEED,
+    InterfaceDescriptor,
+    build_medium,
+    speed_at,
+    speeds_at,
+    uniform_medium,
+)
 from thermotomo.rays import (
     amplitude_coeffs,
     check_visibility,
@@ -165,6 +172,35 @@ class TestEnergySplit:
             assert b <= gamma * a + 1e-12
 
 
+# (law of two inputs, a valid pair, the error, what it says): a speed law takes
+# (c_in, c_out), a split law the normal derivatives (a, b)
+_LAWS = {
+    "InterfaceDescriptor": (lambda u, v: InterfaceDescriptor(0.5, u, v), (0.5, 1.0),
+                            ConfigurationError, "positive and finite"),
+    "snell_transmit": (lambda u, v: snell_transmit((0.6, -0.8), (0.0, 1.0), u, v), (0.5, 1.0),
+                       ConfigurationError, "positive and finite"),
+    "normal_phase_derivatives": (lambda u, v: normal_phase_derivatives(0.3, u, v), (0.5, 1.0),
+                                 ConfigurationError, "positive and finite"),
+    "amplitude_coeffs": (amplitude_coeffs, (1.0, 0.5), DegenerateInputError, "normal derivative"),
+    "energy_split": (energy_split, (1.0, 0.5), DegenerateInputError, "normal derivative"),
+}
+_BAD_LAW_INPUTS = [(law, side, bad) for law in list(_LAWS)[:3] for side in (0, 1)
+                   for bad in (math.nan, math.inf, 0.0, -1.0)]
+_BAD_LAW_INPUTS += [(law, side, math.nan) for law in list(_LAWS)[3:] for side in (0, 1)]
+
+
+@pytest.mark.parametrize("law,side,bad", _BAD_LAW_INPUTS)
+def test_laws_reject_a_bad_input_on_either_side(law, side, bad):
+    # NaN used to slip through every law: a NaN speed gave NaN directions or
+    # (0, 0) derivatives, a NaN derivative NaN amplitudes; a zero c_out raised
+    # ZeroDivisionError in normal_phase_derivatives
+    fn, valid, error, message = _LAWS[law]
+    args = list(valid)
+    args[side] = bad
+    with pytest.raises(error, match=message):
+        fn(*args)
+
+
 def _same(fn, ref, *args):
     """fn and its scalar reference give the same bits, or raise the same error."""
     try:
@@ -307,9 +343,13 @@ class TestTraceBranches:
         assert [_node_bits(n) for n in graph.nodes] == [_node_bits(n) for n in ref.nodes]
 
     def test_zero_time_expires(self, setup):
+        # the launches are nodes 0 and 1 at every T; each expires where it starts
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 0.0)
-        assert {n.kind for n in graph.leaves()} == {"expiry"}
+        assert [(n.kind, n.parent) for n in graph.nodes] == [
+            ("launch", None), ("launch", None), ("expiry", 1), ("expiry", 0)]
+        for n in graph.nodes[2:]:
+            assert n.x.tolist() == [0.1, 0.0] and n.t == 0.0 and n.weight == 1.0
 
     def test_inputs_checked_before_zero_time(self, setup):
         g, m, omega, kset = setup
@@ -564,14 +604,6 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None, first_exit=False):
         raise ConfigurationError(f"unknown caps: {sorted(caps)}")
     if max_depth < 1 or min_weight <= 0:
         raise ConfigurationError("caps must be positive")
-    if T <= 0:
-        # zero observation time: both launches expire immediately
-        graph = RayBranchGraph()
-        for sgn in (1.0, -1.0):
-            root = Ray(x0, sgn * np.asarray(d0, dtype=float), _ref_speed_at(m, x0))
-            nid = graph.add(None, "launch", root.x, 0.0, 1.0, 0, direction=root.d)
-            graph.add(nid, "expiry", root.x, 0.0, 1.0, 0)
-        return graph
     rect = rays._omega_rect(omega)
     x0 = np.asarray(x0, dtype=np.float64)
     radii = [iface.radius for iface in m.interfaces]

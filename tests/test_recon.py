@@ -376,6 +376,15 @@ class TestEnergyDecay:
         with pytest.raises(ConfigurationError):
             energy_decay_ratio(f, m, cfg)
 
+    def test_nan_outside_kset_rejected(self):
+        # a NaN inside omega but outside kset passed the support check
+        # (|NaN| > 0 is false) and failed in the solve as an InstabilityError
+        g, m, cfg = visible_case(N=161, L=4.6, T=1.2)
+        f = ScalarField.zeros(g)
+        f.data[g.nearest_node(0.7, 0.0)] = math.nan
+        with pytest.raises(ConfigurationError, match="supported in kset"):
+            energy_decay_ratio(f, m, cfg)
+
     def test_diagnostics_consistency(self, monkeypatch):
         # the contraction estimate obeys mu_hat <= sqrt(max edr) + 0.1 when the
         # power iterate itself is among the tested sources
