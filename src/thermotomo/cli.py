@@ -64,6 +64,7 @@ def cmd_forward(args) -> int:
 def _run_series(args, truth=None):
     cfg, grid, medium, omega, kset, out = _load(args)
     rcfg = cfg.recon_config(omega, kset)
+    rcfg.validate_against(medium)   # a rejected geometry writes nothing
     if truth == "phantom":
         truth_field = cfg.build_phantom(grid, kset)
         scfg = cfg.solver_config(medium)

@@ -76,9 +76,28 @@ class Grid:
         return xmin <= x <= xmax and ymin <= y <= ymax
 
     def nearest_node(self, x: float, y: float) -> tuple[int, int]:
-        i = int(round((x - self.origin[0]) / self.h))
-        j = int(round((y - self.origin[1]) / self.h))
+        i, j = _node_indices(self, [x - self.origin[0], y - self.origin[1]], round,
+                             f"point {(x, y)}")
         return (min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1))
+
+
+def _node_indices(g: Grid, offsets, snap, what: str) -> list[int]:
+    """``snap`` of each offset from g's origin over h, as ints, if all are finite
+    (a NaN or inf coordinate is not, nor one whose index overflows)."""
+    idx = [float(v) / g.h for v in offsets]
+    if not np.isfinite(idx).all():
+        raise ConfigurationError(f"{what} must be finite and map to finite node indices")
+    return [int(snap(v)) for v in idx]
+
+
+def _one_grid(*objs) -> Grid:
+    """The one grid of bare ``Grid``s and of fields, states, regions and media
+    (None skipped); every function that combines them asks here first."""
+    grids = [o if isinstance(o, Grid) else o.grid for o in objs if o is not None]
+    for g in grids[1:]:
+        if g != grids[0]:
+            raise ConfigurationError(f"inputs live on different grids: {grids[0]} and {g}")
+    return grids[0]
 
 
 @dataclass(eq=False)
@@ -108,21 +127,15 @@ class ScalarField:
         return ScalarField(self.grid, self.data.copy())
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_same_grid(other)
-        return ScalarField(self.grid, self.data + other.data)
+        return ScalarField(_one_grid(self, other), self.data + other.data)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_same_grid(other)
-        return ScalarField(self.grid, self.data - other.data)
+        return ScalarField(_one_grid(self, other), self.data - other.data)
 
     def __mul__(self, scalar: float) -> "ScalarField":
         return ScalarField(self.grid, self.data * float(scalar))
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "ScalarField"):
-        if self.grid != other.grid:
-            raise ConfigurationError("fields live on different grids")
 
 
 @dataclass(eq=False)
@@ -133,8 +146,7 @@ class WaveState:
     ut: ScalarField
 
     def __post_init__(self):
-        if self.u.grid != self.ut.grid:
-            raise ConfigurationError("WaveState components live on different grids")
+        _one_grid(self.u, self.ut)
 
     @property
     def grid(self) -> Grid:
@@ -205,15 +217,10 @@ class Region:
     def rectangle_from_physical(cls, grid: Grid, xmin: float, xmax: float,
                                 ymin: float, ymax: float) -> "Region":
         """Largest index rectangle contained in the physical box (snapped inward)."""
-        if not np.all(np.isfinite([xmin, xmax, ymin, ymax])):
-            raise ConfigurationError(
-                f"rectangle bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
         ox, oy = grid.origin
-        h = grid.h
-        i0 = int(np.ceil((xmin - ox) / h - 1e-9))
-        i1 = int(np.floor((xmax - ox) / h + 1e-9))
-        j0 = int(np.ceil((ymin - oy) / h - 1e-9))
-        j1 = int(np.floor((ymax - oy) / h + 1e-9))
+        what = f"rectangle bounds {(xmin, xmax, ymin, ymax)}"
+        i0, j0 = _node_indices(grid, [xmin - ox, ymin - oy], lambda v: np.ceil(v - 1e-9), what)
+        i1, j1 = _node_indices(grid, [xmax - ox, ymax - oy], lambda v: np.floor(v + 1e-9), what)
         return cls.rectangle(grid, i0, i1, j0, j1)
 
     @classmethod
@@ -253,12 +260,8 @@ class Region:
         return np.column_stack((self.grid.xs[ii], self.grid.ys[jj]))
 
     def boundary_values(self, s: ScalarField) -> np.ndarray:
-        self._check_grid(s)
+        _one_grid(self, s)
         return s.data[self.boundary_nodes]
-
-    def _check_grid(self, s: ScalarField):
-        if s.grid != self.grid:
-            raise ConfigurationError("field and region live on different grids")
 
     # -- harmonic system -----------------------------------------------------
 
@@ -311,7 +314,7 @@ def dirichlet_energy(s: ScalarField, r: Region) -> float:
     squared ((d/h)^2 * h^2).  Computed on r's bounding box, which takes the
     same differences in the same order as the whole grid would.
     """
-    r._check_grid(s)
+    _one_grid(r, s)
     m, d = r.mask[r._window], s.data[r._window]
     ex = m[:-1, :] & m[1:, :]
     ey = m[:, :-1] & m[:, 1:]
@@ -325,14 +328,14 @@ def hd_norm(s: ScalarField, r: Region) -> float:
 
 
 def l2_norm(s: ScalarField, r: Region) -> float:
+    _one_grid(r, s)
     v = s.data[r.mask]
     return float(np.sqrt(np.dot(v, v) * r.grid.h ** 2))
 
 
 def energy(w: WaveState, r: Region, m: "Medium") -> float:
     """Wave energy over r: Dirichlet part of u plus the c^-2-weighted velocity part."""
-    if w.grid != m.grid:
-        raise ConfigurationError("state and medium live on different grids")
+    _one_grid(w, r, m)
     ut = w.ut.data[r.mask]
     csq = m.c_sq[r.mask]
     kinetic = float(np.dot(ut / csq, ut) * r.grid.h ** 2)
@@ -382,8 +385,7 @@ def project_HD(s: ScalarField, r: Region, tol: float = DEFAULT_HARMONIC_TOL) -> 
 
     The result has exactly zero boundary trace on r and vanishes outside r.
     """
-    r._check_grid(s)
-    phi = harmonic_extension(r.boundary_values(s), r, tol)
+    phi = harmonic_extension(r.boundary_values(s), r, tol)     # checks the grids first
     out = np.zeros(r.grid.shape)
     out[r.mask] = s.data[r.mask] - phi.data[r.mask]
     out[r.boundary_nodes] = 0.0
@@ -422,8 +424,7 @@ def make_phantom(kind: str, params: dict, g: Grid, support: Region) -> ScalarFie
     at its clearance radius and renormalized to peak 1, so the field is
     identically zero outside the support.
     """
-    if support.grid != g:
-        raise ConfigurationError("support region lives on a different grid")
+    _one_grid(g, support)
     if kind == "gaussian_bump":
         bumps = [(tuple(params["center"]), float(params["sigma"]))]
     elif kind == "sum_of_bumps":

@@ -220,21 +220,32 @@ def _one(v) -> np.ndarray:
     return np.array([v], dtype=np.float64)
 
 
+def _vector(v, name: str, unit: bool = True) -> np.ndarray:
+    """A law's direction or normal as a batch of one: finite, and of length 1 within
+    1e-9 if ``unit`` (NaN fails both)."""
+    v = _one(v)
+    if not np.isfinite(v).all() or unit and not abs(math.hypot(*v[0].tolist()) - 1.0) <= 1e-9:
+        raise DegenerateInputError(
+            f"{name} must be a finite{' unit' if unit else ''} vector, got {v[0].tolist()}")
+    return v
+
+
 def reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Mirror reflection d - 2(d.n)n; rejects tangential incidence."""
-    return _reflect(_one(d), _one(n))[0]
+    """Mirror reflection d - 2(d.n)n of a finite d in a unit normal n; rejects tangency."""
+    return _reflect(_vector(d, "direction", unit=False), _vector(n, "normal"))[0]
 
 
 def snell_transmit(d: np.ndarray, n: np.ndarray, c_in: float, c_out: float):
-    """Transmitted unit direction across the interface, or None on full internal
-    reflection.
+    """Transmitted unit direction of the unit direction d across the interface of
+    unit normal n, or None on full internal reflection.
 
     The tangential slowness sin(alpha)/c_in is preserved.  Incidence exactly
     at the critical angle (within CRITICAL_TOL) raises, matching the excluded
     tangent-transmission case.
     """
     c_in, c_out, _, _, alpha0 = _crossing(c_in, c_out)
-    out, through = _snell(_one(d), _one(n), _one(c_in), _one(c_out), _one(alpha0))
+    out, through = _snell(_vector(d, "direction"), _vector(n, "normal"), _one(c_in),
+                          _one(c_out), _one(alpha0))
     return out[0] if through[0] else None
 
 
@@ -243,8 +254,10 @@ def normal_phase_derivatives(alpha: float, c_in: float, c_out: float) -> tuple[f
 
     With tangential slowness s = sin(alpha)/c_in these are
     a = sqrt(1/c_in^2 - s^2) and b = sqrt(1/c_out^2 - s^2); b is 0 at and
-    beyond the critical angle (no transmitted phase).
+    beyond the critical angle (no transmitted phase).  alpha must lie in [0, pi/2].
     """
+    if not 0 <= alpha <= math.pi / 2:
+        raise DegenerateInputError(f"incidence angle must lie in [0, pi/2], got {alpha}")
     c_in, _, inv_sq_in, inv_sq_out, _ = _crossing(c_in, c_out)
     a, b = _phase_derivatives(_one(alpha), _one(c_in), _one(inv_sq_in), _one(inv_sq_out))
     return float(a[0]), float(b[0])

@@ -20,6 +20,7 @@ from .grid_field import (
     Region,
     ScalarField,
     WaveState,
+    _one_grid,
     energy,
     harmonic_extension,
     hd_norm,
@@ -27,7 +28,7 @@ from .grid_field import (
     project_HD,
 )
 from .medium import Medium
-from .wave_solver import BoundaryTrace, SolverConfig, forward, solve_backward
+from .wave_solver import BoundaryTrace, SolverConfig, _check_final_time, forward, solve_backward
 
 SEED_SMOOTH_SIGMA = 3.0  # in units of h; keeps power-iteration seeds in the resolved band
 
@@ -45,10 +46,8 @@ class ReconConfig:
 
     def __post_init__(self):
         self.omega.box  # raises unless omega is a rectangle
-        if self.omega.grid != self.kset.grid:
-            raise ConfigurationError("omega and kset live on different grids")
-        if not self.T > 0:
-            raise ConfigurationError(f"final time must be positive, got {self.T}")
+        _one_grid(self.omega, self.kset)
+        _check_final_time(self.T)
         if self.m_max < 1:
             raise ConfigurationError(f"m_max must be at least 1, got {self.m_max}")
         if not self.tol_rel >= 0:
@@ -62,9 +61,7 @@ class ReconConfig:
 
     def validate_against(self, m: Medium):
         """kset must keep at least 2h clearance from every interface circle."""
-        if m.grid != self.omega.grid:
-            raise ConfigurationError("medium and reconstruction geometry use different grids")
-        h = m.grid.h
+        h = _one_grid(m, self.omega).h
         ii, jj = np.nonzero(self.kset.mask)
         rr = np.hypot(m.grid.xs[ii], m.grid.ys[jj])
         for iface in m.interfaces:
@@ -99,9 +96,7 @@ class ReconReport:
 def time_reverse(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> WaveState:
     """Pseudo-inverse of the measurement: backward solve from [phi, 0] at t = T,
     where phi is the harmonic extension of the final trace snapshot."""
-    if abs(h.T - cfg.T) > 1e-9 * max(cfg.T, 1.0):
-        raise ConfigurationError(
-            f"trace covers T = {h.T:.6g}, reconstruction expects {cfg.T:.6g}")
+    _check_final_time(cfg.T, h.T, "trace")
     phi = harmonic_extension(h.values[-1], cfg.omega, cfg.harmonic_tol)
     cauchy = WaveState(phi, ScalarField.zeros(m.grid))
     return solve_backward(h, cauchy, m, cfg.omega)
@@ -244,6 +239,7 @@ def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
 
 def energy_decay_ratio(f1: ScalarField, m: Medium, cfg: ReconConfig) -> float:
     """E_Omega at t = T over E_Omega at t = 0 for thermoacoustic data [f1, 0]."""
+    _one_grid(f1, m, cfg.kset)
     if ((f1.data != 0) & ~cfg.kset.mask).any():
         raise ConfigurationError("initial source must be supported in kset")
     state = WaveState(f1, ScalarField.zeros(m.grid))

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompatibilityError, ConfigurationError, InstabilityError
-from .grid_field import Region, ScalarField, WaveState
+from .grid_field import Region, ScalarField, WaveState, _one_grid
 from .medium import Medium
 
 _CFL = 0.4          # the fraction of the stability bound ``SolverConfig.for_time`` steps at
@@ -91,8 +91,7 @@ class SolverConfig:
     def for_time(cls, m: Medium, T: float) -> "SolverConfig":
         """Largest dt of at most 0.4 times the stability bound that divides T
         into an integer number of steps."""
-        if not 0 < T < math.inf:
-            raise ConfigurationError(f"final time must be positive and finite, got {T}")
+        _check_final_time(T)
         dt_max = cfl_dt(m, _CFL)
         steps = T / dt_max if dt_max > 0 else math.inf
         if not steps <= np.iinfo(np.intp).max:         # also nan
@@ -159,6 +158,15 @@ def cfl_dt(m: Medium, cfl: float) -> float:
     if not 0 < cfl < 1:
         raise ConfigurationError(f"CFL number must lie in (0,1), got {cfl}")
     return cfl * m.grid.h / (m.c_max * math.sqrt(2.0))
+
+
+def _check_final_time(T: float, covered: float | None = None, what: str = "solver config"):
+    """Reject a T that is not positive and finite, and a ``what`` (config or trace)
+    whose ``covered`` T is more than 1e-9 max(T, 1) from it; NaN fails both."""
+    if not 0 < T < math.inf:
+        raise ConfigurationError(f"final time must be positive and finite, got {T}")
+    if covered is not None and not abs(covered - T) <= 1e-9 * max(T, 1.0):
+        raise ConfigurationError(f"{what} covers T = {covered:.6g}, requested {T:.6g}")
 
 
 def _check_cfl(dt: float, h: float, c_max: float):
@@ -391,10 +399,8 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
     the consistent two-level formula), also for the steps of a run that ends
     in ``InstabilityError``.  Returns the state at t = T.
     """
-    if f.grid != m.grid:
-        raise ConfigurationError("state and medium live on different grids")
-    if abs(cfg.T - T) > 1e-9 * max(T, 1.0):
-        raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
+    _one_grid(f, m, pin_zero)
+    _check_final_time(T, cfg.T)
     if sample_every < 1:
         raise ConfigurationError(f"sample_every must be at least 1, got {sample_every}")
     g, dt = m.grid, cfg.dt
@@ -438,10 +444,8 @@ def forward(f: WaveState, m: Medium, omega: Region, T: float, cfg: SolverConfig,
     bit for bit.
     """
     i0, i1, j0, j1 = omega.box
-    if f.grid != m.grid or omega.grid != m.grid:
-        raise ConfigurationError("state, medium and region must share one grid")
-    if abs(cfg.T - T) > 1e-9 * max(T, 1.0):
-        raise ConfigurationError(f"solver config covers T = {cfg.T:.6g}, requested {T:.6g}")
+    _one_grid(f, m, omega)
+    _check_final_time(T, cfg.T)
     g, h, dt, n = m.grid, m.grid.h, cfg.dt, cfg.n_steps
     _check_cfl(dt, h, m.c_max)
     _support_inside(f, omega)
@@ -490,8 +494,7 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     are pinned to the recorded trace at every level.  Returns [v(0), v_t(0)].
     """
     i0, i1, j0, j1 = omega.box
-    if cauchy_at_T.grid != m.grid or omega.grid != m.grid:
-        raise ConfigurationError("state, medium and region must share one grid")
+    _one_grid(cauchy_at_T, m, omega)
     _check_trace_on(boundary, omega)
     g, dt = m.grid, boundary.dt
     _check_cfl(dt, g.h, m.c_max)

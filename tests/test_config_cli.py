@@ -299,6 +299,33 @@ class TestCli:
         assert main([cmd, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
         assert "disk radii must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    @pytest.mark.parametrize("key", ["omega.xmin", "omega.xmax", "omega.ymin", "omega.ymax",
+                                     "kset.xmin"])
+    def test_bound_whose_node_index_overflows_exits_2(self, tmp_path, capsys, key, value):
+        # (1e308 - origin) / h overflows to inf, and int() of it raised OverflowError
+        text = TINY.replace("kset.kind = disk", "kset.kind = rectangle")
+        for line in ("kset.cx = 0.0", "kset.cy = 0.0", "kset.radius = 0.2"):
+            text = text.replace(line, "")
+        text += "kset.xmin = -0.15\nkset.xmax = 0.15\nkset.ymin = -0.15\nkset.ymax = 0.15\n"
+        text = "".join(f"{kept}\n" for kept in text.splitlines()
+                       if not kept.startswith(key + " ")) + f"{key} = {value}\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["energy", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "map to finite node indices" in err and "Traceback" not in err
+
+    def test_roundtrip_rejects_a_kset_near_an_interface_before_writing(self, tmp_path, capsys):
+        # kset.radius 0.47 comes within 2h of the interface at 0.5; the trace
+        # used to be written before the rejection
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, TINY.replace("kset.radius = 0.2", "kset.radius = 0.47"),
+                        output_dir=str(out))
+        assert main(["roundtrip", "--config", cfg]) == 2
+        assert "kset comes within 2h of the interface" in capsys.readouterr().err
+        assert not (out / "trace.taws").exists()
+
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a long time.T asks forward for a trace of hundreds of GiB
         def too_big(args):

@@ -44,6 +44,15 @@ class TestGridAndRegion:
         assert g.node_position(0, 0) == (1.0, -2.0)
         assert g.node_position(2, 3) == (2.0, -0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    def test_nearest_node_of_a_point_without_a_finite_index(self, small_grid, x):
+        # int(round(...)) raised ValueError for NaN and OverflowError otherwise
+        with pytest.raises(ConfigurationError, match="map to finite node indices"):
+            small_grid.nearest_node(x, 0.0)
+        with pytest.raises(ConfigurationError, match="map to finite node indices"):
+            small_grid.nearest_node(0.0, x)
+        assert small_grid.nearest_node(1e300, -1e300) == (64, 0)    # far but finite: clamped
+
     def test_rectangle_region_sets(self, small_grid):
         r = Region.rectangle(small_grid, 10, 20, 12, 22)
         assert not (r.interior_mask & r.boundary_mask).any()

@@ -201,6 +201,40 @@ def test_laws_reject_a_bad_input_on_either_side(law, side, bad):
         fn(*args)
 
 
+# (call, what it says): a non-finite direction, a normal (or a snell_transmit
+# direction) off unit length, or an incidence angle outside [0, pi/2]
+_BAD_GEOMETRY = {
+    "reflect_nan_d": (lambda: reflect((math.nan, math.nan), (0.0, 1.0)), "direction"),
+    "reflect_inf_d": (lambda: reflect((math.inf, -1.0), (0.0, 1.0)), "direction"),
+    "reflect_nan_n": (lambda: reflect((0.6, -0.8), (math.nan, 1.0)), "normal"),
+    "reflect_long_n": (lambda: reflect((0.6, -0.8), (0.0, 2.0)), "normal"),
+    "snell_nan_d": (lambda: snell_transmit((math.nan, -0.8), (0.0, 1.0), 1.0, 0.5), "direction"),
+    "snell_long_d": (lambda: snell_transmit((1.2, -1.6), (0.0, 1.0), 1.0, 0.5), "direction"),
+    "snell_long_n": (lambda: snell_transmit((0.6, -0.8), (0.0, 2.0), 1.0, 0.5), "normal"),
+    "snell_short_n": (lambda: snell_transmit((0.6, -0.8), (0.0, 1.0 - 1e-6), 1.0, 0.5),
+                      "normal"),
+    "phase_nan_alpha": (lambda: normal_phase_derivatives(math.nan, 0.5, 1.0), "angle"),
+    "phase_negative_alpha": (lambda: normal_phase_derivatives(-0.1, 0.5, 1.0), "angle"),
+    "phase_alpha_past_right_angle": (lambda: normal_phase_derivatives(2.0, 0.5, 1.0), "angle"),
+}
+
+
+@pytest.mark.parametrize("row", _BAD_GEOMETRY)
+def test_laws_reject_bad_directions_normals_and_angles(row):
+    # each used to answer silently: reflect gave NaN, a non-unit normal a wrong
+    # direction, and normal_phase_derivatives (0, 0) for a NaN angle
+    call, message = _BAD_GEOMETRY[row]
+    with pytest.raises(DegenerateInputError, match=message):
+        call()
+
+
+def test_laws_accept_unit_vectors_within_tolerance():
+    n = (0.0, 1.0 + 5e-10)
+    assert np.allclose(reflect((0.6, -0.8), n), (0.6, 0.8))
+    assert np.allclose(snell_transmit((0.6, -0.8), n, 1.0, 0.5), (0.3, -math.sqrt(1 - 0.09)))
+    assert normal_phase_derivatives(math.pi / 2, 0.5, 1.0)[1] == 0.0
+
+
 def _same(fn, ref, *args):
     """fn and its scalar reference give the same bits, or raise the same error."""
     try:
