@@ -89,7 +89,7 @@ def read_grid(path) -> ScalarField:
     raw, (nx, ny, ox, oy, h) = _read(path, _GRID_HEADER, GRID_MAGIC,
                                      lambda nx, ny, *_: nx * ny * 8)
     data = np.frombuffer(raw, dtype="<f8", offset=_GRID_HEADER.size).reshape(nx, ny)
-    return ScalarField(Grid(int(nx), int(ny), h, (ox, oy)), data.copy())
+    return ScalarField(Grid(nx, ny, h, (ox, oy)), data.copy())
 
 
 def write_trace(path, trace: BoundaryTrace):

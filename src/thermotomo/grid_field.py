@@ -37,8 +37,8 @@ class Grid:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise ConfigurationError(f"grid needs at least 3x3 nodes, got {self.nx}x{self.ny}")
+        object.__setattr__(self, "nx", _count(self.nx, "grid nx", 3))
+        object.__setattr__(self, "ny", _count(self.ny, "grid ny", 3))
         if self.nx * self.ny > _MAX_LENGTH:
             raise ConfigurationError(f"grid of {self.nx}x{self.ny} nodes is too large to index")
         if not 0 < self.h < np.inf:
@@ -79,6 +79,14 @@ class Grid:
         i, j = _node_indices(self, [x - self.origin[0], y - self.origin[1]], round,
                              f"point {(x, y)}")
         return (min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1))
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """A Python or numpy integer (not a bool) of at least ``least``, as an int: the
+    one check of every step, term, iteration, sample, seed, index and size count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _node_indices(g: Grid, offsets, snap, what: str) -> list[int]:
@@ -196,6 +204,7 @@ class Region:
     @classmethod
     def rectangle(cls, grid: Grid, i0: int, i1: int, j0: int, j1: int) -> "Region":
         """Index-aligned rectangle spanning nodes [i0..i1] x [j0..j1] inclusive."""
+        i0, i1, j0, j1 = (_count(v, "rectangle node index", 0) for v in (i0, i1, j0, j1))
         if not (0 < i0 < i1 < grid.nx - 1 and 0 < j0 < j1 < grid.ny - 1):
             raise ConfigurationError(
                 f"rectangle [{i0}..{i1}]x[{j0}..{j1}] must sit strictly inside the grid"

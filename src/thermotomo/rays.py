@@ -46,7 +46,7 @@ from .errors import (
     DegenerateInputError,
     TangencyError,
 )
-from .grid_field import _MAX_LENGTH, Region
+from .grid_field import _MAX_LENGTH, Region, _count
 from .medium import Medium, _check_speed, _critical_angle, speeds_at
 
 
@@ -343,9 +343,9 @@ def _filled(given: dict | None, defaults: dict, what: str) -> dict:
 def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     """Check the inputs every sample shares and gather them."""
     caps = _filled(caps, CAPS_DEFAULTS, "caps")
-    max_depth, min_weight = int(caps["max_depth"]), float(caps["min_weight"])
+    max_depth, min_weight = _count(caps["max_depth"], "max_depth"), float(caps["min_weight"])
     # a weight is at most 1, so min_weight >= 1 would truncate every branch
-    if max_depth < 1 or not 0 < min_weight < 1:
+    if not 0 < min_weight < 1:
         raise ConfigurationError(f"caps must be positive and finite, min_weight below 1: {caps}")
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
@@ -511,6 +511,9 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
     depth first: the launches are 0 and 1, rays are taken last in, first out,
     and one ray's events are numbered consecutively.
     """
+    if (np.shape(x0), np.shape(d0)) != ((2,), (2,)):
+        raise ConfigurationError(f"a trace launches from one 2-vector point and direction, "
+                                 f"got shapes {np.shape(x0)} and {np.shape(d0)}")
     s = _scene(m, omega, T, caps)
     x, d, c = _launch(s, [x0], [d0])
     graph = RayBranchGraph()
@@ -541,8 +544,8 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
 def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
     """Deterministic sample of kset: a rim-biased golden-angle spiral for disks,
     an inset lattice for rectangles."""
-    if not 1 <= n_pos <= _MAX_LENGTH:
-        raise ConfigurationError(f"need at least one position sample and at most {_MAX_LENGTH}")
+    if (n_pos := _count(n_pos, "n_pos")) > _MAX_LENGTH:
+        raise ConfigurationError(f"n_pos must be at most {_MAX_LENGTH}, got {n_pos}")
     if kset.kind == "disk":
         cx, cy = kset.params["center"]
         rad = kset.params["radius"]
@@ -559,8 +562,8 @@ def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
 
 def sample_directions(n_dir: int) -> np.ndarray:
     """n_dir unit directions over the half circle (both signs are launched)."""
-    if not 1 <= n_dir <= _MAX_LENGTH:
-        raise ConfigurationError(f"need at least one direction sample and at most {_MAX_LENGTH}")
+    if (n_dir := _count(n_dir, "n_dir")) > _MAX_LENGTH:
+        raise ConfigurationError(f"n_dir must be at most {_MAX_LENGTH}, got {n_dir}")
     th = math.pi * (np.arange(n_dir) + 0.5) / n_dir
     return np.column_stack((np.cos(th), np.sin(th)))
 
@@ -583,10 +586,9 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     uncovered_samples); tangent-undetermined samples count as uncovered.
     """
     sampling = _filled(sampling, {**SAMPLING_DEFAULTS, "caps": None}, "sampling keys")
-    n_pos, n_dir = int(sampling["n_pos"]), int(sampling["n_dir"])
     s = _scene(m, omega, T, sampling["caps"])
-    positions = sample_positions(kset, n_pos)
-    directions = sample_directions(n_dir)
+    positions = sample_positions(kset, sampling["n_pos"])
+    directions = sample_directions(sampling["n_dir"])
     x, d, c = _launch(s, positions, directions)
     free = ~_confined(s, x, d, c)
     covered = np.zeros(len(positions) * len(directions), dtype=bool)
@@ -594,6 +596,6 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
         covered[sample[ev.kind == _EXIT]] = True
         del ev, sample      # freed before the next round is advanced
     xs, ds = positions.tolist(), directions.tolist()
-    uncovered = [(tuple(xs[k // n_dir]), tuple(ds[k % n_dir]))
+    uncovered = [(tuple(xs[k // len(ds)]), tuple(ds[k % len(ds)]))
                  for k in np.flatnonzero(~covered).tolist()]
     return (len(uncovered) == 0), uncovered

@@ -20,6 +20,7 @@ from .grid_field import (
     Region,
     ScalarField,
     WaveState,
+    _count,
     _one_grid,
     energy,
     harmonic_extension,
@@ -48,8 +49,7 @@ class ReconConfig:
         self.omega.box  # raises unless omega is a rectangle
         _one_grid(self.omega, self.kset)
         _check_final_time(self.T)
-        if self.m_max < 1:
-            raise ConfigurationError(f"m_max must be at least 1, got {self.m_max}")
+        self.m_max = _count(self.m_max, "m_max")
         if not self.tol_rel >= 0:
             raise ConfigurationError(f"tol_rel must be non-negative, got {self.tol_rel}")
         # no float64 residual certifies a tolerance below machine epsilon
@@ -220,10 +220,7 @@ def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
     Returns the final ratio ||K f|| / ||f|| after n_power_iters applications
     starting from a seeded random zero-trace field.
     """
-    if n_power_iters < 5:
-        raise ConfigurationError(f"need at least 5 power iterations, got {n_power_iters}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    n_power_iters, seed = _count(n_power_iters, "n_power_iters", 5), _count(seed, "seed", 0)
     cfg.validate_against(m)
     f = _random_zero_trace_field(cfg, seed)
     norm = hd_norm(f, cfg.kset)

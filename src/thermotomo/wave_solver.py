@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompatibilityError, ConfigurationError, InstabilityError
-from .grid_field import Region, ScalarField, WaveState, _one_grid
+from .grid_field import Region, ScalarField, WaveState, _count, _one_grid
 from .medium import Medium
 
 _CFL = 0.4          # the fraction of the stability bound ``SolverConfig.for_time`` steps at
@@ -80,8 +80,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ConfigurationError(f"n_steps must be at least 1, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
 
     @property
     def T(self) -> float:
@@ -382,7 +381,8 @@ def _check_box_margin(omega: Region, c_out: float, T: float) -> int:
 
 
 def _check_trace_on(boundary: BoundaryTrace, omega: Region):
-    if not np.allclose(boundary.points, omega.boundary_coords, atol=1e-9 * omega.grid.h):
+    if boundary.points.shape != omega.boundary_coords.shape or not np.allclose(
+            boundary.points, omega.boundary_coords, atol=1e-9 * omega.grid.h):
         raise ConfigurationError("trace detectors do not match the rectangle boundary nodes")
     if boundary.n_steps < 1:
         raise ConfigurationError("a solve needs a trace of at least two time samples")
@@ -401,8 +401,7 @@ def evolve(f: WaveState, m: Medium, T: float, cfg: SolverConfig, *,
     """
     _one_grid(f, m, pin_zero)
     _check_final_time(T, cfg.T)
-    if sample_every < 1:
-        raise ConfigurationError(f"sample_every must be at least 1, got {sample_every}")
+    sample_every = _count(sample_every, "sample_every")
     g, dt = m.grid, cfg.dt
     _check_cfl(dt, g.h, m.c_max)
 

@@ -197,7 +197,7 @@ class TestCli:
         path.write_text(TINY.replace("seed = 7", "seed = -1"))
         assert main(["knorm", "--config", str(path), "--output-dir", str(tmp_path),
                      "--power-iters", "5"]) == 2
-        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+        assert capsys.readouterr().err == "error: seed must be a whole number of at least 0, got -1\n"
 
     def test_subcommand_flags(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

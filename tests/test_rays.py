@@ -414,6 +414,17 @@ class TestTraceBranches:
             with pytest.raises(ConfigurationError, match="finite and nonzero"):
                 trace_branches((0.1, 0.0), d0, m, omega, 4.0)
 
+    @pytest.mark.parametrize("x0, d0", [((0.1, 0.0, 0.0), (1.0, 0.0)),
+                                         ((0.1, 0.0), (1.0, 0.0, 0.0)),
+                                         (((0.1, 0.0), (0.0, 0.1)), (1.0, 0.0)),
+                                         ((0.1, 0.0), ((1.0, 0.0), (0.0, 1.0))),
+                                         (0.1, (1.0, 0.0))])
+    def test_launch_that_is_not_one_2_vector_rejected(self, setup, x0, d0):
+        # these used to raise numpy's "cannot reshape" ValueError or an IndexError
+        g, m, omega, _ = setup
+        with pytest.raises(ConfigurationError, match="one 2-vector point and direction"):
+            trace_branches(x0, d0, m, omega, 4.0)
+
     def test_text_serialization_round_shape(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 2.0)

@@ -232,6 +232,12 @@ class TestForward:
         assert _states_equal(a, b)
 
 
+def _ten_detector_trace(m, omega):
+    """A zero trace on the first 10 of omega's boundary nodes, over T = 1.2."""
+    cfg = SolverConfig.for_time(m, 1.2)
+    return BoundaryTrace(omega.boundary_coords[:10], cfg.dt, np.zeros((cfg.n_steps + 1, 10)))
+
+
 class TestSolveBackward:
     def test_zero_everything(self):
         g, m, omega, kset = example1_setup()
@@ -289,6 +295,13 @@ class TestSolveBackward:
                            values=np.zeros((1, omega.boundary_nodes[0].size)))
         with pytest.raises(ConfigurationError, match="two time samples"):
             solve_backward(tr, WaveState.zeros(g), m, omega)
+
+    def test_trace_of_another_detector_count_rejected(self):
+        # 10 detectors against the rectangle's boundary nodes used to end in
+        # np.allclose's broadcast ValueError
+        g, m, omega, kset = example1_setup()
+        with pytest.raises(ConfigurationError, match="trace detectors do not match"):
+            solve_backward(_ten_detector_trace(m, omega), WaveState.zeros(g), m, omega)
 
     def test_refinement_improves_backward_reconstruction(self):
         # data from a 4x reference grid; halving h must shrink the error >= 1.5x
@@ -372,6 +385,11 @@ class TestExterior:
         with pytest.raises(ConfigurationError, match="two time samples"):
             exterior_neumann(tr, omega)
 
+
+    def test_trace_of_another_detector_count_rejected(self):
+        g, m, omega, kset = example1_setup()
+        with pytest.raises(ConfigurationError, match="trace detectors do not match"):
+            exterior_neumann(_ten_detector_trace(m, omega), omega)
 
     def test_margin_below_half_T_rejected(self):
         # a 10-node margin lets the ring's echo into the Neumann data (2.75 times
