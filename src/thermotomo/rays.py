@@ -63,6 +63,7 @@ def __getattr__(name):
 TANGENCY_TOL = 1e-9       # radians from grazing incidence
 CRITICAL_TOL = 1e-12      # radians from the critical angle
 _POSITION_EPS = 1e-12
+_REAL = (int, float, np.integer, np.floating)   # a real scalar, Python's or numpy's
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -343,16 +344,17 @@ def _filled(given: dict | None, defaults: dict, what: str) -> dict:
 def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
     """Check the inputs every sample shares and gather them."""
     caps = _filled(caps, CAPS_DEFAULTS, "caps")
-    max_depth, min_weight = _count(caps["max_depth"], "max_depth"), float(caps["min_weight"])
-    # a weight is at most 1, so min_weight >= 1 would truncate every branch
-    if not 0 < min_weight < 1:
-        raise ConfigurationError(f"caps must be positive and finite, min_weight below 1: {caps}")
+    max_depth, min_weight = _count(caps["max_depth"], "max_depth"), caps["min_weight"]
+    # a weight is at most 1, so min_weight >= 1 would truncate every branch; a bool fails too
+    if not (isinstance(min_weight, _REAL) and 0 < min_weight < 1):
+        raise ConfigurationError(
+            f"caps must be positive and finite, min_weight below 1, got {min_weight!r}")
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]
     laws = [[_crossing(i.c_int, i.c_ext), _crossing(i.c_ext, i.c_int)] for i in ifaces]
     return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]),
-                  np.array(laws).reshape(-1, 2, 5), float(T), max_depth, min_weight)
+                  np.array(laws).reshape(-1, 2, 5), float(T), max_depth, float(min_weight))
 
 
 def _launch(s: _Scene, positions, directions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -511,9 +513,10 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
     depth first: the launches are 0 and 1, rays are taken last in, first out,
     and one ray's events are numbered consecutively.
     """
-    if (np.shape(x0), np.shape(d0)) != ((2,), (2,)):
+    launch = [np.array(v, dtype=object) for v in (x0, d0)]   # a ragged v is an array of lists
+    if any(a.shape != (2,) or not all(isinstance(e, _REAL) for e in a) for a in launch):
         raise ConfigurationError(f"a trace launches from one 2-vector point and direction, "
-                                 f"got shapes {np.shape(x0)} and {np.shape(d0)}")
+                                 f"got {x0!r} and {d0!r}")
     s = _scene(m, omega, T, caps)
     x, d, c = _launch(s, [x0], [d0])
     graph = RayBranchGraph()

@@ -1,10 +1,12 @@
 """Time-reversal pseudo-inverse, error operator, and Neumann-series reconstruction.
 
-The pseudo-inverse drives a backward solve with the measured trace as
-Dirichlet data and Cauchy data at t = T given by the harmonic extension of
-the final trace snapshot (zero velocity).  Projecting onto the source region
-and iterating in residual-update form evaluates the partial sums of the
-geometric series; each term costs one forward and one backward solve.
+The pseudo-inverse A_1 drives a backward solve with the measured trace h as
+Dirichlet data and Cauchy data [phi, 0] at t = T, phi the harmonic extension
+of h(T) on omega.  phi is a static solution of the linear scheme, harmonic at
+the nodes of kset, which lie inside omega's interior, so Pi_K phi = 0: the
+series projects the solve from rest with data h - h(T) and never factors omega.
+Iterating in residual-update form evaluates the partial sums of the geometric
+series; each term costs one forward and one backward solve.
 """
 
 from __future__ import annotations
@@ -103,12 +105,17 @@ def time_reverse(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> WaveState:
 
 
 def pseudo_inverse_step(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> ScalarField:
-    """One application of the projected pseudo-inverse: Pi_K A_1 h."""
-    return project_HD(time_reverse(h, m, cfg).u, cfg.kset, cfg.harmonic_tol)
+    """Pi_K A_1 h, one projected pseudo-inverse: Pi_K of the solve from rest with data h - h(T),
+    as A_1's harmonic phi is static and Pi_K phi = 0 for kset inside omega's interior."""
+    _check_final_time(cfg.T, h.T, "trace")
+    rest = BoundaryTrace(h.points, h.dt, h.values - h.values[-1])
+    return project_HD(solve_backward(rest, WaveState.zeros(m.grid), m, cfg.omega).u,
+                      cfg.kset, cfg.harmonic_tol)
 
 
 def apply_error_operator(f1: ScalarField, m: Medium, cfg: ReconConfig) -> ScalarField:
-    """Error operator K: f - Pi_K A_1 Lambda_1 f, supported in kset with zero trace."""
+    """Error operator K: f - Pi_K A_1 Lambda_1 f, supported in kset with zero trace; Pi_K A_1
+    starts from rest, exact as kset lies inside omega's interior (see pseudo_inverse_step)."""
     cfg.validate_against(m)
     scfg = cfg.solver_config(m)
     trace = forward(WaveState(f1, ScalarField.zeros(m.grid)), m, cfg.omega, cfg.T, scfg)

@@ -425,6 +425,24 @@ class TestTraceBranches:
         with pytest.raises(ConfigurationError, match="one 2-vector point and direction"):
             trace_branches(x0, d0, m, omega, 4.0)
 
+    @pytest.mark.parametrize("x0, d0", [([[0.1, 0.0], [0.2]], (1.0, 0.0)),
+                                         ([(0.1,), 0.0], (1.0, 0.0)),
+                                         ((0.1, 0.0), [1.0, [0.0]]),
+                                         (("0.1", "0.0"), (1.0, 0.0)),
+                                         ((0.1, 0.0), (None, 1.0))])
+    def test_ragged_or_non_numeric_launch_rejected(self, setup, x0, d0):
+        # a ragged point used to raise numpy's "inhomogeneous shape" ValueError
+        g, m, omega, _ = setup
+        with pytest.raises(ConfigurationError, match="one 2-vector point and direction"):
+            trace_branches(x0, d0, m, omega, 4.0)
+
+    def test_numpy_launch_traces_as_floats(self, setup):
+        g, m, omega, _ = setup
+        want = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 2.0).to_text()
+        got = trace_branches(np.array([0.1, 0.0]), [np.float32(1.0), np.int64(0)],
+                             m, omega, 2.0).to_text()
+        assert got == want
+
     def test_text_serialization_round_shape(self, setup):
         g, m, omega, _ = setup
         graph = trace_branches((0.1, 0.0), (1.0, 0.0), m, omega, 2.0)
@@ -502,6 +520,23 @@ class TestVisibility:
             with pytest.raises(ConfigurationError, match="caps must be positive and finite"):
                 check_visibility(kset, m, omega, 1.0,
                                  {"n_pos": 2, "n_dir": 2, "caps": {"min_weight": w}})
+
+
+    @pytest.mark.parametrize("w", ["0.5", True, False, None, [0.5]])
+    def test_min_weight_must_be_a_number(self, setup, w):
+        # a str used to run through float(); the message names min_weight, not max_depth
+        g, m, omega, kset = setup
+        with pytest.raises(ConfigurationError) as err:
+            check_visibility(kset, m, omega, 1.0,
+                             {"n_pos": 2, "n_dir": 2, "caps": {"min_weight": w}})
+        assert str(err.value) == f"caps must be positive and finite, min_weight below 1, got {w!r}"
+
+    def test_numpy_min_weight_passes(self, setup):
+        g, m, omega, kset = setup
+        runs = [check_visibility(kset, m, omega, 1.0,
+                                 {"n_pos": 2, "n_dir": 2, "caps": {"min_weight": w}})
+                for w in (0.5, np.float64(0.5), np.float32(0.5))]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 # -- reference: the per-ray scalar tracer, kept verbatim as the oracle ------------------

@@ -179,6 +179,60 @@ class TestPseudoInverseStep:
         assert rep.iterates[-1].err_hd < rel_first
 
 
+def assert_matches_composition(h, m, cfg):
+    # the paper's composition Pi_K A_1 h, A_1 = time_reverse seeded by [phi, 0]
+    want = project_HD(time_reverse(h, m, cfg).u, cfg.kset, cfg.harmonic_tol)
+    got = pseudo_inverse_step(h, m, cfg)
+    assert hd_norm(want, cfg.kset) > 0
+    assert hd_norm(got - want, cfg.kset) <= 1e-12 * hd_norm(want, cfg.kset)
+
+
+def example_run(name):
+    """The grid, medium, recon config and phantom of configs/<name>.cfg."""
+    run = RunConfig.from_file(Path(__file__).parents[1] / "configs" / f"{name}.cfg")
+    g = run.build_grid()
+    kset = run.build_kset(g)
+    return g, run.build_medium(g), run.recon_config(run.build_omega(g), kset), \
+        run.build_phantom(g, kset)
+
+
+class TestFromRest:
+    """pseudo_inverse_step solves from rest with data h - h(T): phi is a static
+    solution of the leapfrog and harmonic at kset's nodes, which lie inside
+    omega's interior, so its projection is zero and omega is never factored."""
+
+    # 1-3 bumps (offset as a fraction of the room their 3-sigma clearance
+    # leaves, angle, sigma, amplitude) inside example1_setup's kset
+    @given(bumps=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.035, 0.06),
+                  st.floats(0.25, 1.0) | st.floats(-1.0, -0.25)),
+        min_size=1, max_size=3))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_the_harmonic_composition(self, bumps):
+        g, m, omega, kset = example1_setup()
+        cfg = ReconConfig(omega=omega, kset=kset, T=1.2)
+        data, room = np.zeros(g.shape), kset.params["radius"]
+        for offset, angle, sigma, amplitude in bumps:
+            r = offset * (room - 3 * sigma)
+            centre = (r * math.cos(angle), r * math.sin(angle))
+            data += amplitude * centered_bump(g, kset, sigma, centre).data
+        assert_matches_composition(measure(g, m, cfg, ScalarField(g, data)), m, cfg)
+
+    @pytest.mark.parametrize("name", ["example1", "example2_skull"])
+    def test_matches_the_harmonic_composition_on_the_examples(self, name):
+        g, m, cfg, f1 = example_run(name)
+        assert_matches_composition(measure(g, m, cfg, f1), m, cfg)
+
+    def test_series_never_factors_omega(self):
+        # the example1 series projects on kset, whose system is factored, but
+        # never extends harmonically on omega
+        g, m, cfg, f1 = example_run("example1")
+        _, rep = neumann_series(measure(g, m, cfg, f1), m, cfg)
+        assert len(rep.iterates) > 1
+        assert cfg.kset._harmonic_system is not None
+        assert cfg.omega._harmonic_system is None
+
+
 class TestErrorOperator:
     def test_zero_input(self):
         g, m, cfg = visible_case(N=161, L=4.6, T=1.2)
