@@ -63,13 +63,11 @@ def cmd_forward(args) -> int:
 
 def _run_series(args, truth=None):
     cfg, grid, medium, omega, kset, out = _load(args)
-    rcfg = cfg.recon_config(omega, kset)
-    rcfg.validate_against(medium)   # a rejected geometry writes nothing
+    rcfg = cfg.recon_config(medium, omega, kset)   # a rejected problem writes nothing
     if truth == "phantom":
         truth_field = cfg.build_phantom(grid, kset)
-        scfg = cfg.solver_config(medium)
         trace = forward(WaveState(truth_field, ScalarField.zeros(grid)), medium, omega,
-                        rcfg.T, scfg, on_step=_progress(args, "forward"))
+                        rcfg.T, rcfg.solver_config(), on_step=_progress(args, "forward"))
         write_trace(os.path.join(out, "trace.taws"), trace)
     else:
         truth_field = None
@@ -89,7 +87,7 @@ def _run_series(args, truth=None):
                 msg += f" err_hd {stats.err_hd:.3e}"
             print(msg, file=sys.stderr)
 
-    recon, report = neumann_series(trace, medium, rcfg, truth=truth_field, on_term=on_term)
+    recon, report = neumann_series(trace, rcfg, truth=truth_field, on_term=on_term)
     write_csv(os.path.join(out, "report.csv"),
               [("term", "update_norm", "err_hd", "err_l2"),
                *((t.term, *("" if v is None else f"{v:.12e}"
@@ -144,9 +142,9 @@ def cmd_raytrace(args) -> int:
 
 def cmd_knorm(args) -> int:
     cfg, grid, medium, omega, kset, out = _load(args)
-    rcfg = cfg.recon_config(omega, kset)
+    rcfg = cfg.recon_config(medium, omega, kset)
     seed = {"seed": cfg.values["seed"]} if "seed" in cfg.values else {}
-    mu = estimate_contraction(medium, rcfg, n_power_iters=args.power_iters, **seed)
+    mu = estimate_contraction(rcfg, n_power_iters=args.power_iters, **seed)
     write_csv(os.path.join(out, "knorm.csv"),
               [("n_power_iters", "mu_hat"), (args.power_iters, f"{mu:.12e}")])
     print(f"mu_hat = {mu:.6f}")
@@ -155,9 +153,9 @@ def cmd_knorm(args) -> int:
 
 def cmd_energy(args) -> int:
     cfg, grid, medium, omega, kset, out = _load(args)
-    rcfg = cfg.recon_config(omega, kset)
+    rcfg = cfg.recon_config(medium, omega, kset)
     phantom = cfg.build_phantom(grid, kset)
-    ratio = energy_decay_ratio(phantom, medium, rcfg)
+    ratio = energy_decay_ratio(phantom, rcfg)
     print(f"energy decay ratio = {ratio:.6f}")
     return EXIT_OK
 

@@ -156,9 +156,8 @@ class RunConfig:
         bumps = [((cx, cy), sigma) for cx, cy, sigma in self.bumps]
         return make_phantom("sum_of_bumps", {"bumps": bumps}, grid, kset)
 
-    def recon_config(self, omega: Region, kset: Region) -> ReconConfig:
-        return ReconConfig(omega=omega, kset=kset, T=self.values["time.T"],
-                           **self._section("recon"))
+    def recon_config(self, medium: Medium, omega: Region, kset: Region) -> ReconConfig:
+        return ReconConfig(medium, omega, kset, self.values["time.T"], **self._section("recon"))
 
     def solver_config(self, m: Medium) -> SolverConfig:
         return SolverConfig.for_time(m, self.values["time.T"])

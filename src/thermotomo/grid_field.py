@@ -89,6 +89,13 @@ def _count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def _check_harmonic_tol(tol) -> None:
+    """A harmonic tolerance is finite and at least eps, below which no residual certifies."""
+    if not np.finfo(float).eps <= tol < np.inf:
+        raise ConfigurationError(f"harmonic_tol must be finite and at least "
+                                 f"{np.finfo(float).eps:.3g}, got {tol}")
+
+
 def _node_indices(g: Grid, offsets, snap, what: str) -> list[int]:
     """``snap`` of each offset from g's origin over h, as ints, if all are finite
     (a NaN or inf coordinate is not, nor one whose index overflows)."""
@@ -361,8 +368,7 @@ def harmonic_extension(boundary_values: np.ndarray, r: Region,
     residual of the stencil sum (h^2 times the discrete Laplacian) is at most
     tol * max(1, max|boundary_values|).  Zero outside the region.
     """
-    if not 0 < tol < np.inf:
-        raise ConfigurationError(f"tolerance must be positive and finite, got {tol}")
+    _check_harmonic_tol(tol)
     g = np.asarray(boundary_values, dtype=np.float64)
     n = r.boundary_nodes[0].size
     if g.shape != (n,):

@@ -11,7 +11,6 @@ series; each term costs one forward and one backward solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .grid_field import (
     Region,
     ScalarField,
     WaveState,
+    _check_harmonic_tol,
     _count,
     _one_grid,
     energy,
@@ -36,10 +36,11 @@ from .wave_solver import BoundaryTrace, SolverConfig, _check_final_time, forward
 SEED_SMOOTH_SIGMA = 3.0  # in units of h; keeps power-iteration seeds in the resolved band
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconConfig:
-    """Geometry and stopping parameters of a reconstruction run."""
+    """The paper's problem (c, omega, K, T) and the series' stops, checked together once."""
 
+    medium: Medium
     omega: Region
     kset: Region
     T: float
@@ -49,30 +50,23 @@ class ReconConfig:
 
     def __post_init__(self):
         self.omega.box  # raises unless omega is a rectangle
-        _one_grid(self.omega, self.kset)
+        g = _one_grid(self.medium, self.omega, self.kset)
         _check_final_time(self.T)
-        self.m_max = _count(self.m_max, "m_max")
+        object.__setattr__(self, "m_max", _count(self.m_max, "m_max"))
         if not self.tol_rel >= 0:
             raise ConfigurationError(f"tol_rel must be non-negative, got {self.tol_rel}")
-        # no float64 residual certifies a tolerance below machine epsilon
-        if not np.finfo(float).eps <= self.harmonic_tol < math.inf:
-            raise ConfigurationError(f"harmonic_tol must be finite and at least "
-                                     f"{np.finfo(float).eps:.3g}, got {self.harmonic_tol}")
+        _check_harmonic_tol(self.harmonic_tol)
         if (self.kset.mask & ~self.omega.interior_mask).any():
             raise ConfigurationError("kset must lie strictly inside omega")
-
-    def validate_against(self, m: Medium):
-        """kset must keep at least 2h clearance from every interface circle."""
-        h = _one_grid(m, self.omega).h
-        ii, jj = np.nonzero(self.kset.mask)
-        rr = np.hypot(m.grid.xs[ii], m.grid.ys[jj])
-        for iface in m.interfaces:
-            if np.min(np.abs(rr - iface.radius)) < 2.0 * h:
+        # kset keeps at least 2h clearance from every interface circle
+        rr = np.hypot(*g.meshgrid())[self.kset.mask]
+        for iface in self.medium.interfaces:
+            if np.min(np.abs(rr - iface.radius)) < 2.0 * g.h:
                 raise ConfigurationError(
                     f"kset comes within 2h of the interface at radius {iface.radius}")
 
-    def solver_config(self, m: Medium) -> SolverConfig:
-        return SolverConfig.for_time(m, self.T)
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig.for_time(self.medium, self.T)
 
 
 @dataclass
@@ -95,31 +89,37 @@ class ReconReport:
     non_contraction_warning: bool = False
 
 
-def time_reverse(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> WaveState:
+def _check_trace(h: BoundaryTrace, cfg: ReconConfig):
+    """The trace must cover cfg's T on the time grid of cfg's solver config."""
+    _check_final_time(cfg.T, h.T, "trace")
+    if h.n_steps != (scfg := cfg.solver_config()).n_steps:
+        raise ConfigurationError(f"trace is sampled at dt = {h.dt:.6g} over {h.n_steps} steps, "
+                                 f"the solver config at dt = {scfg.dt:.6g} over {scfg.n_steps}")
+
+
+def time_reverse(h: BoundaryTrace, cfg: ReconConfig) -> WaveState:
     """Pseudo-inverse of the measurement: backward solve from [phi, 0] at t = T,
     where phi is the harmonic extension of the final trace snapshot."""
-    _check_final_time(cfg.T, h.T, "trace")
+    _check_trace(h, cfg)
     phi = harmonic_extension(h.values[-1], cfg.omega, cfg.harmonic_tol)
-    cauchy = WaveState(phi, ScalarField.zeros(m.grid))
-    return solve_backward(h, cauchy, m, cfg.omega)
+    return solve_backward(h, WaveState(phi, ScalarField.zeros(phi.grid)), cfg.medium, cfg.omega)
 
 
-def pseudo_inverse_step(h: BoundaryTrace, m: Medium, cfg: ReconConfig) -> ScalarField:
+def pseudo_inverse_step(h: BoundaryTrace, cfg: ReconConfig) -> ScalarField:
     """Pi_K A_1 h, one projected pseudo-inverse: Pi_K of the solve from rest with data h - h(T),
     as A_1's harmonic phi is static and Pi_K phi = 0 for kset inside omega's interior."""
-    _check_final_time(cfg.T, h.T, "trace")
+    _check_trace(h, cfg)
     rest = BoundaryTrace(h.points, h.dt, h.values - h.values[-1])
-    return project_HD(solve_backward(rest, WaveState.zeros(m.grid), m, cfg.omega).u,
-                      cfg.kset, cfg.harmonic_tol)
+    state = solve_backward(rest, WaveState.zeros(cfg.medium.grid), cfg.medium, cfg.omega)
+    return project_HD(state.u, cfg.kset, cfg.harmonic_tol)
 
 
-def apply_error_operator(f1: ScalarField, m: Medium, cfg: ReconConfig) -> ScalarField:
+def apply_error_operator(f1: ScalarField, cfg: ReconConfig) -> ScalarField:
     """Error operator K: f - Pi_K A_1 Lambda_1 f, supported in kset with zero trace; Pi_K A_1
     starts from rest, exact as kset lies inside omega's interior (see pseudo_inverse_step)."""
-    cfg.validate_against(m)
-    scfg = cfg.solver_config(m)
+    m, scfg = cfg.medium, cfg.solver_config()
     trace = forward(WaveState(f1, ScalarField.zeros(m.grid)), m, cfg.omega, cfg.T, scfg)
-    rec = pseudo_inverse_step(trace, m, cfg)
+    rec = pseudo_inverse_step(trace, cfg)
     return project_HD(f1, cfg.kset, cfg.harmonic_tol) - rec
 
 
@@ -133,8 +133,7 @@ def _non_contraction(update_norms: list[float]) -> bool:
     return False
 
 
-def neumann_series(h: BoundaryTrace, m: Medium, cfg: ReconConfig,
-                   truth: ScalarField | None = None,
+def neumann_series(h: BoundaryTrace, cfg: ReconConfig, truth: ScalarField | None = None,
                    on_term=None) -> tuple[ScalarField, ReconReport]:
     """Series reconstruction in residual-update form.
 
@@ -143,8 +142,7 @@ def neumann_series(h: BoundaryTrace, m: Medium, cfg: ReconConfig,
     relative Dirichlet-norm update drops below tol_rel.  When the truth field
     is supplied, per-term Dirichlet and L2 errors over kset are reported.
     """
-    cfg.validate_against(m)
-    scfg = cfg.solver_config(m)
+    m, scfg = cfg.medium, cfg.solver_config()
     report = ReconReport()
     if truth is not None:
         truth_hd = max(hd_norm(truth, cfg.kset), 1e-300)
@@ -160,7 +158,7 @@ def neumann_series(h: BoundaryTrace, m: Medium, cfg: ReconConfig,
         if on_term is not None:
             on_term(stats, f)
 
-    f = pseudo_inverse_step(h, m, cfg)
+    f = pseudo_inverse_step(h, cfg)
     record(0, hd_norm(f, cfg.kset), f)
     if report.iterates[0].update_norm == 0.0:
         report.converged = True
@@ -170,7 +168,7 @@ def neumann_series(h: BoundaryTrace, m: Medium, cfg: ReconConfig,
     for k in range(1, cfg.m_max):
         residual = h - forward(WaveState(f, ScalarField.zeros(m.grid)),
                                m, cfg.omega, cfg.T, scfg)
-        update = pseudo_inverse_step(residual, m, cfg)
+        update = pseudo_inverse_step(residual, cfg)
         f = f + update
         norm_update = hd_norm(update, cfg.kset)
         record(k, norm_update, f)
@@ -220,35 +218,33 @@ def _random_zero_trace_field(cfg: ReconConfig, seed: int) -> ScalarField:
     return project_HD(ScalarField(g, data), cfg.kset, cfg.harmonic_tol)
 
 
-def estimate_contraction(m: Medium, cfg: ReconConfig, n_power_iters: int,
-                         seed: int = 0):
+def estimate_contraction(cfg: ReconConfig, n_power_iters: int, seed: int = 0):
     """Power-iteration estimate of the error-operator norm in the Dirichlet norm.
 
     Returns the final ratio ||K f|| / ||f|| after n_power_iters applications
     starting from a seeded random zero-trace field.
     """
     n_power_iters, seed = _count(n_power_iters, "n_power_iters", 5), _count(seed, "seed", 0)
-    cfg.validate_against(m)
     f = _random_zero_trace_field(cfg, seed)
     norm = hd_norm(f, cfg.kset)
     if norm == 0.0:
         raise DegenerateInputError("random seed produced a zero-norm field")
     for _ in range(n_power_iters):
-        f = apply_error_operator(f * (1.0 / norm), m, cfg)
+        f = apply_error_operator(f * (1.0 / norm), cfg)
         norm = hd_norm(f, cfg.kset)
         if norm == 0.0:
             return 0.0
     return float(norm)
 
 
-def energy_decay_ratio(f1: ScalarField, m: Medium, cfg: ReconConfig) -> float:
+def energy_decay_ratio(f1: ScalarField, cfg: ReconConfig) -> float:
     """E_Omega at t = T over E_Omega at t = 0 for thermoacoustic data [f1, 0]."""
-    _one_grid(f1, m, cfg.kset)
+    _one_grid(f1, cfg.kset)
     if ((f1.data != 0) & ~cfg.kset.mask).any():
         raise ConfigurationError("initial source must be supported in kset")
-    state = WaveState(f1, ScalarField.zeros(m.grid))
-    e0 = energy(state, cfg.omega, m)
+    state = WaveState(f1, ScalarField.zeros(f1.grid))
+    e0 = energy(state, cfg.omega, cfg.medium)
     if e0 == 0.0:
         raise DegenerateInputError("initial data carries no energy")
-    _, final = forward(state, m, cfg.omega, cfg.T, cfg.solver_config(m), return_final=True)
-    return energy(final, cfg.omega, m) / e0
+    _, final = forward(state, cfg.medium, cfg.omega, cfg.T, cfg.solver_config(), return_final=True)
+    return energy(final, cfg.omega, cfg.medium) / e0

@@ -52,7 +52,7 @@ def example1(N, L=10.2, T=4.0, m_max=8):
     m = build_medium([(0.5, 0.5)], g)
     omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
     kset = Region.disk(g, (0.0, 0.0), 0.2)
-    cfg = ReconConfig(omega=omega, kset=kset, T=T, m_max=m_max, tol_rel=0.0,
+    cfg = ReconConfig(medium=m, omega=omega, kset=kset, T=T, m_max=m_max, tol_rel=0.0,
                       harmonic_tol=1e-12)
     return g, m, omega, kset, cfg
 
@@ -124,7 +124,7 @@ def test_criterion_2_fd_vs_optics_energy_split():
 def test_criterion_3_contraction_and_energy_decay():
     t0 = time.perf_counter()
     g, m, omega, kset, cfg = example1(256)
-    mu = estimate_contraction(m, cfg, n_power_iters=8, seed=42)
+    mu = estimate_contraction(cfg, n_power_iters=8, seed=42)
     rng = np.random.default_rng(7)
     edrs = []
     for _ in range(5):
@@ -139,7 +139,7 @@ def test_criterion_3_contraction_and_energy_decay():
         if not bumps:
             bumps = [((0.0, 0.0), 0.04)]
         ph = make_phantom("sum_of_bumps", {"bumps": bumps}, g, kset)
-        edrs.append(energy_decay_ratio(ph, m, cfg))
+        edrs.append(energy_decay_ratio(ph, cfg))
     elapsed = time.perf_counter() - t0
     ok = mu < 1.0 and all(e < 1.0 for e in edrs) and elapsed < 600
     _report(3, ok, f"mu_hat {mu:.4f} < 1; energy decay ratios "
@@ -211,19 +211,20 @@ def test_criterion_4_series_convergence_and_refinement(tmp_path):
 
 def test_criterion_5_trapping_contrast():
     t0 = time.perf_counter()
-    # trapped: ring of sources hugging the slow disk, T too short
+    # trapped: ring of sources hugging the slow disk, T too short; a kset
+    # radius of 0.478 keeps the 2h interface clearance ReconConfig requires
     N, L, T = 512, 4.1, 1.0
     g = Grid(N, N, L / (N - 1), origin=(-L / 2, -L / 2))
     m = build_medium([(0.5, 0.5)], g)
     omega = Region.rectangle_from_physical(g, -1.0, 1.0, -1.0, 1.0)
-    kset = Region.disk(g, (0.0, 0.0), 0.483)
-    cfg = ReconConfig(omega=omega, kset=kset, T=T, harmonic_tol=1e-12)
+    kset = Region.disk(g, (0.0, 0.0), 0.478)
+    cfg = ReconConfig(medium=m, omega=omega, kset=kset, T=T, harmonic_tol=1e-12)
     nb = 8
     sig_t = 1.25 * g.h
-    bumps = [((0.45 * np.cos(2 * np.pi * k / nb), 0.45 * np.sin(2 * np.pi * k / nb)),
+    bumps = [((0.445 * np.cos(2 * np.pi * k / nb), 0.445 * np.sin(2 * np.pi * k / nb)),
               sig_t) for k in range(nb)]
     trapped_phantom = make_phantom("sum_of_bumps", {"bumps": bumps}, g, kset)
-    edr_trapped = energy_decay_ratio(trapped_phantom, m, cfg)
+    edr_trapped = energy_decay_ratio(trapped_phantom, cfg)
     visible, uncovered = check_visibility(kset, m, omega, T,
                                           {"n_pos": 32, "n_dir": 64})
 
@@ -234,7 +235,7 @@ def test_criterion_5_trapping_contrast():
     bumps2 = [((0.12 * np.cos(2 * np.pi * k / nb), 0.12 * np.sin(2 * np.pi * k / nb)),
                sig_v) for k in range(nb)]
     visible_phantom = make_phantom("sum_of_bumps", {"bumps": bumps2}, g2, kset2)
-    edr_visible = energy_decay_ratio(visible_phantom, m2, cfg2)
+    edr_visible = energy_decay_ratio(visible_phantom, cfg2)
     contrast = edr_trapped / edr_visible
     elapsed = time.perf_counter() - t0
     ok = (not visible) and len(uncovered) > 0 and contrast >= 2.0

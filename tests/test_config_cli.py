@@ -103,7 +103,7 @@ class TestConfigParsing:
         omega = cfg.build_omega(g)
         kset = cfg.build_kset(g)
         phantom = cfg.build_phantom(g, kset)
-        rcfg = cfg.recon_config(omega, kset)
+        rcfg = cfg.recon_config(m, omega, kset)
         assert m.c_max == 1.0
         assert rcfg.m_max == 3
         assert phantom.data.max() > 0.9
@@ -316,15 +316,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "map to finite node indices" in err and "Traceback" not in err
 
-    def test_roundtrip_rejects_a_kset_near_an_interface_before_writing(self, tmp_path, capsys):
-        # kset.radius 0.47 comes within 2h of the interface at 0.5; the trace
-        # used to be written before the rejection
+    @pytest.mark.parametrize("cmd", ["energy", "knorm", "reconstruct", "roundtrip"])
+    def test_kset_near_an_interface_exits_2_and_writes_nothing(self, tmp_path, capsys, cmd):
+        # kset.radius 0.47 comes within 2h of the interface at 0.5: every command
+        # that builds the reconstruction problem rejects it before any file
+        # (roundtrip used to write its trace first, energy to exit 0)
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, TINY.replace("kset.radius = 0.2", "kset.radius = 0.47"),
                         output_dir=str(out))
-        assert main(["roundtrip", "--config", cfg]) == 2
+        assert main([cmd, "--config", cfg]) == 2
         assert "kset comes within 2h of the interface" in capsys.readouterr().err
-        assert not (out / "trace.taws").exists()
+        assert list(out.iterdir()) == []
+
+    def test_reconstruct_rejects_a_trace_on_another_time_grid(self, tmp_path, capsys):
+        # a faster layer gives the same T a smaller dt and more steps; the
+        # series used to write term 0's image and fail at term 1
+        fast = tmp_path / "fast"
+        cfg = write_cfg(tmp_path, TINY.replace("layer.1.speed = 0.5", "layer.1.speed = 1.5"),
+                        output_dir=str(fast))
+        assert main(["forward", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        assert main(["reconstruct", "--config", cfg, "--trace", str(fast / "trace.taws")]) == 2
+        assert "trace is sampled at dt" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a long time.T asks forward for a trace of hundreds of GiB

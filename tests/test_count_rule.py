@@ -26,7 +26,7 @@ M = build_medium([(0.4, 0.5)], G)
 OMEGA = Region.rectangle_from_physical(G, -0.5, 0.5, -0.5, 0.5)
 KSET = Region.disk(G, (0.0, 0.0), 0.2)
 SCFG = SolverConfig.for_time(M, T)
-RCFG = ReconConfig(OMEGA, KSET, T)
+RCFG = ReconConfig(M, OMEGA, KSET, T)
 W = WaveState(make_phantom("gaussian_bump", {"center": (0.0, 0.0), "sigma": 0.05}, G, KSET),
               ScalarField.zeros(G))
 
@@ -41,10 +41,10 @@ COUNT_ROWS = {
     "solver_n_steps": ("n_steps", 1, lambda v: SolverConfig(0.01, v)),
     "evolve_sample_every": ("sample_every", 1, lambda v: evolve(
         W, M, T, SCFG, on_sample=lambda k, state: None, sample_every=v)),
-    "recon_m_max": ("m_max", 1, lambda v: ReconConfig(OMEGA, KSET, T, m_max=v)),
+    "recon_m_max": ("m_max", 1, lambda v: ReconConfig(M, OMEGA, KSET, T, m_max=v)),
     "contraction_n_power_iters": ("n_power_iters", 5,
-                                  lambda v: estimate_contraction(M, RCFG, v)),
-    "contraction_seed": ("seed", 0, lambda v: estimate_contraction(M, RCFG, 5, seed=v)),
+                                  lambda v: estimate_contraction(RCFG, v)),
+    "contraction_seed": ("seed", 0, lambda v: estimate_contraction(RCFG, 5, seed=v)),
     "trace_max_depth": ("max_depth", 1, lambda v: trace_branches(
         (0.1, 0.0), (1.0, 0.0), M, OMEGA, T, {"max_depth": v})),
     "visibility_max_depth": ("max_depth", 1, lambda v: check_visibility(

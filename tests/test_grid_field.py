@@ -216,9 +216,10 @@ class TestHarmonicExtension:
         assert inner.max() <= g.max() + slack
 
     def test_iteration_cap_raises(self, small_rect):
+        # machine epsilon, the least tolerance accepted, is below this solve's residual
         g = np.linspace(0.0, 1.0, small_rect.boundary_nodes[0].size)
         with pytest.raises(ConvergenceError):
-            harmonic_extension(g, small_rect, 1e-30)
+            harmonic_extension(g, small_rect, np.finfo(float).eps)
 
     def test_linearity_in_boundary_values(self, small_disk):
         rng = np.random.default_rng(21)
@@ -320,11 +321,15 @@ class TestBlockRowSolve:
         with pytest.raises(ConfigurationError, match="consecutive rows"):
             harmonic_extension(np.ones(int(ring.sum())), r)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+    # a positive tolerance below machine epsilon is one no float64 residual certifies
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan, 1e-20, 1e-30])
     def test_tolerance_must_be_positive_and_finite(self, small_rect, tol):
         g = np.ones(small_rect.boundary_nodes[0].size)
-        with pytest.raises(ConfigurationError, match="positive and finite"):
+        with pytest.raises(ConfigurationError, match="harmonic_tol must be finite and at least"):
             harmonic_extension(g, small_rect, tol)
+        # project_HD hands its tolerance to the same check, before any solve
+        with pytest.raises(ConfigurationError, match="harmonic_tol must be finite and at least"):
+            project_HD(random_field(small_rect.grid, 4), small_rect, tol)
 
 
 class TestProjection:
