@@ -33,7 +33,8 @@ def _load(args):
     omega = cfg.build_omega(grid)
     kset = cfg.build_kset(grid)
     out_dir = args.output_dir or cfg.get("output.dir", "out")
-    os.makedirs(out_dir, exist_ok=True)
+    if not out_dir or os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigurationError(f"output path {out_dir!r} is not a directory")
     return cfg, grid, medium, omega, kset, out_dir
 
 
@@ -51,7 +52,7 @@ def cmd_forward(args) -> int:
     phantom = cfg.build_phantom(grid, kset)
     scfg = cfg.solver_config(medium)
     trace, final = forward(WaveState(phantom, ScalarField.zeros(grid)), medium, omega,
-                           cfg.values["time.T"], scfg, return_final=True,
+                           cfg.T, scfg, return_final=True,
                            on_step=_progress(args, "forward"))
     write_trace(os.path.join(out, "trace.taws"), trace)
     write_grid(os.path.join(out, "phantom.tawg"), phantom)
@@ -117,9 +118,8 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_raytrace(args) -> int:
     cfg, grid, medium, omega, kset, out = _load(args)
-    T = cfg.values["time.T"]
     sampling = cfg.ray_sampling()
-    visible, uncovered = check_visibility(kset, medium, omega, T, sampling)
+    visible, uncovered = check_visibility(kset, medium, omega, cfg.T, sampling)
     positions = sample_positions(kset, sampling["n_pos"])
     directions = sample_directions(sampling["n_dir"])
     xs, ds = positions.tolist(), directions.tolist()
@@ -132,7 +132,7 @@ def cmd_raytrace(args) -> int:
                  for x, xt in zip(xs, x_text) for d, dt in zip(ds, d_text))])
     n_graphs = min(4, len(positions))
     for k in range(n_graphs):
-        g = trace_branches(positions[k], directions[0], medium, omega, T, sampling["caps"])
+        g = trace_branches(positions[k], directions[0], medium, omega, cfg.T, sampling["caps"])
         write_text(os.path.join(out, f"branches_{k}.txt"), g.to_text())
     total = len(positions) * len(directions)
     print(f"visibility: {'all covered' if visible else 'NOT covered'} "
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigurationError, FormatError, OSError) as exc:
-        # OSError: a file-system refusal, such as an output directory that is a file
+        # OSError: a file-system refusal, such as an output directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -108,6 +108,10 @@ class RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}")
 
+    @property
+    def T(self) -> float:
+        return self.values["time.T"]
+
     def get(self, key, default=None):
         return self.values.get(key, default)
 
@@ -157,10 +161,10 @@ class RunConfig:
         return make_phantom("sum_of_bumps", {"bumps": bumps}, grid, kset)
 
     def recon_config(self, medium: Medium, omega: Region, kset: Region) -> ReconConfig:
-        return ReconConfig(medium, omega, kset, self.values["time.T"], **self._section("recon"))
+        return ReconConfig(medium, omega, kset, self.T, **self._section("recon"))
 
     def solver_config(self, m: Medium) -> SolverConfig:
-        return SolverConfig.for_time(m, self.values["time.T"])
+        return SolverConfig.for_time(m, self.T)
 
     def ray_sampling(self) -> dict:
         """``check_visibility``'s sampling; a key the file omits takes its rays default."""

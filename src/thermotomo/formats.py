@@ -2,7 +2,8 @@
 
 All integers and floats are little-endian and fixed-width; round trips are
 bitwise identical.  Every file is written whole by one function: to a new temp
-file in the target directory, then renamed over it, with ``open()``'s mode.
+file in the target directory, made if missing, then renamed over it, with
+``open()``'s mode.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _TRACE_HEADER = struct.Struct("<4sIQQd")     # magic, version, n_times, n_det, d
 def _atomic_write(path, payload: bytes):
     # a fresh name, created exclusively; the umask trims 0o666 as for open()
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -326,7 +326,7 @@ class TestCli:
                         output_dir=str(out))
         assert main([cmd, "--config", cfg]) == 2
         assert "kset comes within 2h of the interface" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_reconstruct_rejects_a_trace_on_another_time_grid(self, tmp_path, capsys):
         # a faster layer gives the same T a smaller dt and more steps; the
@@ -339,7 +339,44 @@ class TestCli:
         cfg = write_cfg(tmp_path, output_dir=str(out))
         assert main(["reconstruct", "--config", cfg, "--trace", str(fast / "trace.taws")]) == 2
         assert "trace is sampled at dt" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, line, code, err", [
+        ("reconstruct", "", 2, "cannot read"),     # no --trace, and none in the directory
+        ("roundtrip", "kset.radius = 0.47", 2, "within 2h of the interface"),
+        ("knorm", "kset.radius = 0.47", 2, "within 2h of the interface"),
+        ("energy", "kset.radius = 0.47", 2, "within 2h of the interface"),
+        ("forward", "phantom.1.sigma = 0.1", 2, "escapes the support region"),
+        ("raytrace", "rays.min_weight = 1.5", 2, "min_weight below 1"),
+        ("energy", "", 0, ""),                     # energy writes no file
+    ], ids=["reconstruct-no-trace", "roundtrip-near-interface", "knorm-near-interface",
+            "energy-near-interface", "forward-bump-escapes-kset", "raytrace-min-weight",
+            "energy-exits-0"])
+    def test_a_run_that_writes_no_file_creates_no_directory(self, tmp_path, capsys,
+                                                            cmd, line, code, err):
+        # the first file written creates the output directory, so a run
+        # rejected before it writes, or one with nothing to write, leaves none
+        key = line.partition(" = ")[0]
+        text = "".join(f"{kept}\n" for kept in TINY.splitlines()
+                       if not (key and kept.startswith(key + " "))) + line + "\n"
+        out = tmp_path / "out"
+        assert main([cmd, "--config", write_cfg(tmp_path, text, output_dir=str(out))]) == code
+        assert err in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_output_dir_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, output_dir="")
+        assert main(["forward", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: output path '' is not a directory\n"
+
+    @pytest.mark.parametrize("name", ["example1.cfg", "example2_skull.cfg"])
+    def test_run_and_reconstruction_share_one_time_grid(self, name):
+        # forward's trace and the series' check read T from the same RunConfig.T
+        cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / name)
+        g = cfg.build_grid()
+        m = cfg.build_medium(g)
+        rcfg = cfg.recon_config(m, cfg.build_omega(g), cfg.build_kset(g))
+        assert cfg.solver_config(m) == rcfg.solver_config()
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # e.g. a long time.T asks forward for a trace of hundreds of GiB
@@ -453,7 +490,7 @@ def _run_every_command(tmp_path):
                         ["raytrace"], ["knorm", "--power-iters", "5"], ["energy"]):
         outs.append(tmp_path / cmd)
         assert main([cmd, "--config", cfg, "--output-dir", str(outs[-1]), *flags]) == 0
-    return outs
+    return [out for out in outs if out.exists()]      # energy writes no file
 
 
 def test_every_output_is_written_atomically(tmp_path, monkeypatch):

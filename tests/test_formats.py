@@ -198,6 +198,28 @@ class TestAtomicity:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt"]
         assert path.read_text() == "old\n"
 
+    @pytest.mark.parametrize("write", [
+        lambda path, f, t: write_grid(path, f),
+        lambda path, f, t: write_trace(path, t),
+        lambda path, f, t: emit_pgm(f, path),
+        lambda path, f, t: write_csv(path, [("a", "b"), (1, 2.5)]),
+    ], ids=["write_grid", "write_trace", "emit_pgm", "write_csv"])
+    def test_missing_directories_are_created(self, field, trace, tmp_path, write):
+        # the first file written into a missing directory creates it, parents
+        # included, and the bytes are those written into an existing one
+        write(tmp_path / "here", field, trace)
+        nested = tmp_path / "a" / "b" / "there"
+        write(nested, field, trace)
+        assert nested.read_bytes() == (tmp_path / "here").read_bytes()
+        assert sorted(p.name for p in nested.parent.iterdir()) == ["there"]
+
+    def test_parent_that_is_a_file_raises_and_leaves_no_temp(self, tmp_path):
+        (tmp_path / "taken").write_text("")
+        with pytest.raises(OSError):
+            write_text(tmp_path / "taken" / "x.txt", "text\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert (tmp_path / "taken").read_text() == ""
+
 
 class TestText:
     def test_csv_bytes_are_csv_writers_on_a_file(self, tmp_path):
