@@ -33,7 +33,10 @@ def _load(args):
     omega = cfg.build_omega(grid)
     kset = cfg.build_kset(grid)
     out_dir = args.output_dir or cfg.get("output.dir", "out")
-    if not out_dir or os.path.exists(out_dir) and not os.path.isdir(out_dir):
+    near = out_dir     # its nearest existing ancestor, or itself, must be a directory
+    while near and not os.path.exists(near):
+        near = os.path.dirname(near)
+    if not out_dir or not os.path.isdir(near or "."):
         raise ConfigurationError(f"output path {out_dir!r} is not a directory")
     return cfg, grid, medium, omega, kset, out_dir
 

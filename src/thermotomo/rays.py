@@ -213,7 +213,7 @@ def _check_derivatives(a: np.ndarray, b: np.ndarray):
 def _energy_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_derivatives(a, b)
     frac = 4.0 * a * b / _math(lambda v: v ** 2, a + b)
-    return np.where(b == 0.0, 0.0, frac)
+    return np.where(b == 0.0, 0.0, np.minimum(frac, 1.0))
 
 
 def _one(v) -> np.ndarray:
@@ -300,7 +300,7 @@ class _Scene(NamedTuple):
 
 
 class _Events(NamedTuple):
-    """One generation's events as columns, ordered by ray, a reflect before its transmit.
+    """One generation's events as columns: leaves, reflects, then transmits, each in ray order.
 
     ``ray`` indexes the generation's rays; ``angle`` and the rows of
     ``direction`` are NaN where the event has none; ``speed`` is the layer
@@ -454,17 +454,14 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
     leaf[ic] = False
     il, it = np.flatnonzero(leaf), ic[through]
     ray = np.concatenate((il, ic, it))
-    order = np.argsort(np.concatenate((2 * il, 2 * ic, 2 * it + 1)))
-    ray = ray[order]
-    kind = np.concatenate((kind[il], np.full(len(ic), _REFLECT),
-                           np.full(len(it), _TRANSMIT)))[order]
-    weight = np.concatenate((w[il], w[ic] * (1.0 - frac), w[it] * frac[through]))[order]
-    depth = np.concatenate((depth[il], depth[ic] + 1, depth[it] + 1))[order]
-    speed = np.concatenate((c[il], c_in[split], c_out[split][through]))[order]
+    kind = np.concatenate((kind[il], np.full(len(ic), _REFLECT), np.full(len(it), _TRANSMIT)))
+    weight = np.concatenate((w[il], w[ic] * (1.0 - frac), w[it] * frac[through]))
+    depth = np.concatenate((depth[il], depth[ic] + 1, depth[it] + 1))
+    speed = np.concatenate((c[il], c_in[split], c_out[split][through]))
     # a reflection from outside and a transmission outward leave on the outer side
     outer = np.where(inward[split] == 1, k[split], -1), np.where(inward[split] == 0, k[split], -1)
-    skip = np.concatenate((np.full(len(il), -1), outer[0], outer[1][through]))[order]
-    direction = np.concatenate((direction[il], d_r, d_t[through]))[order]
+    skip = np.concatenate((np.full(len(il), -1), outer[0], outer[1][through]))
+    direction = np.concatenate((direction[il], d_r, d_t[through]))
     live = kind >= _REFLECT
     kind[live & ((weight < s.min_weight) | (depth >= s.max_depth))] = _TRUNCATION
     return _Events(ray, kind, pos[ray], t_ev[ray], weight, depth, speed, skip, angle[ray],

@@ -166,8 +166,8 @@ def neumann_series(h: BoundaryTrace, cfg: ReconConfig, truth: ScalarField | None
         return f, report
 
     for k in range(1, cfg.m_max):
-        residual = h - forward(WaveState(f, ScalarField.zeros(m.grid)),
-                               m, cfg.omega, cfg.T, scfg)
+        residual = BoundaryTrace(h.points, h.dt, h.values - forward(
+            WaveState(f, ScalarField.zeros(m.grid)), m, cfg.omega, cfg.T, scfg).values)
         update = pseudo_inverse_step(residual, cfg)
         f = f + update
         norm_update = hd_norm(update, cfg.kset)

@@ -369,6 +369,18 @@ class TestCli:
         assert main(["forward", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: output path '' is not a directory\n"
 
+    @pytest.mark.parametrize("cmd", ["forward", "reconstruct", "roundtrip", "raytrace",
+                                     "knorm", "energy"])
+    def test_output_path_below_a_file_exits_2(self, tmp_path, capsys, cmd):
+        # the nearest existing ancestor of the output path is a file, so no
+        # directory can be made there: rejected before any solve, not at the
+        # first write
+        out = tmp_path / "afile" / "sub"
+        (tmp_path / "afile").write_text("")
+        assert main([cmd, "--config", write_cfg(tmp_path, output_dir=str(out))]) == 2
+        assert capsys.readouterr().err == f"error: output path {str(out)!r} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+
     @pytest.mark.parametrize("name", ["example1.cfg", "example2_skull.cfg"])
     def test_run_and_reconstruction_share_one_time_grid(self, name):
         # forward's trace and the series' check read T from the same RunConfig.T

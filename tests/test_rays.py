@@ -22,6 +22,7 @@ from thermotomo.grid_field import Grid, Region
 from thermotomo.medium import (
     BACKGROUND_SPEED,
     InterfaceDescriptor,
+    Medium,
     build_medium,
     speed_at,
     speeds_at,
@@ -349,6 +350,21 @@ class TestTraceBranches:
             if split:
                 assert sum(c.weight for c in split) == pytest.approx(n.weight, abs=1e-12)
 
+    @given(c_in=st.floats(0.3, 3.0), ulps=st.integers(-4, 4).filter(bool),
+           phi=st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_stay_in_0_1_at_a_nearly_matched_interface(self, c_in, ulps, phi):
+        # 4ab/(a+b)^2 rounds up to 1 + 4.4e-16 when a and b are nearly equal;
+        # capped at 1, it gives no transmit weight above 1 and no negative reflect
+        c_out = c_in
+        for _ in range(abs(ulps)):
+            c_out = math.nextafter(c_out, math.copysign(math.inf, ulps))
+        g, _, omega, _ = example1_setup()
+        m = Medium(g, ((0.5, c_in),), c_out)
+        graph = trace_branches((0.1, 0.05), (math.cos(phi), math.sin(phi)), m, omega, 3.0,
+                               {"max_depth": 6, "min_weight": 1e-6})
+        assert all(0.0 <= n.weight <= 1.0 for n in graph.nodes)
+
     def test_critical_incidence_flagged(self, setup):
         g, m, omega, _ = setup
         # angular momentum 0.25 = c0 * R0 puts the hit exactly at the critical angle
@@ -615,7 +631,7 @@ def _ref_energy_split(a, b):
         raise DegenerateInputError(f"transmitted normal derivative must be nonnegative, got {b}")
     if b == 0.0:
         return 0.0
-    return 4.0 * a * b / (a + b) ** 2
+    return min(4.0 * a * b / (a + b) ** 2, 1.0)
 
 
 def _ref_circle_hit(x, d, radius):
@@ -978,6 +994,25 @@ class TestSweepOrder:
         assert sum(launched) == 2 * (24 * 96 - 854)
         assert sum(rows) <= self.SKULL_ROWS
 
+    def test_a_rays_reflect_comes_before_its_transmit(self):
+        # one generation's events are leaves, reflects, then transmits; a ray's
+        # own events keep the order trace_branches numbers them in
+        m, omega, T = _example("example2_skull")
+        s = rays._scene(m, omega, T, {"min_weight": 1e-12})
+        # from the origin every ray meets the brain circle along its normal and
+        # splits; from (0.3, 0.1) many meet it past the critical angle and only
+        # reflect; from (0.9, 0.0), in the water, some exit first
+        x, d, c = rays._launch(s, [(0.0, 0.0), (0.3, 0.1), (0.9, 0.0)], sample_directions(12))
+        n = len(x)
+        ev = rays._advance(s, x, d, c, np.zeros(n), np.ones(n), np.zeros(n, dtype=int),
+                           np.full(n, -1))
+        kinds = {r: [] for r in range(n)}
+        for r, k in zip(ev.ray.tolist(), ev.kind.tolist()):
+            kinds[r].append(rays._KINDS[k])
+        patterns = {tuple(v) if v[0] in ("reflect", "transmit") else ("leaf",)
+                    for v in kinds.values()}
+        assert patterns == {("leaf",), ("reflect",), ("reflect", "transmit")}
+
     def test_launch_speeds_looked_up_once(self, monkeypatch):
         # one lookup per sample position serves every launch from it, in the
         # trap check and in the first round alike
@@ -999,6 +1034,11 @@ class TestSweepOrder:
            radius=st.floats(0.1, 0.45), T=st.floats(0.5, 3.0),
            max_depth=st.integers(2, 12), min_weight=st.floats(1e-4, 0.1),
            n_pos=st.integers(1, 4), n_dir=st.integers(1, 6))
+    # speeds one ulp apart across r = 0.75: a split's transmitted fraction
+    # rounds above 1, and without the cap the reference's reflect weight is
+    # below 0, which its Ray rejects
+    @example(radii=[1.0, 0.75], speeds=[3.0, 2.9999999999999996, 1.0], centre=(0.0, 0.0),
+             radius=0.25, T=1.0, max_depth=2, min_weight=0.0625, n_pos=1, n_dir=1)
     @settings(max_examples=60, deadline=None)
     def test_flags_match_the_reference(self, radii, speeds, centre, radius, T,
                                        max_depth, min_weight, n_pos, n_dir):

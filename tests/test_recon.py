@@ -37,7 +37,7 @@ from thermotomo.recon import (
     pseudo_inverse_step,
     time_reverse,
 )
-from thermotomo.wave_solver import BoundaryTrace, forward, solve_backward
+from thermotomo.wave_solver import BoundaryTrace, exterior_neumann, forward, solve_backward
 
 from conftest import centered_bump, example1_setup
 
@@ -52,6 +52,41 @@ def visible_case(N=201, L=9.2, T=3.5, m_max=6):
 def measure(g, m, cfg, f1):
     return forward(WaveState(f1, ScalarField.zeros(g)), m, cfg.omega, cfg.T,
                    cfg.solver_config())
+
+
+# each solve that takes a trace, as (trace, problem) -> result
+TRACE_SOLVES = {
+    "solve_backward": lambda h, cfg: solve_backward(h, WaveState.zeros(cfg.medium.grid),
+                                                    cfg.medium, cfg.omega),
+    "exterior_neumann": lambda h, cfg: exterior_neumann(h, cfg.omega),
+    "pseudo_inverse_step": pseudo_inverse_step,
+    "time_reverse": time_reverse,
+}
+
+
+class TestDetectorRule:
+    """A trace's detectors are omega's boundary nodes within 1e-9 h, with no
+    slack relative to their coordinates."""
+
+    @staticmethod
+    def _zero_trace(cfg, points):
+        scfg = cfg.solver_config()
+        return BoundaryTrace(points, scfg.dt, np.zeros((scfg.n_steps + 1, len(points))))
+
+    @pytest.mark.parametrize("solve", TRACE_SOLVES.values(), ids=TRACE_SOLVES.keys())
+    def test_detector_shifted_by_1e_7_rejected(self, solve):
+        # 1e-7 is 3,500 times the bound here, and within numpy's default
+        # relative tolerance of a corner detector's coordinates
+        _, _, cfg = visible_case(N=161, L=4.6, T=1.2)
+        points = cfg.omega.boundary_coords.copy()
+        points[np.argmax(np.abs(points).sum(axis=1)), 0] += 1e-7
+        with pytest.raises(ConfigurationError, match="trace detectors do not match"):
+            solve(self._zero_trace(cfg, points), cfg)
+
+    @pytest.mark.parametrize("solve", TRACE_SOLVES.values(), ids=TRACE_SOLVES.keys())
+    def test_detectors_shifted_within_the_bound_accepted(self, solve):
+        _, _, cfg = visible_case(N=161, L=4.6, T=1.2)
+        solve(self._zero_trace(cfg, cfg.omega.boundary_coords + 0.5e-9 * cfg.omega.grid.h), cfg)
 
 
 class TestReconConfig:
@@ -179,7 +214,7 @@ class TestPseudoInverseStep:
         g, m, cfg = visible_case(N=161, L=4.6, T=1.2)
         h1 = measure(g, m, cfg, centered_bump(g, cfg.kset, sigma=0.05, center=(0.04, 0.0)))
         h2 = measure(g, m, cfg, centered_bump(g, cfg.kset, sigma=0.04, center=(-0.03, 0.05)))
-        lhs = pseudo_inverse_step(h1 + h2, cfg)
+        lhs = pseudo_inverse_step(BoundaryTrace(h1.points, h1.dt, h1.values + h2.values), cfg)
         rhs = pseudo_inverse_step(h1, cfg) + pseudo_inverse_step(h2, cfg)
         scale = max(hd_norm(rhs, cfg.kset), 1e-300)
         assert hd_norm(lhs - rhs, cfg.kset) / scale <= 1e-10
