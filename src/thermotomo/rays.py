@@ -16,8 +16,9 @@ than silently dropped.
 A point carries a visible singularity when one of the branch trees grown
 from (x, d) and (x, -d) has a transversal exit through the measurement
 rectangle before time T.  One array kernel, ``_advance``, moves rays
-(struct-of-arrays rows) to their next events, and makes the float calls of
-tracing each ray alone, so a ray gets the same events in any batch.
+(struct-of-arrays rows) to their next events; its float operations give a
+row the same bits in any batch (see the interface laws), so a ray gets the
+same events in any batch.
 ``trace_branches`` grows one sample's full forest a generation at a time and
 numbers its events depth first, bit for bit as a per-ray trace does.
 ``check_visibility`` launches every sample's two rays at once and advances
@@ -139,14 +140,10 @@ class RayBranchGraph:
 # -- local interface laws ---------------------------------------------------------
 #
 # Each law acts on rows: (n, 2) directions and normals, (n,) angles and speeds.
-# The float calls are those of the scalar formulas, so a row's result does not
-# depend on the batch it is in: ``np.vecdot`` is BLAS ddot bit for bit (a
-# hand-written x0*y0 + x1*y1 is not, under FMA), and acos, asin, sin and ``**``
-# come from Python (numpy's SIMD loops differ from them in the last bit).
-
-
-def _math(fn, x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
+# A row's result does not depend on the batch it is in: ``np.vecdot`` is BLAS
+# ddot bit for bit (a hand-written x0*y0 + x1*y1 is not, under FMA), and numpy's
+# arccos, arcsin, sin and square give an element the same bits alone, in a
+# whole batch, at an offset or in a strided view.
 
 
 def _crossing(c_in: float, c_out: float) -> tuple[float, float, float, float, float]:
@@ -182,7 +179,7 @@ def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
         raise TangencyError("incident direction is tangential to the surface")
     tang = d - dn[:, None] * n
     sin_a = np.hypot(tang[:, 0], tang[:, 1])
-    alpha = _math(math.asin, np.minimum(sin_a, 1.0))
+    alpha = np.arcsin(np.minimum(sin_a, 1.0))
     if (np.abs(alpha - alpha0) < CRITICAL_TOL).any():
         raise CriticalAngleError("incidence within tolerance of the critical angle")
     sin_b = sin_a * c_out / c_in
@@ -195,7 +192,7 @@ def _snell(d: np.ndarray, n: np.ndarray, c_in: np.ndarray, c_out: np.ndarray,
 def _phase_derivatives(alpha: np.ndarray, c_in: np.ndarray, inv_sq_in: np.ndarray,
                        inv_sq_out: np.ndarray):
     """(a, b) from the incidence angles, c_in, and c_in^-2 and c_out^-2 (Python's ``**``)."""
-    s = _math(math.sin, alpha) / c_in
+    s = np.sin(alpha) / c_in
     a = np.sqrt(_positive(inv_sq_in - s * s))
     b = np.sqrt(_positive(inv_sq_out - s * s))
     return a, b
@@ -212,7 +209,7 @@ def _check_derivatives(a: np.ndarray, b: np.ndarray):
 
 def _energy_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_derivatives(a, b)
-    frac = 4.0 * a * b / _math(lambda v: v ** 2, a + b)
+    frac = 4.0 * a * b / np.square(a + b)
     return np.where(b == 0.0, 0.0, np.minimum(frac, 1.0))
 
 
@@ -437,7 +434,7 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
     inward = np.where(dr > 0, 0, 1)
     c_in, c_out, inv_sq_in, inv_sq_out, alpha0 = s.laws[k, inward].T
     normal = np.where(inward[:, None], -r_unit, r_unit)
-    alpha = _math(math.acos, np.minimum(np.abs(dr), 1.0))
+    alpha = np.arccos(np.minimum(np.abs(dr), 1.0))
     angle[ic] = alpha
     a, b = _phase_derivatives(alpha, c_in, inv_sq_in, inv_sq_out)
     blocked = (((math.pi / 2 - alpha) < TANGENCY_TOL) | (np.abs(alpha - alpha0) < CRITICAL_TOL)
@@ -595,7 +592,7 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     for ev, sample in _grow(s, x[free], d[free], c[free], np.flatnonzero(free) // 2, covered):
         covered[sample[ev.kind == _EXIT]] = True
         del ev, sample      # freed before the next round is advanced
-    xs, ds = positions.tolist(), directions.tolist()
-    uncovered = [(tuple(xs[k // len(ds)]), tuple(ds[k % len(ds)]))
-                 for k in np.flatnonzero(~covered).tolist()]
+    xs, ds = list(map(tuple, positions.tolist())), list(map(tuple, directions.tolist()))
+    k_pos, k_dir = np.divmod(np.flatnonzero(~covered), len(ds))
+    uncovered = [(xs[i], ds[j]) for i, j in zip(k_pos.tolist(), k_dir.tolist())]
     return (len(uncovered) == 0), uncovered

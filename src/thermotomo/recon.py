@@ -31,7 +31,8 @@ from .grid_field import (
     project_HD,
 )
 from .medium import Medium
-from .wave_solver import BoundaryTrace, SolverConfig, _check_final_time, forward, solve_backward
+from .wave_solver import (BoundaryTrace, SolverConfig, _check_final_time, _check_trace_on,
+                          forward, solve_backward)
 
 SEED_SMOOTH_SIGMA = 3.0  # in units of h; keeps power-iteration seeds in the resolved band
 
@@ -90,7 +91,8 @@ class ReconReport:
 
 
 def _check_trace(h: BoundaryTrace, cfg: ReconConfig):
-    """The trace must cover cfg's T on the time grid of cfg's solver config."""
+    """The trace must sit on omega's detectors and cover cfg's T on cfg's solver time grid."""
+    _check_trace_on(h, cfg.omega)
     _check_final_time(cfg.T, h.T, "trace")
     if h.n_steps != (scfg := cfg.solver_config()).n_steps:
         raise ConfigurationError(f"trace is sampled at dt = {h.dt:.6g} over {h.n_steps} steps, "

@@ -363,8 +363,9 @@ def _check_box_margin(omega: Region, c_out: float, T: float) -> int:
 
 
 def _check_trace_on(boundary: BoundaryTrace, omega: Region):
-    if boundary.points.shape != omega.boundary_coords.shape or not np.allclose(
-            boundary.points, omega.boundary_coords, rtol=0.0, atol=1e-9 * omega.grid.h):
+    nodes = omega.boundary_coords
+    if boundary.points.shape != nodes.shape or not (
+            np.abs(boundary.points - nodes) <= 1e-9 * omega.grid.h).all():
         raise ConfigurationError("trace detectors do not match the rectangle boundary nodes")
     if boundary.n_steps < 1:
         raise ConfigurationError("a solve needs a trace of at least two time samples")

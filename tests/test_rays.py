@@ -281,6 +281,37 @@ class TestLawsMatchScalarReference:
             _same(energy_split, _ref_energy_split, a, b)
 
 
+_UFUNC_DOMAINS = {
+    np.arccos: st.floats(0.0, 1.0),
+    np.arcsin: st.floats(0.0, 1.0),
+    np.sin: st.floats(0.0, math.pi / 2),
+    np.square: st.floats(0.0, exclude_min=True, allow_infinity=False),
+}
+
+
+class TestBatchInvariantUfuncs:
+    """The kernel's elementary functions give each element the same bits alone, as a
+    Python float and in a 1-element array, in the whole batch, at an offset and in a
+    strided view; the kernel and the scalar oracle rely on it."""
+
+    @pytest.mark.parametrize("fn", list(_UFUNC_DOMAINS), ids=lambda fn: fn.__name__)
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_each_element_has_the_same_bits_in_any_batch(self, fn, data):
+        x = np.array(data.draw(st.lists(_UFUNC_DOMAINS[fn], min_size=1, max_size=80)))
+        k = data.draw(st.integers(0, len(x) - 1))
+
+        def bits(v):
+            return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
+
+        with np.errstate(over="ignore", under="ignore"):
+            whole = bits(fn(x))
+            assert bits([fn(v) for v in x.tolist()]) == whole
+            assert bits([fn(x[i:i + 1])[0] for i in range(len(x))]) == whole
+            assert bits(fn(x[k:])) == whole[k:]
+            assert bits(fn(x[::2])) == whole[::2]
+
+
 class TestTraceBranches:
     def test_uniform_medium_straight_exit(self, setup):
         g, _, omega, _ = setup
@@ -558,8 +589,11 @@ class TestVisibility:
 # -- reference: the per-ray scalar tracer, kept verbatim as the oracle ------------------
 #
 # The scalar interface laws, geometry helpers and speed lookup below are the
-# per-ray code the generation-batched kernel replaced, copied unchanged, so
-# the oracle shares no float arithmetic with the code under test.  Changes:
+# per-ray code the generation-batched kernel replaced, copied unchanged but for
+# the incidence angle's arcsin and arccos, sin and the square (a + b) * (a + b),
+# which it takes from numpy as the kernel does: numpy's loops give an element
+# the same bits alone and in a batch (TestBatchInvariantUfuncs), so the oracle
+# shares no other float arithmetic with the code under test.  Other changes:
 # a ray carries its layer speed, looked up at the launch point and then c_in
 # for a reflected branch and c_out for a transmitted one, because a hit point
 # lies on its circle only to rounding, so looking the speed up there gives
@@ -601,7 +635,7 @@ def _ref_snell_transmit(d, n, c_in, c_out):
         raise TangencyError("incident direction is tangential to the surface")
     tang = d - dn * n
     sin_a = float(np.hypot(*tang))
-    alpha = math.asin(min(sin_a, 1.0))
+    alpha = np.arcsin(min(sin_a, 1.0))
     if c_in < c_out:
         alpha0 = math.asin(c_in / c_out)
         if abs(alpha - alpha0) < rays.CRITICAL_TOL:
@@ -617,7 +651,7 @@ def _ref_snell_transmit(d, n, c_in, c_out):
 
 
 def _ref_normal_phase_derivatives(alpha, c_in, c_out):
-    s = math.sin(alpha) / c_in
+    s = np.sin(alpha) / c_in
     a = math.sqrt(max(0.0, c_in ** -2 - s * s))
     b_sq = c_out ** -2 - s * s
     b = math.sqrt(b_sq) if b_sq > 0 else 0.0
@@ -631,7 +665,7 @@ def _ref_energy_split(a, b):
         raise DegenerateInputError(f"transmitted normal derivative must be nonnegative, got {b}")
     if b == 0.0:
         return 0.0
-    return min(4.0 * a * b / (a + b) ** 2, 1.0)
+    return min(4.0 * a * b / ((a + b) * (a + b)), 1.0)
 
 
 def _ref_circle_hit(x, d, radius):
@@ -749,7 +783,7 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None, first_exit=False):
         c_in, c_out = (iface.c_int, iface.c_ext) if going_out else (iface.c_ext, iface.c_int)
         surface_n = r_unit if going_out else -r_unit
         cos_a = min(abs(float(ray.d @ r_unit)), 1.0)
-        alpha = math.acos(cos_a)
+        alpha = np.arccos(cos_a)
         if (math.pi / 2 - alpha) < rays.TANGENCY_TOL:
             graph.add(parent, "tangent_undetermined", pos, t_arrive, ray.weight,
                       ray.depth, angle=alpha)

@@ -83,6 +83,26 @@ class TestDetectorRule:
         with pytest.raises(ConfigurationError, match="trace detectors do not match"):
             solve(self._zero_trace(cfg, points), cfg)
 
+    @pytest.mark.parametrize("step", [time_reverse, pseudo_inverse_step])
+    def test_detector_shifted_by_1e_7_rejected_before_any_work(self, step, monkeypatch):
+        # the detectors are checked with the time grid: no harmonic extension,
+        # rest trace or solve is made, and the error is solve_backward's
+        _, _, cfg = visible_case(N=161, L=4.6, T=1.2)
+        points = cfg.omega.boundary_coords.copy()
+        points[np.argmax(np.abs(points).sum(axis=1)), 0] += 1e-7
+        trace = self._zero_trace(cfg, points)
+        with pytest.raises(ConfigurationError) as want:
+            solve_backward(trace, WaveState.zeros(cfg.medium.grid), cfg.medium, cfg.omega)
+        calls = []
+        for name in ("harmonic_extension", "BoundaryTrace", "solve_backward"):
+            def spy(*args, _name=name, _real=getattr(recon, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(recon, name, spy)
+        with pytest.raises(ConfigurationError) as got:
+            step(trace, cfg)
+        assert str(got.value) == str(want.value) and calls == []
+
     @pytest.mark.parametrize("solve", TRACE_SOLVES.values(), ids=TRACE_SOLVES.keys())
     def test_detectors_shifted_within_the_bound_accepted(self, solve):
         _, _, cfg = visible_case(N=161, L=4.6, T=1.2)
