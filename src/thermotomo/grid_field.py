@@ -270,6 +270,12 @@ class Region:
         return p["i0"], p["i1"], p["j0"], p["j1"]
 
     @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(xmin, xmax, ymin, ymax) of a rectangle's nodes; a disk raises as ``box`` does."""
+        (i0, i1, j0, j1), (ox, oy), h = self.box, self.grid.origin, self.grid.h
+        return (ox + i0 * h, ox + i1 * h, oy + j0 * h, oy + j1 * h)
+
+    @property
     def boundary_coords(self) -> np.ndarray:
         """(n_boundary, 2) physical coordinates in boundary-node order."""
         ii, jj = self.boundary_nodes
@@ -418,8 +424,8 @@ def _support_cutoff(center: tuple[float, float], sigma: float, support: Region) 
         rad = support.params["radius"]
         cut = rad - float(np.hypot(cx - scx, cy - scy))
     else:
-        g, (i0, i1, j0, j1) = support.grid, support.box
-        cut = min(cx - g.xs[i0], g.xs[i1] - cx, cy - g.ys[j0], g.ys[j1] - cy)
+        xmin, xmax, ymin, ymax = support.bounds
+        cut = min(cx - xmin, xmax - cx, cy - ymin, ymax - cy)
     if cut < 3.0 * sigma:
         raise ConfigurationError(
             f"bump at {center} with sigma {sigma} escapes the support region "

@@ -1,13 +1,14 @@
 """Piecewise-constant sound-speed maps over nested concentric disks.
 
-A medium is its (radius, speed) layers, outermost first, and the background
-speed outside them, 1 unless ``uniform_medium`` sets it; its nodal samples,
-interfaces and point speeds all derive from these.  Disks are centered at the
-physical point (0, 0); nesting is therefore equivalent to strictly decreasing
-radii.  Each circle is an interface carrying the speed limits from its two sides.
-``Medium`` checks its own layers, so every constructor rejects a bad table alike:
-radii positive, strictly decreasing and inside the grid, and each speed by
-``_check_speed``, the speed rule that ``InterfaceDescriptor`` and ``rays``' laws share.
+A medium is its (radius, speed) layers, outermost first, and the background speed
+outside them, 1 unless ``uniform_medium`` sets it; its nodal samples, interfaces and
+point speeds all derive from these, a point's radius by ``np.hypot`` alone, so a
+node's sampled speed is its point speed.  Disks are centered at the physical point
+(0, 0); nesting is therefore equivalent to strictly decreasing radii.  Each circle is
+an interface carrying the speed limits from its two sides.  ``Medium`` checks its own
+layers, so every constructor rejects a bad table alike: radii positive, strictly
+decreasing and inside the grid, and each speed by ``_check_speed``, the speed rule
+that ``InterfaceDescriptor`` and ``rays``' laws share.
 """
 
 from __future__ import annotations
@@ -108,15 +109,13 @@ def speed_at(m: Medium, x: tuple[float, float]) -> float:
 
 
 def speeds_at(m: Medium, points: np.ndarray) -> np.ndarray:
-    """``speed_at`` at each row of an (n, 2) array of points."""
+    """``speed_at`` at each row of an (n, 2) array of points; r by the raster's ``np.hypot``."""
     xmin, xmax, ymin, ymax = m.grid.bounds
     px, py = points[:, 0], points[:, 1]
     outside = ~((xmin <= px) & (px <= xmax) & (ymin <= py) & (py <= ymax))
     if outside.any():
         raise DomainError(f"point {tuple(points[outside][0].tolist())} lies outside the grid")
-    # math.hypot, not np.hypot: the two differ in the last bit
-    r = np.fromiter(map(math.hypot, px.tolist(), py.tolist()), dtype=np.float64, count=len(px))
-    return m._speed(r)
+    return m._speed(np.hypot(px, py))
 
 
 def critical_angle(iface: InterfaceDescriptor) -> float | None:

@@ -326,11 +326,6 @@ class _Events(NamedTuple):
                    self.weight.tolist(), self.depth.tolist(), angle, direction)
 
 
-def _omega_rect(omega: Region) -> tuple[float, float, float, float]:
-    g, (i0, i1, j0, j1) = omega.grid, omega.box
-    return (g.xs[i0], g.xs[i1], g.ys[j0], g.ys[j1])
-
-
 def _filled(given: dict | None, defaults: dict, what: str) -> dict:
     """``given`` over ``defaults``; a key with no default is rejected."""
     if unknown := sorted(set(given or {}) - set(defaults)):
@@ -350,7 +345,7 @@ def _scene(m: Medium, omega: Region, T: float, caps: dict | None) -> _Scene:
         raise ConfigurationError(f"observation time T must be nonnegative and finite, got {T}")
     ifaces = m.interfaces[::-1]
     laws = [[_crossing(i.c_int, i.c_ext), _crossing(i.c_ext, i.c_int)] for i in ifaces]
-    return _Scene(m, np.array(_omega_rect(omega)), np.array([i.radius for i in ifaces]),
+    return _Scene(m, np.array(omega.bounds), np.array([i.radius for i in ifaces]),
                   np.array(laws).reshape(-1, 2, 5), float(T), max_depth, float(min_weight))
 
 
@@ -550,10 +545,10 @@ def sample_positions(kset: Region, n_pos: int) -> np.ndarray:
         r = rad * ((k + 0.5) / n_pos) ** 0.25 * 0.98
         th = k * GOLDEN_ANGLE
         return np.column_stack((cx + r * np.cos(th), cy + r * np.sin(th)))
-    g, (i0, i1, j0, j1) = kset.grid, kset.box
+    (xmin, xmax, ymin, ymax), h = kset.bounds, kset.grid.h
     side = max(1, int(math.ceil(math.sqrt(n_pos))))
-    xs = np.linspace(g.xs[i0] + 0.25 * g.h, g.xs[i1] - 0.25 * g.h, side)
-    ys = np.linspace(g.ys[j0] + 0.25 * g.h, g.ys[j1] - 0.25 * g.h, side)
+    xs = np.linspace(xmin + 0.25 * h, xmax - 0.25 * h, side)
+    ys = np.linspace(ymin + 0.25 * h, ymax - 0.25 * h, side)
     return np.column_stack((np.repeat(xs, side), np.tile(ys, side)))[:n_pos]
 
 

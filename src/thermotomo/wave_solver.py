@@ -45,10 +45,11 @@ contiguous flat range.
 
 Time-derivative convention: the solver hands back
 ``u_t(T) = (u^N - u^{N-1})/dt + (dt/2) c^2 Lap u^N``,
-which is the exact algebraic inverse of the Taylor seed used to start a
-two-level scheme from Cauchy data.  A backward solve fed the full discrete
-Cauchy data therefore retraces the forward recurrence exactly (to round-off),
-and the reconstruction identities built on these solves hold discretely.
+which is the exact algebraic inverse, ``_consistent_ut``, of the Taylor seed used
+to start a two-level scheme from Cauchy data; negated over reversed levels, it is
+``solve_backward``'s v_t(0).  A backward solve fed the full discrete Cauchy data
+therefore retraces the forward recurrence exactly (to round-off), and the
+reconstruction identities built on these solves hold discretely.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class SolverConfig:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
 
     @property
@@ -120,8 +121,8 @@ class BoundaryTrace:
         if self.values.ndim != 2 or self.values.shape[1] != self.points.shape[0]:
             raise ConfigurationError(
                 f"trace values {self.values.shape} do not match {self.points.shape[0]} detectors")
-        if not self.dt > 0:
-            raise ConfigurationError(f"trace dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"trace dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("trace values must be finite")
 
@@ -503,11 +504,10 @@ def solve_backward(boundary: BoundaryTrace, cauchy_at_T: WaveState, m: Medium,
     seeded = _seed(cauchy_at_T.u.data[win], -cauchy_at_T.ut.data[win], c_sq, g.h, dt, levels, pin)
     (v1, v0), _ = _march(seeded, c_sq, g.h, dt, [(levels[2:], _whole(c_sq))], "backward step", pin)
 
-    # invert the forward Taylor seed for v_t(0)
+    # the seed's one inverse in reversed time, whose last level is 0, gives -v_t(0)
     u, ut = np.zeros(g.shape), np.zeros(g.shape)
     u[win] = v0
-    ut[win] = (v1 - v0) / dt
-    ut[i0 + 1:i1, j0 + 1:j1] -= 0.5 * (dt / (g.h * g.h)) * c_sq[1:-1, 1:-1] * _lap_sum(v0)
+    ut[win] = -_consistent_ut(v0, v1, c_sq, g.h, dt)
     return WaveState(ScalarField(g, u), ScalarField(g, ut))
 
 

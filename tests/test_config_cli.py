@@ -241,6 +241,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and trace in err
 
+    def test_trace_with_an_infinite_dt_exits_2_when_read(self, tmp_path, capsys):
+        # one detector, two samples, and a header dt of inf
+        header = formats._TRACE_HEADER.pack(formats.TRACE_MAGIC, formats.FORMAT_VERSION,
+                                            2, 1, float("inf"))
+        trace = tmp_path / "inf.taws"
+        trace.write_bytes(header + bytes(4 * 8))
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        assert main(["reconstruct", "--config", cfg, "--trace", str(trace)]) == 2
+        assert "trace dt must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_commands_load_no_scipy(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         script = textwrap.dedent("""

@@ -3,7 +3,8 @@
 Each public entry point that combines grid objects is fed one object on
 another grid, and each solve a final time that is not positive and finite or
 that its config or trace does not cover; every one raises the rule's one
-ConfigurationError before it indexes or steps anything.
+ConfigurationError before it indexes or steps anything.  A solver config or a
+trace is built only with a time step that is positive and finite.
 """
 
 import math
@@ -128,3 +129,19 @@ def test_final_times_a_solve_cannot_cover_are_rejected(row):
     call, message = TIME_ROWS[row]
     with pytest.raises(ConfigurationError, match=message):
         call(OBJECTS["base"])
+
+
+# each object that holds a time step, built with one it cannot step by
+DT_ROWS = {
+    "solver_config": (lambda dt: SolverConfig(dt=dt, n_steps=1), "dt must be positive and finite"),
+    "boundary_trace": (lambda dt: BoundaryTrace(np.zeros((1, 2)), dt, np.zeros((2, 1))),
+                       "trace dt must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1])
+@pytest.mark.parametrize("row", DT_ROWS)
+def test_time_steps_that_are_not_positive_and_finite_are_rejected(row, dt):
+    build, message = DT_ROWS[row]
+    with pytest.raises(ConfigurationError, match=message):
+        build(dt)

@@ -90,6 +90,24 @@ class TestGridAndRegion:
         with pytest.raises(ConfigurationError, match="rectangle"):
             small_disk.box
 
+    @given(nx=st.integers(5, 60), ny=st.integers(5, 60),
+           h=st.floats(1e-6, 1e3), ox=st.floats(-1e3, 1e3), oy=st.floats(-1e3, 1e3),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_are_the_grid_coordinates_of_the_box(self, nx, ny, h, ox, oy, data):
+        g = Grid(nx, ny, h, origin=(ox, oy))
+        i0 = data.draw(st.integers(1, nx - 4))
+        i1 = data.draw(st.integers(i0 + 2, nx - 2))
+        j0 = data.draw(st.integers(1, ny - 4))
+        j1 = data.draw(st.integers(j0 + 2, ny - 2))
+        got = Region.rectangle(g, i0, i1, j0, j1).bounds
+        want = (g.xs[i0], g.xs[i1], g.ys[j0], g.ys[j1])
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_bounds_of_a_disk_raise_the_box_error(self, small_disk):
+        with pytest.raises(ConfigurationError, match="must be a grid-aligned rectangle, not a disk"):
+            small_disk.bounds
+
     def test_region_must_stay_off_grid_ring(self, small_grid):
         with pytest.raises(ConfigurationError):
             Region.rectangle(small_grid, 0, 20, 5, 20)

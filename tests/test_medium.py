@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermotomo.errors import ConfigurationError, DomainError
 from thermotomo.grid_field import Grid
@@ -12,6 +14,7 @@ from thermotomo.medium import (
     critical_angle,
     interface_gamma,
     speed_at,
+    speeds_at,
     uniform_medium,
 )
 
@@ -124,6 +127,34 @@ class TestSpeedAt:
             ii, jj = np.nonzero(far)
             for i, j in zip(ii[::stride], jj[::stride]):
                 assert m.c_field[i, j] == speed_at(m, (grid.xs[i], grid.ys[j]))
+
+    def test_node_on_the_circle_by_one_formula_only(self):
+        # math.hypot(-0.7, -0.2) is this radius and np.hypot one ulp less: the
+        # raster, by np.hypot, puts the node inside the disk, and so does speed_at
+        g = Grid(101, 101, 0.02, origin=(-1, -1))
+        m = build_medium([(0.7280109889280518, 0.5)], g)
+        i, j = g.nearest_node(-0.7, -0.2)
+        assert (i, j) == (15, 40)
+        assert m.c_field[i, j] == speed_at(m, (g.xs[i], g.ys[j])) == 0.5
+
+    @given(nx=st.integers(5, 40), ny=st.integers(5, 40), h=st.floats(1e-3, 10.0),
+           fx=st.floats(0.2, 0.8), fy=st.floats(0.2, 0.8), data=st.data(),
+           hypot=st.sampled_from([np.hypot, math.hypot]))
+    @settings(max_examples=200, deadline=None)
+    def test_raster_is_the_point_lookup_at_every_node(self, nx, ny, h, fx, fy, data, hypot):
+        # a layer whose circle passes through a node near the centre, by either
+        # radius formula
+        g = Grid(nx, ny, h, origin=(-fx * (nx - 1) * h, -fy * (ny - 1) * h))
+        xmin, xmax, ymin, ymax = g.bounds
+        k = int(0.6 * min(-xmin, xmax, -ymin, ymax) / h)
+        i = data.draw(st.integers(-k, k)) + round(fx * (nx - 1))
+        j = data.draw(st.integers(-k, k)) + round(fy * (ny - 1))
+        radius = float(hypot(g.xs[i], g.ys[j]))
+        assume(0 < radius < min(-xmin, xmax, -ymin, ymax))
+        m = build_medium([(radius, 0.5)], g)
+        xx, yy = g.meshgrid()
+        nodes = np.column_stack((xx.ravel(), yy.ravel()))
+        assert np.array_equal(m.c_field, speeds_at(m, nodes).reshape(g.shape))
 
     def test_constant_per_annulus(self, grid):
         m = build_medium([(0.9, 2.0), (0.5, 1.5)], grid)

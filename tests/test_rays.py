@@ -734,7 +734,7 @@ def _ref_trace_branches(x0, d0, m, omega, T, caps=None, first_exit=False):
         raise ConfigurationError(f"unknown caps: {sorted(caps)}")
     if max_depth < 1 or min_weight <= 0:
         raise ConfigurationError("caps must be positive")
-    rect = rays._omega_rect(omega)
+    rect = omega.bounds
     x0 = np.asarray(x0, dtype=np.float64)
     radii = [iface.radius for iface in m.interfaces]
     if any(abs(np.hypot(*x0) - r) < 10 * rays._POSITION_EPS for r in radii):
@@ -877,7 +877,7 @@ class TestReferenceTracer:
     def test_special_leaves_match(self, geometries, x0, d0, caps, kind):
         m, omega, _, _ = geometries["example1"]
         if x0[1] is None:   # just below the top side, so the ray leaves it at 1e-11 rad
-            x0 = (x0[0], rays._omega_rect(omega)[3] - 1e-12)
+            x0 = (x0[0], omega.bounds[3] - 1e-12)
         got = trace_branches(x0, d0, m, omega, 4.0, caps)
         assert kind in {n.kind for n in got.leaves()}
         assert got.to_text() == _ref_trace_branches(x0, d0, m, omega, 4.0, caps).to_text()

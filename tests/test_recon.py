@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
-from thermotomo import recon
+from thermotomo import recon, wave_solver
 from thermotomo.config import RunConfig
 from thermotomo.errors import ConfigurationError, DegenerateInputError
 from thermotomo.grid_field import (
@@ -37,7 +37,13 @@ from thermotomo.recon import (
     pseudo_inverse_step,
     time_reverse,
 )
-from thermotomo.wave_solver import BoundaryTrace, exterior_neumann, forward, solve_backward
+from thermotomo.wave_solver import (
+    BoundaryTrace,
+    _lap_sum,
+    exterior_neumann,
+    forward,
+    solve_backward,
+)
 
 from conftest import centered_bump, example1_setup
 
@@ -194,6 +200,28 @@ class TestTimeReverse:
         ref = solve_backward(tr, WaveState(phi, ScalarField.zeros(g)), m, cfg.omega)
         assert np.allclose(out.u.data, ref.u.data, atol=1e-14)
         assert np.allclose(out.ut.data, ref.ut.data, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["example1", "example2_skull"])
+    def test_v_t0_is_the_inline_seed_inverse_to_round_off(self, name, monkeypatch):
+        # solve_backward takes v_t(0) as -_consistent_ut(v0, v1); the same
+        # algebra written inline, (v1 - v0)/dt - dt/2 c^2 Lap v0 on the window's
+        # interior, agrees within 4 eps max|v_t|
+        g, m, cfg, f1 = example_run(name)
+        calls = []
+        seed_inverse = wave_solver._consistent_ut
+        monkeypatch.setattr(wave_solver, "_consistent_ut",
+                            lambda *args: calls.append(args) or seed_inverse(*args))
+        out = time_reverse(measure(g, m, cfg, f1), cfg)
+        (v0, v1, c_sq, h, dt), = calls
+        old = (v1 - v0) / dt
+        old[1:-1, 1:-1] -= 0.5 * (dt / (h * h)) * c_sq[1:-1, 1:-1] * _lap_sum(v0)
+        i0, i1, j0, j1 = cfg.omega.box
+        win = (slice(i0, i1 + 1), slice(j0, j1 + 1))
+        assert np.array_equal(out.u.data[win], v0)
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(old))
+        assert np.max(np.abs(out.ut.data[win] - old)) <= bound
+        out.ut.data[win] = 0.0
+        assert not out.ut.data.any()
 
     def test_harmonic_data_minimizes_energy(self):
         # among Cauchy pairs [phi + delta, 0] with zero-trace delta, the

@@ -537,11 +537,8 @@ def _ref_solve_backward(boundary, cauchy_at_T, m, omega):
     v0 = np.zeros(g.shape)
     v0[win] = prev[win]
     vt0 = np.zeros(g.shape)
-    vt0[win] = (curr[win] - prev[win]) / dt
-    vt0[win_in] -= 0.5 * (dt / (g.h * g.h)) * c_sq_in * (
-        prev[i0 + 2:i1 + 1, j0 + 1:j1] + prev[i0:i1 - 1, j0 + 1:j1]
-        + prev[i0 + 1:i1, j0 + 2:j1 + 1] + prev[i0 + 1:i1, j0:j1 - 1]
-        - 4.0 * prev[win_in])
+    # the seed's inverse in reversed time, whose last level is 0, is -v_t(0)
+    vt0[win] = -_ref_consistent_ut(prev[win], curr[win], m.c_sq[win], g.h, dt)
     return WaveState(ScalarField(g, v0), ScalarField(g, vt0))
 
 
