@@ -21,16 +21,18 @@ row the same bits in any batch (see the interface laws), so a ray gets the
 same events in any batch.
 ``trace_branches`` grows one sample's full forest a generation at a time and
 numbers its events depth first, bit for bit as a per-ray trace does.
-``check_visibility`` launches every sample's two rays at once and advances
-first the rays closest to an exit, those that last left the farthest-out
-interface on its outer side, dropping a sample's rays, waiting ones
-included, once it has an exit.  A sample is covered when its tree holds an
-exit, and an uncovered sample's whole tree is traced, so the flags do not
-depend on that order; it only decides how much work is skipped.  It skips
-every launch that the ray parameter q = |x × d| / c proves trapped: every
-reflection and transmission keeps q, so a launch inside a circle of radius R
-within the rectangle, with q·c_ext > R for the circle's outer speed c_ext, is
-totally reflected there for good.
+``check_visibility`` grows every sample's (x, d) launch at once, then the
+(x, -d) launch of every sample whose (x, d) tree has no exit.  Each pass
+advances first the rays closest to an exit, those that last left the
+farthest-out interface on its outer side, dropping a sample's rays, waiting
+ones included, once it has an exit.  A sample is covered when its forest
+holds an exit, and an uncovered sample's whole forest is traced, so the
+flags do not depend on that order; it only decides how much work is
+skipped.  It skips every launch that the ray parameter q = |x × d| / c
+proves trapped: every reflection and transmission keeps q, so a launch
+inside a circle of radius R within the rectangle, with q·c_ext > R for the
+circle's outer speed c_ext, is totally reflected there for good.  A
+sample's two launches share q and c, so both are trapped or neither is.
 """
 
 from __future__ import annotations
@@ -565,17 +567,20 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     """Sample kset positions and directions; each sample must have a branch
     exiting the rectangle transversally before T.
 
-    All samples' rays go through the kernel that ``trace_branches`` uses.
-    Each round advances the live rays that last left the farthest-out
-    interface on its outer side (all rays, when none has), and a sample's
-    rays, waiting ones included, are dropped in the round in which one of
-    them exits.  The order cannot change the result: a ray's events do not
-    depend on its round, a covered sample stays covered, and no ray of an
-    uncovered sample is dropped, and a launch the ray parameter traps (see
-    the module docstring) is never advanced, as no branch of it can exit.  A
-    law error is raised only from a ray the sweep advances: never from a
-    covered sample's rays or a trapped launch's.  Returns (all_covered,
-    uncovered_samples); tangent-undetermined samples count as uncovered.
+    All samples' rays go through the kernel that ``trace_branches`` uses, in
+    two passes: the (x, d) launches, then the (x, -d) launches of the samples
+    the first pass left uncovered.  Each round of a pass advances the live
+    rays that last left the farthest-out interface on its outer side (all
+    rays, when none has), and a sample's rays, waiting ones included, are
+    dropped in the round in which one of them exits.  The order cannot change
+    the result: a ray's events do not depend on its round or pass, a covered
+    sample stays covered, and no ray of an uncovered sample is dropped, and a
+    launch the ray parameter traps (see the module docstring) is never
+    advanced, as no branch of it can exit.  A law error is raised only from a
+    ray the sweep advances: never from the rays a covered sample drops, from
+    the (x, -d) launch of a sample whose (x, d) tree exits, or from a trapped
+    launch.  Returns (all_covered, uncovered_samples); tangent-undetermined
+    samples count as uncovered.
     """
     sampling = _filled(sampling, {**SAMPLING_DEFAULTS, "caps": None}, "sampling keys")
     s = _scene(m, omega, T, sampling["caps"])
@@ -584,9 +589,11 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     x, d, c = _launch(s, positions, directions)
     free = ~_confined(s, x, d, c)
     covered = np.zeros(len(positions) * len(directions), dtype=bool)
-    for ev, sample in _grow(s, x[free], d[free], c[free], np.flatnonzero(free) // 2, covered):
-        covered[sample[ev.kind == _EXIT]] = True
-        del ev, sample      # freed before the next round is advanced
+    for sign in (0, 1):     # the (x, d) launches, then (x, -d) where those found no exit
+        go = np.flatnonzero(free[sign::2] & ~covered) * 2 + sign
+        for ev, sample in _grow(s, x[go], d[go], c[go], go // 2, covered):
+            covered[sample[ev.kind == _EXIT]] = True
+            del ev, sample      # freed before the next round is advanced
     xs, ds = list(map(tuple, positions.tolist())), list(map(tuple, directions.tolist()))
     k_pos, k_dir = np.divmod(np.flatnonzero(~covered), len(ds))
     uncovered = [(xs[i], ds[j]) for i, j in zip(k_pos.tolist(), k_dir.tolist())]

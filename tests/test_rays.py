@@ -1001,13 +1001,15 @@ def _assert_flags_match(radii, speeds, centre, radius, T, max_depth, min_weight,
 
 
 class TestSweepOrder:
-    """check_visibility advances the rays closest to an exit first; which
-    samples it finds covered does not depend on that order."""
+    """check_visibility grows the (x, d) launches, then the (x, -d) launches of
+    the samples still uncovered, each pass advancing the rays closest to an
+    exit first; which samples it finds covered does not depend on that order."""
 
-    # rows the bench-size skull sweep gives ``_advance``; tracing its 1,708
-    # trapped launches too gives 17,554, and whole generations, with covered
-    # samples dropped only between them, 29,154
-    SKULL_ROWS = 8_700
+    # rows the bench-size skull sweep gives ``_advance``, 3 rounds of 1,450; with
+    # both launches of every sample in one pass it gave 8,700, tracing its 1,708
+    # trapped launches too 17,554, and whole generations, with covered samples
+    # dropped only between them, 29,154
+    SKULL_ROWS = 4_350
 
     def test_rows_advanced_at_bench_size(self, monkeypatch):
         m, omega, T = _example("example2_skull")
@@ -1024,9 +1026,42 @@ class TestSweepOrder:
         monkeypatch.setattr(rays, "_advance", counting)
         visible, uncovered = check_visibility(kset, m, omega, T, {"n_pos": 24, "n_dir": 96})
         assert not visible and len(uncovered) == 854
-        # both launches of every uncovered sample are trapped
-        assert sum(launched) == 2 * (24 * 96 - 854)
+        # both launches of every uncovered sample are trapped, and each covered
+        # sample's (x, d) tree has an exit, so its (x, -d) launch is never advanced
+        assert sum(launched) == 24 * 96 - 854
         assert sum(rows) <= self.SKULL_ROWS
+
+    @staticmethod
+    def _launches_advanced(monkeypatch, x0):
+        """check_visibility's flags for the one sample (x0, (0, 1)) in the example1
+        medium at T = 0.5, and per ``_advance`` call its row count and the y
+        components of the launches among its rows."""
+        g, m, omega, kset = example1_setup()
+        x, d = np.array([x0]), np.array([(0.0, 1.0)])
+        monkeypatch.setattr(rays, "sample_positions", lambda kset, n: x)
+        monkeypatch.setattr(rays, "sample_directions", lambda n: d)
+        calls, advance = [], rays._advance
+
+        def recording(s, x, d, c, t, w, depth, skip):
+            calls.append((len(x), d[depth == 0, 1].tolist()))
+            return advance(s, x, d, c, t, w, depth, skip)
+
+        monkeypatch.setattr(rays, "_advance", recording)
+        return check_visibility(kset, m, omega, 0.5, {"n_pos": 1, "n_dir": 1}), calls
+
+    def test_minus_d_launch_waits_for_the_plus_d_tree(self, monkeypatch):
+        # from (0, -0.9) the +y launch meets the slow disk at t = 0.4 and both
+        # its branches expire by T = 0.5; the -y launch exits at y = -1 at t = 0.1
+        flags, calls = self._launches_advanced(monkeypatch, (0.0, -0.9))
+        assert flags == (True, [])
+        # the +d launch, its reflected and its transmitted branch, then the -d launch
+        assert calls == [(1, [1.0]), (1, []), (1, []), (1, [-1.0])]
+
+    def test_minus_d_launch_of_a_covered_sample_is_never_advanced(self, monkeypatch):
+        # from (0, 0.9) the +y launch exits at y = 1 at t = 0.1
+        flags, calls = self._launches_advanced(monkeypatch, (0.0, 0.9))
+        assert flags == (True, [])
+        assert calls == [(1, [1.0])]
 
     def test_a_rays_reflect_comes_before_its_transmit(self):
         # one generation's events are leaves, reflects, then transmits; a ray's
