@@ -1,5 +1,9 @@
 import argparse
 import collections
+import csv
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +19,8 @@ from thermotomo.config import _GROUPS, _SCALAR_KEYS, RunConfig, parse_config_tex
 from thermotomo.errors import ConfigurationError
 from thermotomo.formats import read_grid, read_trace
 from thermotomo.rays import check_visibility
+
+ROOT = Path(__file__).parents[1]
 
 TINY = """
 # small configuration for the shapes of files, exit codes and messages; at
@@ -51,6 +57,27 @@ rays.n_pos = 6
 rays.n_dir = 8
 seed = 7
 """
+
+
+def _edited(text, **edits):
+    """text with each edited key's line removed and ``key = value`` appended
+    for each value that is not None: an edit replaces a key's line, adds the
+    key, or with None drops it."""
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in edits]
+    return "".join(f"{line}\n" for line in kept) + "".join(
+        f"{key} = {value}\n" for key, value in edits.items() if value is not None)
+
+
+def _square_kset(half):
+    """The edits that make a disk kset the square [-half, half]^2."""
+    return {"kset.kind": "rectangle", "kset.cx": None, "kset.cy": None, "kset.radius": None,
+            "kset.xmin": -half, "kset.xmax": half, "kset.ymin": -half, "kset.ymax": half}
+
+
+def _child_env(**extra):
+    """This process's environment with src/ first on PYTHONPATH, and extra."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])), **extra}
 
 
 def write_cfg(tmp_path, text=TINY, **overrides):
@@ -113,21 +140,13 @@ class TestConfigParsing:
         assert values == {"seed": 3}
 
     def test_rectangle_kset(self, tmp_path):
-        text = TINY.replace("kset.kind = disk", "kset.kind = rectangle")
-        for line in ("kset.cx = 0.0", "kset.cy = 0.0", "kset.radius = 0.2"):
-            text = text.replace(line, "")
-        text += ("kset.xmin = -0.15\nkset.xmax = 0.15\n"
-                 "kset.ymin = -0.15\nkset.ymax = 0.15\n")
-        cfg = RunConfig.from_text(text)
+        cfg = RunConfig.from_text(_edited(TINY, **_square_kset(0.15)))
         g = cfg.build_grid()
         kset = cfg.build_kset(g)
         assert kset.kind == "rectangle"
 
     def test_rectangle_kset_missing_bounds_rejected(self):
-        text = TINY.replace("kset.kind = disk", "kset.kind = rectangle")
-        for line in ("kset.cx = 0.0", "kset.cy = 0.0", "kset.radius = 0.2"):
-            text = text.replace(line, "")
-        cfg = RunConfig.from_text(text + "kset.xmin = -0.15\n")
+        cfg = RunConfig.from_text(_edited(TINY, **{**_square_kset(0.15), "kset.xmax": None}))
         with pytest.raises(ConfigurationError, match="missing kset.xmax for a rectangle kset"):
             cfg.build_kset(cfg.build_grid())
 
@@ -171,11 +190,9 @@ class TestCli:
                                       "grid.h = -0.04", "phantom.1.sigma = 1e-300",
                                       "layer.1.speed = 1e-300"])
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
-        # the line replaces its key's line in TINY, or is added
-        key = line.split(" = ")[0]
+        key, value = line.split(" = ")
         path = tmp_path / "bad.cfg"
-        path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
-                                if not kept.startswith(key + " ")) + line + "\n")
+        path.write_text(_edited(TINY, **{key: value}))
         assert main(["energy", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "duplicate" not in err
@@ -185,9 +202,7 @@ class TestCli:
     def test_count_too_large_to_index_exits_2(self, tmp_path, capsys, key, cmd):
         # numpy cannot index that many float64 values, and says so with a ValueError
         path = tmp_path / "bad.cfg"
-        path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
-                                if not kept.startswith(key + " "))
-                        + f"{key} = 99999999999999999999\n")
+        path.write_text(_edited(TINY, **{key: 99999999999999999999}))
         assert main([cmd, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "out of memory" not in err
@@ -264,10 +279,7 @@ class TestCli:
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert not loaded, loaded
         """)
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+        done = subprocess.run([sys.executable, "-c", script, cfg], env=_child_env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 
@@ -282,10 +294,7 @@ class TestCli:
             from thermotomo import rays
             assert rays.ProcessPoolExecutor.__name__ == "ProcessPoolExecutor"
         """)
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 
@@ -316,14 +325,8 @@ class TestCli:
                                      "kset.xmin"])
     def test_bound_whose_node_index_overflows_exits_2(self, tmp_path, capsys, key, value):
         # (1e308 - origin) / h overflows to inf, and int() of it raised OverflowError
-        text = TINY.replace("kset.kind = disk", "kset.kind = rectangle")
-        for line in ("kset.cx = 0.0", "kset.cy = 0.0", "kset.radius = 0.2"):
-            text = text.replace(line, "")
-        text += "kset.xmin = -0.15\nkset.xmax = 0.15\nkset.ymin = -0.15\nkset.ymax = 0.15\n"
-        text = "".join(f"{kept}\n" for kept in text.splitlines()
-                       if not kept.startswith(key + " ")) + f"{key} = {value}\n"
         path = tmp_path / "bad.cfg"
-        path.write_text(text)
+        path.write_text(_edited(TINY, **{**_square_kset(0.15), key: value}))
         assert main(["energy", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "map to finite node indices" in err and "Traceback" not in err
@@ -353,25 +356,23 @@ class TestCli:
         assert "trace is sampled at dt" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cmd, line, code, err", [
-        ("reconstruct", "", 2, "cannot read"),     # no --trace, and none in the directory
-        ("roundtrip", "kset.radius = 0.47", 2, "within 2h of the interface"),
-        ("knorm", "kset.radius = 0.47", 2, "within 2h of the interface"),
-        ("energy", "kset.radius = 0.47", 2, "within 2h of the interface"),
-        ("forward", "phantom.1.sigma = 0.1", 2, "escapes the support region"),
-        ("raytrace", "rays.min_weight = 1.5", 2, "min_weight below 1"),
-        ("energy", "", 0, ""),                     # energy writes no file
+    @pytest.mark.parametrize("cmd, edits, code, err", [
+        ("reconstruct", {}, 2, "cannot read"),     # no --trace, and none in the directory
+        ("roundtrip", {"kset.radius": 0.47}, 2, "within 2h of the interface"),
+        ("knorm", {"kset.radius": 0.47}, 2, "within 2h of the interface"),
+        ("energy", {"kset.radius": 0.47}, 2, "within 2h of the interface"),
+        ("forward", {"phantom.1.sigma": 0.1}, 2, "escapes the support region"),
+        ("raytrace", {"rays.min_weight": 1.5}, 2, "min_weight below 1"),
+        ("energy", {}, 0, ""),                     # energy writes no file
     ], ids=["reconstruct-no-trace", "roundtrip-near-interface", "knorm-near-interface",
             "energy-near-interface", "forward-bump-escapes-kset", "raytrace-min-weight",
             "energy-exits-0"])
     def test_a_run_that_writes_no_file_creates_no_directory(self, tmp_path, capsys,
-                                                            cmd, line, code, err):
+                                                            cmd, edits, code, err):
         # the first file written creates the output directory, so a run
         # rejected before it writes, or one with nothing to write, leaves none
-        key = line.partition(" = ")[0]
-        text = "".join(f"{kept}\n" for kept in TINY.splitlines()
-                       if not (key and kept.startswith(key + " "))) + line + "\n"
         out = tmp_path / "out"
+        text = _edited(TINY, **edits)
         assert main([cmd, "--config", write_cfg(tmp_path, text, output_dir=str(out))]) == code
         assert err in capsys.readouterr().err
         assert not out.exists()
@@ -396,7 +397,7 @@ class TestCli:
     @pytest.mark.parametrize("name", ["example1.cfg", "example2_skull.cfg"])
     def test_run_and_reconstruction_share_one_time_grid(self, name):
         # forward's trace and the series' check read T from the same RunConfig.T
-        cfg = RunConfig.from_file(Path(__file__).parents[1] / "configs" / name)
+        cfg = RunConfig.from_file(ROOT / "configs" / name)
         g = cfg.build_grid()
         m = cfg.build_medium(g)
         rcfg = cfg.recon_config(m, cfg.build_omega(g), cfg.build_kset(g))
@@ -428,7 +429,7 @@ class TestCli:
 
     def test_constant_reconstruction_writes_pgm(self, tmp_path):
         # at T = 0.2 no wave reaches the detectors: the trace and every term are zero
-        text = (Path(__file__).parents[1] / "configs" / "example1.cfg").read_text()
+        text = (ROOT / "configs" / "example1.cfg").read_text()
         path = tmp_path / "short.cfg"
         path.write_text(text.replace("time.T = 4.0", "time.T = 0.2"))
         out = tmp_path / "out"
@@ -603,11 +604,105 @@ def test_input_sweep_exits_0_or_2(tmp_path, cmd):
             slot = tmp_path / str(n % 2)    # the slot of the child just reaped
             slot.mkdir(exist_ok=True)
             path, log = slot / "sweep.cfg", slot / "log.txt"
-            path.write_text("".join(f"{kept}\n" for kept in TINY.splitlines()
-                                    if not kept.startswith(key + " ")) + f"{key} = {value}\n")
+            path.write_text(_edited(TINY, **{key: value}))
             argv = [cmd, "--config", str(path), "--output-dir", str(slot / "out")]
             running.append((key, value, _fork_main(argv, log), log))
     finally:
         while running:
             reap()
     assert not failures, "\n".join(failures)
+
+
+# -- rerun table: the CLI runs on the example configs, in two fresh interpreters --
+
+# (output directory, command, example config, key edits, flags, expected
+# stdout); the rows run in order, so a reconstruct reads the roundtrip's trace
+RERUNS = [
+    ("raytrace-example1", "raytrace", "example1", {}, (), None),
+    ("raytrace-skull", "raytrace", "example2_skull", {}, (), None),
+    # a source disk of radius 0.4 reaches past the full-visibility radius
+    # (c_brain / c_shell) * 0.5 = 0.25, so the sweep skips launches that the
+    # ray parameter traps
+    ("raytrace-skull-r0.4", "raytrace", "example2_skull", {"kset.radius": 0.4}, (), None),
+    ("raytrace-square", "raytrace", "example1", _square_kset(0.2), (), None),
+    # at T = 1 many samples of this disk find no exit on (x, d), so the
+    # sweep's second pass grows their (x, -d) launches
+    ("raytrace-off-centre", "raytrace", "example1",
+     {"kset.cx": 0.6, "kset.radius": 0.3, "time.T": 1.0}, (),
+     "visibility: NOT covered (6676/8192 samples)\n"),
+    ("roundtrip-example1", "roundtrip", "example1", {}, (), None),
+    ("reconstruct-example1", "reconstruct", "example1", {},
+     ("--trace", "roundtrip-example1/trace.taws"), None),
+    # the only run through the rectangle branch of the phantom's support
+    # check: half-width 0.2 leaves bump 1 less than 3 sigma of room, and 0.3
+    # comes within 2h of the interface at 0.5
+    ("roundtrip-square", "roundtrip", "example1", _square_kset(0.25), ("--no-term-pgms",), None),
+    ("roundtrip-skull", "roundtrip", "example2_skull", {}, ("--no-term-pgms",), None),
+    ("reconstruct-skull", "reconstruct", "example2_skull", {},
+     ("--trace", "roundtrip-skull/trace.taws", "--no-term-pgms"), None),
+    ("forward-example1", "forward", "example1", {}, (), None),
+    ("forward-skull", "forward", "example2_skull", {}, (), None),
+    ("energy-example1", "energy", "example1", {}, (), None),
+    ("knorm-example1", "knorm", "example1", {}, ("--power-iters", "5"), None),
+]
+
+# the files each command writes, besides a series' term PGMs
+WRITES = {"forward": ("trace.taws", "phantom.tawg", "phantom.pgm", "field_T.pgm"),
+          "reconstruct": ("recon.tawg", "recon.pgm", "report.csv"),
+          "roundtrip": ("trace.taws", "recon.tawg", "recon.pgm", "report.csv"),
+          "raytrace": ("visibility.csv", *(f"branches_{k}.txt" for k in range(4))),
+          "knorm": ("knorm.csv",), "energy": ()}
+
+_RUN_TABLE = """
+import contextlib, io, json, sys
+from thermotomo.cli import main
+printed = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0, name
+    printed[name] = out.getvalue()
+print(json.dumps(printed))
+"""
+
+
+def test_rerun_table_writes_the_same_bytes(tmp_path):
+    # the table runs in two interpreters started together, with PYTHONHASHSEED
+    # 0 and 1, where a RuntimeWarning (a floating-point overflow in a solve or
+    # in the sweep) is an error; each row writes into its own directory, named
+    # relative to the interpreter's own working directory
+    runs = []
+    for name, cmd, example, edits, flags, _ in RERUNS:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(_edited((ROOT / "configs" / f"{example}.cfg").read_text(), **edits))
+        runs.append((name, [cmd, "--config", str(cfg), "--output-dir", name, *flags]))
+    roots, children, printed = [tmp_path / "hashseed0", tmp_path / "hashseed1"], [], []
+    try:
+        for seed, root in enumerate(roots):
+            root.mkdir()
+            children.append(subprocess.Popen(
+                [sys.executable, "-W", "error::RuntimeWarning", "-c", _RUN_TABLE,
+                 json.dumps(runs)], cwd=root, env=_child_env(PYTHONHASHSEED=str(seed)),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        for child in children:
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+            printed.append(json.loads(out))
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    assert printed[0] == printed[1]
+    for name, *_, stdout in RERUNS:
+        assert stdout is None or printed[0][name] == stdout, name
+    files = [{p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+             for root in roots]
+    assert files[0].keys() == files[1].keys()
+    assert [p for p in files[0] if files[0][p] != files[1][p]] == []
+    for name, cmd, *_ in RERUNS:
+        for written in WRITES[cmd]:
+            assert files[0][f"{name}/{written}"], f"{name}/{written} is empty"
+    # every sample within the full-visibility radius 0.25 of the centre is covered
+    for name in ("raytrace-example1", "raytrace-skull", "raytrace-skull-r0.4"):
+        rows = csv.DictReader(io.StringIO(files[0][f"{name}/visibility.csv"].decode()))
+        inner = [r["covered"] for r in rows if math.hypot(float(r["x"]), float(r["y"])) < 0.25]
+        assert inner and set(inner) == {"1"}, name
