@@ -17,7 +17,8 @@ from .config import RunConfig
 from .errors import ConfigurationError, FormatError, NumericalError
 from .formats import emit_pgm, read_trace, write_csv, write_grid, write_text, write_trace
 from .grid_field import ScalarField, WaveState
-from .rays import check_visibility, sample_directions, sample_positions, trace_branches
+from .rays import _branch_graphs, check_visibility, sample_directions, sample_positions
+from .rays import trace_branches  # unused here: bench/op.py's traced mode wraps it
 from .recon import energy_decay_ratio, estimate_contraction, neumann_series
 from .wave_solver import forward
 
@@ -133,9 +134,8 @@ def cmd_raytrace(args) -> int:
               [("x", "y", "dx", "dy", "covered"),
                *([*xt, *dt, int((tuple(x), tuple(d)) not in lost)]
                  for x, xt in zip(xs, x_text) for d, dt in zip(ds, d_text))])
-    n_graphs = min(4, len(positions))
-    for k in range(n_graphs):
-        g = trace_branches(positions[k], directions[0], medium, omega, cfg.T, sampling["caps"])
+    graphs = _branch_graphs(positions[:4], directions[0], medium, omega, cfg.T, sampling["caps"])
+    for k, g in enumerate(graphs):
         write_text(os.path.join(out, f"branches_{k}.txt"), g.to_text())
     total = len(positions) * len(directions)
     print(f"visibility: {'all covered' if visible else 'NOT covered'} "

@@ -19,19 +19,19 @@ rectangle before time T.  One array kernel, ``_advance``, moves rays
 (struct-of-arrays rows) to their next events; its float operations give a
 row the same bits in any batch (see the interface laws), so a ray gets the
 same events in any batch.
-``trace_branches`` grows one sample's full forest a generation at a time and
-numbers its events depth first, bit for bit as a per-ray trace does.
+One sweep, ``_grow``, advances first the rays closest to an exit, those that
+last left the farthest-out interface on its outer side.  ``_branch_graphs``
+grows the full forests of many samples in it, ``trace_branches`` that of one,
+and numbers each forest's events depth first, as a per-ray trace does.
 ``check_visibility`` grows every sample's (x, d) launch at once, then the
-(x, -d) launch of every sample whose (x, d) tree has no exit.  Each pass
-advances first the rays closest to an exit, those that last left the
-farthest-out interface on its outer side, dropping a sample's rays, waiting
-ones included, once it has an exit.  A sample is covered when its forest
-holds an exit, and an uncovered sample's whole forest is traced, so the
-flags do not depend on that order; it only decides how much work is
-skipped.  It skips every launch that the ray parameter q = |x × d| / c
-proves trapped: every reflection and transmission keeps q, so a launch
-inside a circle of radius R within the rectangle, with q·c_ext > R for the
-circle's outer speed c_ext, is totally reflected there for good.  A
+(x, -d) launch of every sample whose (x, d) tree has no exit, dropping a
+sample's rays, waiting ones included, once it has an exit.  A sample is
+covered when its forest holds an exit, and an uncovered sample's whole forest
+is traced, so the flags do not depend on that order; it only decides how much
+work is skipped.  It skips every launch that the ray parameter
+q = |x × d| / c proves trapped: every reflection and transmission keeps q, so
+a launch inside a circle of radius R within the rectangle, with q·c_ext > R
+for the circle's outer speed c_ext, is totally reflected there for good.  A
 sample's two launches share q and c, so both are trapped or neither is.
 """
 
@@ -299,9 +299,9 @@ class _Scene(NamedTuple):
 
 
 class _Events(NamedTuple):
-    """One generation's events as columns: leaves, reflects, then transmits, each in ray order.
+    """One round's events as columns: leaves, reflects, then transmits, each in ray order.
 
-    ``ray`` indexes the generation's rays; ``angle`` and the rows of
+    ``ray`` indexes the round's rays; ``angle`` and the rows of
     ``direction`` are NaN where the event has none; ``speed`` is the layer
     speed a branch leaves the event with and ``skip`` the interface it leaves
     on the outer side (-1 for none); ``live`` marks the reflect and transmit
@@ -462,36 +462,60 @@ def _advance(s: _Scene, x, d, c, t, w, depth, skip) -> _Events:
                    direction, live & (kind != _TRUNCATION))
 
 
-def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, c: np.ndarray, owner: np.ndarray,
-          done: np.ndarray | None = None):
+def _grow(s: _Scene, x: np.ndarray, d: np.ndarray, c: np.ndarray, done: np.ndarray):
     """Advance the rays launched at (x, d) at speed c round by round until none is left.
 
-    Yields each round's events with the ``owner`` of each event's ray (launch
-    i belongs to ``owner[i]``).  Without ``done`` a round is a whole
-    generation.  With it, a round advances only the rays with the largest
-    ``skip``, which last left the farthest-out interface on its outer side
-    (every ray, when none has), and a caller that sets ``done[o]`` between
-    rounds drops owner o's rays, waiting ones included.  A ray gets the same
-    events in any round, so the order only decides how many rays a drop
-    spares; a law error is raised only from a ray that is advanced, and no
-    ray of a done owner is.
+    Launch i is ray i; each new ray takes the next number, in event order.
+    Each round advances the rays with the largest ``skip``, which last left the
+    farthest-out interface on its outer side (every ray, when none has), and
+    yields its events with each event's launch and ray number.  A caller that
+    sets ``done[i]`` between rounds drops launch i's rays, waiting ones
+    included.  A ray gets the same events in any round, so the order only
+    decides how many rays a drop spares; a law error is raised only from a ray
+    that is advanced, and no ray of a done launch is.
     """
-    n = len(x)
-    rays = [x, d, c, np.zeros(n), np.ones(n), np.zeros(n, dtype=int),
-            np.full(n, -1), owner]      # x, d, c, t, w, depth, skip, owner
+    n = count = len(x)                      # count: the rays numbered so far
+    rays = [x, d, c, np.zeros(n), np.ones(n), np.zeros(n, dtype=int), np.full(n, -1),
+            np.arange(n), np.arange(n)]     # x, d, c, t, w, depth, skip, launch, number
     while len(rays[0]):
-        now = slice(None) if done is None else rays[6] == rays[6].max()
-        x, d, c, t, w, depth, skip, owner = (a[now] for a in rays)
+        now = rays[6] == rays[6].max()
+        x, d, c, t, w, depth, skip, launch, number = (a[now] for a in rays)
         ev = _advance(s, x, d, c, t, w, depth, skip)
-        owner = owner[ev.ray]
-        yield ev, owner
-        keep = ev.live if done is None else ev.live & ~done[owner]
+        launch = launch[ev.ray]
+        yield ev, launch, number[ev.ray]
+        keep = ev.live & ~done[launch]
         d = ev.direction[keep] / np.hypot(ev.direction[keep, 0], ev.direction[keep, 1])[:, None]
         born = (ev.x[keep], d, ev.speed[keep], ev.t[keep], ev.weight[keep], ev.depth[keep],
-                ev.skip[keep], owner[keep])
-        rest = slice(0) if done is None else ~now & ~done[rays[7]]
+                ev.skip[keep], launch[keep], np.arange(count, count + len(d)))
+        count += len(d)
+        rest = ~now & ~done[rays[7]]
         rays = [np.concatenate((a[rest], b)) for a, b in zip(rays, born)]
         del ev      # the caller drops its reference too, for a lower peak memory
+
+
+def _branch_graphs(positions, d0, m: Medium, omega: Region, T: float,
+                   caps: dict | None = None) -> list[RayBranchGraph]:
+    """``trace_branches`` of (x, d0) for each x of ``positions``, grown in one ``_grow``."""
+    s = _scene(m, omega, T, caps)
+    x, d, c = _launch(s, positions, [d0])
+    events: list[list] = [[] for _ in x]    # per ray number: (node arguments, child ray or None)
+    for ev, _, number in _grow(s, x, d, c, np.zeros(len(x), dtype=bool)):
+        for ray, node, live in zip(number.tolist(), ev.nodes(), ev.live.tolist()):
+            events[ray].append((node, len(events) if live else None))
+            if live:
+                events.append([])
+    graphs = [RayBranchGraph() for _ in range(len(x) // 2)]
+    for ray in range(len(x)):               # graph k grows from launches 2k and 2k + 1
+        graphs[ray // 2].add(None, "launch", x[ray], 0.0, 1.0, 0, direction=d[ray])
+    for k, graph in enumerate(graphs):
+        stack = [(0, 2 * k), (1, 2 * k + 1)]    # (parent node, ray)
+        while stack:
+            parent, ray = stack.pop()
+            for node, child in events[ray]:
+                nid = graph.add(parent, *node)
+                if child is not None:
+                    stack.append((nid, child))
+    return graphs
 
 
 def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
@@ -500,7 +524,7 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
 
     caps: ``max_depth`` (interface events per path) and ``min_weight`` (branches
     below it become truncation leaves), each defaulting to ``CAPS_DEFAULTS``.
-    The forest grows one generation at a time; its events are then numbered
+    The forest grows in ``_grow``'s rounds; its events are then numbered
     depth first: the launches are 0 and 1, rays are taken last in, first out,
     and one ray's events are numbered consecutively.
     """
@@ -508,28 +532,7 @@ def trace_branches(x0, d0, m: Medium, omega: Region, T: float,
     if any(a.shape != (2,) or not all(isinstance(e, _REAL) for e in a) for a in launch):
         raise ConfigurationError(f"a trace launches from one 2-vector point and direction, "
                                  f"got {x0!r} and {d0!r}")
-    s = _scene(m, omega, T, caps)
-    x, d, c = _launch(s, [x0], [d0])
-    graph = RayBranchGraph()
-    for k in range(2):
-        graph.add(None, "launch", x[k], 0.0, 1.0, 0, direction=d[k])
-    events: list[list] = [[], []]   # per ray: (node arguments, child ray or None)
-    first = 0                       # the current generation's first ray
-    for ev, _ in _grow(s, x, d, c, np.zeros(2, dtype=int)):
-        nxt = len(events)
-        for ray, node, live in zip(ev.ray.tolist(), ev.nodes(), ev.live.tolist()):
-            events[first + ray].append((node, len(events) if live else None))
-            if live:
-                events.append([])
-        first = nxt
-    stack = [(0, 0), (1, 1)]        # (parent node, ray)
-    while stack:
-        parent, ray = stack.pop()
-        for node, child in events[ray]:
-            nid = graph.add(parent, *node)
-            if child is not None:
-                stack.append((nid, child))
-    return graph
+    return _branch_graphs([x0], d0, m, omega, T, caps)[0]
 
 
 # -- visibility ------------------------------------------------------------------
@@ -567,7 +570,7 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     """Sample kset positions and directions; each sample must have a branch
     exiting the rectangle transversally before T.
 
-    All samples' rays go through the kernel that ``trace_branches`` uses, in
+    All samples' rays go through the sweep that ``trace_branches`` uses, in
     two passes: the (x, d) launches, then the (x, -d) launches of the samples
     the first pass left uncovered.  Each round of a pass advances the live
     rays that last left the farthest-out interface on its outer side (all
@@ -591,9 +594,11 @@ def check_visibility(kset: Region, m: Medium, omega: Region, T: float,
     covered = np.zeros(len(positions) * len(directions), dtype=bool)
     for sign in (0, 1):     # the (x, d) launches, then (x, -d) where those found no exit
         go = np.flatnonzero(free[sign::2] & ~covered) * 2 + sign
-        for ev, sample in _grow(s, x[go], d[go], c[go], go // 2, covered):
-            covered[sample[ev.kind == _EXIT]] = True
-            del ev, sample      # freed before the next round is advanced
+        hit = np.zeros(len(go), dtype=bool)     # per launch of the pass, one per sample
+        for ev, launch, _ in _grow(s, x[go], d[go], c[go], hit):
+            hit[launch[ev.kind == _EXIT]] = True
+            del ev, launch      # freed before the next round is advanced
+        covered[go[hit] // 2] = True
     xs, ds = list(map(tuple, positions.tolist())), list(map(tuple, directions.tolist()))
     k_pos, k_dir = np.divmod(np.flatnonzero(~covered), len(ds))
     uncovered = [(xs[i], ds[j]) for i, j in zip(k_pos.tolist(), k_dir.tolist())]

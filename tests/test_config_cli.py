@@ -284,19 +284,38 @@ class TestCli:
         assert done.returncode == 0, done.stderr
 
     def test_cli_import_loads_no_process_pool(self):
-        # rays.ProcessPoolExecutor is imported on first access only
         script = textwrap.dedent("""
             import sys
             import thermotomo.cli
             loaded = sorted(m for m in sys.modules
                             if m == "concurrent.futures.process" or m.split(".")[0] == "multiprocessing")
             assert not loaded, loaded
-            from thermotomo import rays
-            assert rays.ProcessPoolExecutor.__name__ == "ProcessPoolExecutor"
         """)
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+
+    def test_every_name_the_benchmark_wraps_resolves(self):
+        # bench/op.py wraps names by getattr, cli.trace_branches and the lazily
+        # imported rays.ProcessPoolExecutor among them; a missing one would
+        # fail only when the benchmark runs
+        script = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[2])
+            import op
+            from spans import Recorder
+            from thermotomo import cli, rays
+            op.instrument(Recorder(), sys.argv[1])
+            for attr in op.SETUP_ENDS:
+                assert hasattr(getattr(cli, attr), "__wrapped__"), attr
+            if sys.argv[1] == "1":
+                assert cli.trace_branches.__wrapped__ is rays.trace_branches
+                assert rays.ProcessPoolExecutor.__wrapped__.__name__ == "ProcessPoolExecutor"
+        """)
+        for mode in ("0", "1", "setup"):
+            done = subprocess.run([sys.executable, "-c", script, mode, str(ROOT / "bench")],
+                                  env=_child_env(), capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, (mode, done.stderr)
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_raytrace_non_finite_time_exits_2(self, tmp_path, capsys, value):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thermotomo import rays
+from thermotomo import cli, rays
 from thermotomo.config import RunConfig
 from thermotomo.errors import (
     ConfigurationError,
@@ -862,12 +862,16 @@ class TestReferenceTracer:
     @pytest.mark.parametrize("name", ["example1", "skull", "slow_disk", "uniform_fast"])
     @pytest.mark.parametrize("caps", [None, {"max_depth": 3, "min_weight": 0.05}])
     def test_sampled_graphs_match(self, geometries, name, caps):
+        # one sample at a time, and every position of a direction in one sweep
         m, omega, kset, T = geometries[name]
-        for x in sample_positions(kset, 6):
-            for d in sample_directions(8):
-                for t in (T, 0.0):
-                    got = trace_branches(x, d, m, omega, t, caps).to_text()
-                    assert got == _ref_trace_branches(x, d, m, omega, t, caps).to_text()
+        positions = sample_positions(kset, 6)
+        for d in sample_directions(8):
+            for t in (T, 0.0):
+                want = [_ref_trace_branches(x, d, m, omega, t, caps).to_text() for x in positions]
+                assert [trace_branches(x, d, m, omega, t, caps).to_text()
+                        for x in positions] == want
+                assert [g.to_text() for g in
+                        rays._branch_graphs(positions, d, m, omega, t, caps)] == want
 
     @pytest.mark.parametrize("x0,d0,caps,kind", [
         ((0.25, 0.0), (0.0, 1.0), None, "tangent_undetermined"),        # critical angle
@@ -951,9 +955,8 @@ class TestReferenceTracer:
             covered, rounds = np.zeros(2, dtype=bool), []
             x, d = np.array([(0.65, 0.0), (p, 0.5)]), np.array([(1.0, 0.0), (0.0, 1.0)])
             try:
-                for ev, owner in rays._grow(s, x, d, speeds_at(m, x), np.array([0, 1]),
-                                            covered):
-                    covered[owner[ev.kind == rays._EXIT]] = True
+                for ev, launch, _ in rays._grow(s, x, d, speeds_at(m, x), covered):
+                    covered[launch[ev.kind == rays._EXIT]] = True
                     rounds.append((len(ev.ray), covered.tolist()))
             except CriticalAngleError:
                 raising.append(p)
@@ -1031,6 +1034,34 @@ class TestSweepOrder:
         assert sum(launched) == 24 * 96 - 854
         assert sum(rows) <= self.SKULL_ROWS
 
+    # calls and rows raytrace's four branch graphs give ``_advance`` on that
+    # skull, grown in one sweep; one graph at a time, each in whole
+    # generations, the same 501 rows took 37 calls
+    GRAPH_CALLS, GRAPH_ROWS = 16, 501
+
+    def test_graph_calls_at_bench_size(self, monkeypatch, tmp_path):
+        text = (Path(__file__).parents[1] / "configs" / "example2_skull.cfg").read_text()
+        for old, new in (("kset.radius = 0.2", "kset.radius = 0.4"),
+                         ("rays.n_pos = 48", "rays.n_pos = 24")):
+            assert old in text
+            text = text.replace(old, new)
+        (cfg := tmp_path / "skull.cfg").write_text(text)
+        rows, advance, sweep = [], rays._advance, cli.check_visibility
+
+        def counting(s, x, *rest):
+            rows.append(len(x))
+            return advance(s, x, *rest)
+
+        def sweep_then_forget(*args):
+            flags = sweep(*args)
+            rows.clear()        # the sweep's rows are pinned above
+            return flags
+
+        monkeypatch.setattr(rays, "_advance", counting)
+        monkeypatch.setattr(cli, "check_visibility", sweep_then_forget)
+        assert cli.main(["raytrace", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert len(rows) <= self.GRAPH_CALLS and sum(rows) == self.GRAPH_ROWS
+
     @staticmethod
     def _launches_advanced(monkeypatch, x0):
         """check_visibility's flags for the one sample (x0, (0, 1)) in the example1
@@ -1064,7 +1095,7 @@ class TestSweepOrder:
         assert calls == [(1, [1.0])]
 
     def test_a_rays_reflect_comes_before_its_transmit(self):
-        # one generation's events are leaves, reflects, then transmits; a ray's
+        # one round's events are leaves, reflects, then transmits; a ray's
         # own events keep the order trace_branches numbers them in
         m, omega, T = _example("example2_skull")
         s = rays._scene(m, omega, T, {"min_weight": 1e-12})
